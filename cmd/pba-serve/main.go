@@ -96,7 +96,8 @@ func run(addr string, n, shards int, alg string, seed uint64, workers int, snapP
 			return fmt.Errorf("-snapshot is incompatible with -cluster: replicas snapshot per cell via the router")
 		}
 		// Empty non-nil Host selects cluster mode with no cells hosted yet;
-		// the router attaches (or migrates) cells over /cells/attach.
+		// the router attaches fresh cells over /cells/attach and migrates
+		// live ones in over /cells/stage.
 		cfg.Host = []int{}
 	}
 	svc, restored, err := open(cfg, snapPath)

@@ -6,12 +6,13 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/coalesce"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
-// Upstream group commit: with Config.UpstreamBatch on, each upstream's
+// Upstream group commit, the router's forwarding plane: each upstream's
 // connection is owned by a single writer goroutine. Forwards submit
 // their share of a round to the writer's queue and wait; the writer
 // drains whatever has queued up, holds an adaptive window open when
@@ -21,13 +22,13 @@ import (
 // replicas/window instead of client concurrency. Replies demux back to
 // the waiting callers by sequence tag.
 //
-// The flush policy mirrors the replica's cell batcher (serve.cellLoop):
-// an EWMA of the submission gap and of subs-per-flush decides whether a
+// The flush policy is the replica cell batcher's (internal/coalesce): an
+// EWMA of the round-start gap and of subs-per-flush decides whether a
 // window engages at all, so a sequential caller — one request in flight
 // at a time — always sees an immediate single-sub flush and pays zero
 // added latency. That also keeps the determinism contract intact: a
-// sequential replay produces one-sub batch frames whose sub-requests
-// are byte-identical to the unbatched forwards.
+// sequential replay produces one-sub batch frames, and the replica runs
+// each sub exactly as a lone cell-addressed request.
 //
 // Gate interaction: callers hold their cells' read-gates across
 // submit-and-wait, and the writer never takes gates, so a migration's
@@ -41,20 +42,9 @@ const (
 	maxUpBatch   = 128
 	upQueueDepth = 256
 
-	// upCoalesceOn engages the window once the EWMA of subs-per-flush
-	// (×256 fixed point) exceeds ~1.25 — i.e. only under concurrency.
-	upCoalesceOn = 320
-
-	// upMaxGapNs: a submission gap above this means idle; the EWMA state
-	// resets so a burst after a lull starts windowless.
-	upMaxGapNs = int64(10 * time.Millisecond)
-
 	// maxBatchBytes caps one flush's frame size (the replica caps bodies
 	// at serve.MaxBody); an oversized sub carries to the next flush.
 	maxBatchBytes = 4 << 20
-
-	defBatchMinWindow = 2 * time.Microsecond
-	defBatchMaxWindow = 100 * time.Microsecond
 )
 
 // errSubMissing marks a sub the reply frame failed to answer; it only
@@ -89,22 +79,15 @@ func subBytes(s *batchSub) int {
 }
 
 // upBatcher is one upstream's group-commit writer. All mutable state
-// past the queue is writer-goroutine-local — the EWMA needs no atomics.
+// past the queue is writer-goroutine-local.
 type upBatcher struct {
 	up   *upstream
-	u    int
 	q    chan *batchSub
 	stop chan struct{}
 	done chan struct{}
 
-	minWindowNs int64
-	maxWindowNs int64
-
-	// Flush-policy EWMA state (writer-local): gap between round starts
-	// and subs per flush, ×256 fixed point.
-	lastStart int64
-	ewmaGapNs int64
-	ewmaSubs  int64
+	// win is the flush policy, fed round starts and subs per flush.
+	win coalesce.Window
 
 	// Reply demux scratch, reused across flushes.
 	reps []wire.BatchSubReply
@@ -116,7 +99,7 @@ type upBatcher struct {
 	flushDrain *obs.Counter
 }
 
-func newUpBatcher(up *upstream, u int, minW, maxW time.Duration, met *metrics) *upBatcher {
+func newUpBatcher(up *upstream, met *metrics) *upBatcher {
 	host := obs.L("upstream", up.host)
 	flush := func(reason string) *obs.Counter {
 		return met.reg.Counter("pba_upstream_flush_total",
@@ -124,13 +107,10 @@ func newUpBatcher(up *upstream, u int, minW, maxW time.Duration, met *metrics) *
 			host, obs.L("reason", reason))
 	}
 	return &upBatcher{
-		up:          up,
-		u:           u,
-		q:           make(chan *batchSub, upQueueDepth),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		minWindowNs: int64(minW),
-		maxWindowNs: int64(maxW),
+		up:   up,
+		q:    make(chan *batchSub, upQueueDepth),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 		frames: met.reg.Counter("pba_upstream_frames_total",
 			"Batch frames flushed to the upstream (one round trip each).", host),
 		batchSize: met.reg.ValueHistogram("pba_upstream_batch_size",
@@ -141,31 +121,19 @@ func newUpBatcher(up *upstream, u int, minW, maxW time.Duration, met *metrics) *
 	}
 }
 
-// window returns the coalescing window in nanoseconds — zero unless the
-// recent past shows sustained concurrency, then a clamp of 4× the EWMA
-// submission gap (same shape as the replica cell batcher's policy).
-func (bt *upBatcher) window() int64 {
-	if bt.ewmaSubs < upCoalesceOn || bt.ewmaGapNs == 0 {
-		return 0
-	}
-	w := 4 * bt.ewmaGapNs
-	if w < bt.minWindowNs {
-		w = bt.minWindowNs
-	}
-	if w > bt.maxWindowNs {
-		w = bt.maxWindowNs
-	}
-	return w
-}
-
 // run is the writer loop: block for the first sub, drain the queue,
-// optionally hold the adaptive window open, flush, repeat.
+// optionally hold the adaptive window open, flush, repeat. It owns the
+// upstream connection and closes it on exit.
 func (bt *upBatcher) run() {
 	defer close(bt.done)
 	pending := make([]*batchSub, 0, maxUpBatch)
 	var carry *batchSub
 	var c *conn
-	defer func() { bt.up.put(c, true) }()
+	defer func() {
+		if c != nil {
+			_ = c.nc.Close()
+		}
+	}()
 	for {
 		pending = pending[:0]
 		var first *batchSub
@@ -178,20 +146,13 @@ func (bt *upBatcher) run() {
 				return
 			}
 		}
-		now := time.Now().UnixNano()
-		if bt.lastStart != 0 {
-			if gap := now - bt.lastStart; gap > upMaxGapNs {
-				bt.ewmaGapNs, bt.ewmaSubs = 0, 0
-			} else {
-				bt.ewmaGapNs = (3*bt.ewmaGapNs + gap) / 4
-			}
-		}
-		bt.lastStart = now
+		now := time.Now()
+		bt.win.NoteArrival(now.UnixNano())
 		pending = append(pending, first)
 		size := subBytes(first)
 		reason := bt.flushDrain
-		window := bt.window()
-		deadline := now + window
+		window := bt.win.Duration()
+		deadline := now.Add(window)
 	collect:
 		for len(pending) < maxUpBatch && carry == nil {
 			select {
@@ -207,7 +168,7 @@ func (bt *upBatcher) run() {
 				if window == 0 {
 					break collect
 				}
-				if time.Now().UnixNano() >= deadline {
+				if !time.Now().Before(deadline) {
 					reason = bt.flushWin
 					break collect
 				}
@@ -219,7 +180,7 @@ func (bt *upBatcher) run() {
 		if len(pending) >= maxUpBatch {
 			reason = bt.flushFull
 		}
-		bt.ewmaSubs = (3*bt.ewmaSubs + int64(len(pending))<<8) / 4
+		bt.win.NoteSubs(len(pending))
 		reason.Inc()
 		c = bt.flush(c, pending)
 	}
@@ -230,18 +191,16 @@ func (bt *upBatcher) run() {
 // waiting callers. Transport failures fail every sub and retire the
 // connection; a whole-frame HTTP error fails every sub but keeps the
 // connection (it is still in protocol sync); per-sub errors decode to
-// *httpError so the merge path's partial-failure handling is identical
-// to the unbatched plane. Returns the connection to own next round.
+// *httpError so the merge path's partial-failure handling sees the same
+// error a replica's plain non-200 reply would produce. Returns the
+// connection to own next round, nil when the next flush must redial.
 func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	bt.frames.Inc()
 	bt.batchSize.Observe(int64(len(pending)))
 	if c == nil {
 		var err error
-		if c, err = bt.up.get(); err != nil {
-			bt.up.errors.Inc()
-			bt.up.healthy.Store(false)
-			bt.fail(pending, err)
-			return nil
+		if c, err = bt.up.dial(); err != nil {
+			return bt.broken(nil, pending, err)
 		}
 	}
 	f := wire.BeginBatchRequest(c.frame[:0])
@@ -255,37 +214,25 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	}
 	c.frame = wire.FinishBatch(f, 0, len(pending))
 	if err := c.writeRequestVectored(bt.up.host, "/allocate", c.frame); err != nil {
-		bt.up.put(c, false)
-		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
-		bt.fail(pending, err)
-		return nil
+		return bt.broken(c, pending, err)
 	}
 	bt.up.forwards.Add(uint64(len(pending)))
 	start := time.Now()
 	body, err := c.readResponse()
 	bt.up.latency.ObserveDuration(time.Since(start))
 	if err != nil {
-		if isHTTPError(err) {
-			bt.up.errors.Inc()
-			bt.fail(pending, err)
-			return c
+		if !isHTTPError(err) {
+			return bt.broken(c, pending, err)
 		}
-		bt.up.put(c, false)
 		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
 		bt.fail(pending, err)
-		return nil
+		return reusable(c)
 	}
 	bt.reps, err = wire.ParseBatchReply(body, bt.reps[:0])
 	if err != nil {
 		// An unparseable reply body means the stream can no longer be
 		// trusted; retire the connection like a transport failure.
-		bt.up.put(c, false)
-		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
-		bt.fail(pending, fmt.Errorf("bad batch reply: %w", err))
-		return nil
+		return bt.broken(c, pending, fmt.Errorf("bad batch reply: %w", err))
 	}
 	for _, s := range pending {
 		s.err = errSubMissing
@@ -315,7 +262,31 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 		s.done <- struct{}{}
 	}
+	return reusable(c)
+}
+
+// reusable returns c for the next flush, or closes it and returns nil
+// when the replica ended the connection with this response (Connection:
+// close, or a body framed by EOF) — the next flush then redials.
+func reusable(c *conn) *conn {
+	if c.closing {
+		_ = c.nc.Close()
+		return nil
+	}
 	return c
+}
+
+// broken handles a transport failure: close c (if any), mark the
+// upstream unhealthy, and fail every pending sub with err. It returns
+// nil so the next flush redials.
+func (bt *upBatcher) broken(c *conn, pending []*batchSub, err error) *conn {
+	if c != nil {
+		_ = c.nc.Close()
+	}
+	bt.up.errors.Inc()
+	bt.up.healthy.Store(false)
+	bt.fail(pending, err)
+	return nil
 }
 
 // fail completes every pending sub with err.
@@ -327,9 +298,9 @@ func (bt *upBatcher) fail(pending []*batchSub, err error) {
 }
 
 // decodeSubError turns a framed sub-error (HTTP status + JSON document)
-// into the same *httpError an unbatched non-200 reply produces, spans
-// and all — the caller's partial-failure folding cannot tell them
-// apart. Error paths may allocate.
+// into the same *httpError a plain non-200 reply produces, spans and
+// all — the caller's partial-failure folding cannot tell them apart.
+// Error paths may allocate.
 func decodeSubError(status int, doc []byte) error {
 	he := &httpError{Status: status}
 	var d struct {
@@ -356,10 +327,10 @@ func (sc *fwdScratch) sub(nup, u int) *batchSub {
 	return sc.bsubs[u]
 }
 
-// batchAllocate is the group-commit spelling of the allocate fan-out:
-// submit each involved upstream's share to its writer, then wait in
-// upstream order. Failures land in sc.failed exactly as fanOut records
-// them, so the merge path downstream is unchanged.
+// batchAllocate submits each involved upstream's allocate share to its
+// writer, then waits in upstream order. Failures land per upstream in
+// sc.failed (the other replicas' replies are still valid — the
+// partial-failure contract) for the merge to fold.
 func (r *Router) batchAllocate(sc *fwdScratch) {
 	if r.closed.Load() {
 		for u := range sc.perUp {
@@ -389,14 +360,10 @@ func (r *Router) batchAllocate(sc *fwdScratch) {
 	}
 }
 
-// batchRelease is the group-commit spelling of the release fan-out.
+// batchRelease submits each involved upstream's release partition to
+// its writer and returns the total released.
 func (r *Router) batchRelease(sc *fwdScratch) int {
 	if r.closed.Load() {
-		for u := range sc.relIDs {
-			if len(sc.relIDs[u]) > 0 {
-				sc.failed[u] = errRouterClosed
-			}
-		}
 		return 0
 	}
 	for u := range sc.relIDs {
@@ -416,11 +383,9 @@ func (r *Router) batchRelease(sc *fwdScratch) int {
 		}
 		s := sc.bsubs[u]
 		<-s.done
-		if s.err != nil {
-			sc.failed[u] = s.err
-			continue
+		if s.err == nil {
+			total += s.released
 		}
-		total += s.released
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 // through a batched router grants the same IDs at every step and ends
 // fingerprint-identical to one single-process service. A sequential
 // caller produces one-sub batch frames, so the window never engages and
-// the plane is bit-compatible with the unbatched one.
+// each sub runs exactly as a lone cell-addressed request.
 func TestBatchedMatchesSingleProcess(t *testing.T) {
 	const n, cells, seed = 60, 6, 21
 	single, err := serve.New(serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1})
@@ -28,7 +29,7 @@ func TestBatchedMatchesSingleProcess(t *testing.T) {
 	for i := range ups {
 		_, ups[i] = emptyReplica(t, n, cells, seed)
 	}
-	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, UpstreamBatch: true})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +100,9 @@ func TestBatchedMatchesSingleProcess(t *testing.T) {
 	step(0, 300)
 	checkFingerprint("end of trace")
 
-	// The batched plane actually carried the trace — frames flushed on
-	// every upstream that saw traffic — and the sequential caller never
-	// rode a multi-sub frame (zero added latency, bit-identical plane).
+	// The writers actually carried the trace — frames flushed on every
+	// upstream that saw traffic — and the sequential caller never rode a
+	// multi-sub frame (zero added latency).
 	frames := uint64(0)
 	for _, bt := range r.batchers {
 		frames += bt.frames.Load()
@@ -128,7 +129,7 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	for i := range ups {
 		_, ups[i] = emptyReplica(t, n, cells, seed)
 	}
-	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, Terse: true, UpstreamBatch: true})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, Terse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +217,37 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	}
 	if st, _ = r.StatsDoc(false).(Stats); st.Live != 0 {
 		t.Fatalf("%d balls live after full drain", st.Live)
+	}
+}
+
+// TestWriterRedialsAfterConnectionClose: a replica that ends every
+// /allocate reply with Connection: close must not break the next flush —
+// the writer drops the connection the replica closed and redials.
+func TestWriterRedialsAfterConnectionClose(t *testing.T) {
+	const n, cells, seed = 24, 3, 4
+	closeAfterAllocate := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/allocate" {
+				w.Header().Set("Connection", "close")
+			}
+			h.ServeHTTP(w, req)
+		})
+	}
+	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, closeAfterAllocate)
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var ids []int64
+	for i := 1; i <= 5; i++ {
+		rep, err := r.Allocate(20)
+		if err != nil {
+			t.Fatalf("allocate %d: %v", i, err)
+		}
+		ids = rep.AppendIDs(ids)
+	}
+	if got := r.Release(ids); got != len(ids) {
+		t.Fatalf("released %d of %d", got, len(ids))
 	}
 }

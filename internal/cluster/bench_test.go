@@ -11,13 +11,14 @@ import (
 	"repro/internal/wire"
 )
 
-// forwardPlanes builds the three measurement closures the allocation
-// split reads from, all over one shared replica pair: the raw upstream
-// protocol (the router's connection and codec layer with none of its
-// orchestration), the fan-out router, and the group-commit router. Each
-// closure plays one warm allocate+release round; routers and replicas
-// are torn down via tb.Cleanup.
-func forwardPlanes(tb testing.TB) (baseline, routed, batched func()) {
+// forwardPlanes builds the two measurement closures the allocation
+// split reads from, over one shared replica pair: the raw upstream
+// protocol (one-sub batch frames on connections this helper dials
+// itself — the router's connection and codec layer with none of its
+// orchestration) and the router. Each closure plays one warm
+// allocate+release round; the router, connections and replicas are torn
+// down via tb.Cleanup.
+func forwardPlanes(tb testing.TB) (baseline, routed func()) {
 	const n, cells, batch = 256, 4, 64
 	ups := make([]string, 2)
 	for i := range ups {
@@ -30,53 +31,46 @@ func forwardPlanes(tb testing.TB) (baseline, routed, batched func()) {
 	tb.Cleanup(func() { r.Close() })
 
 	// The raw-protocol baseline: fixed per-upstream shares mirroring the
-	// router's split.
+	// router's split, one sub per frame like a sequential router flush.
 	var basePairs [2][]wire.CellCount
 	for g := range r.table {
 		basePairs[r.table[g].Load()] = append(basePairs[r.table[g].Load()], wire.CellCount{Cell: g, Count: batch / cells})
 	}
+	conns := make([]*conn, len(r.ups))
+	for u, up := range r.ups {
+		if conns[u], err = up.dial(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tb.Cleanup(func() {
+		for _, c := range conns {
+			_ = c.nc.Close()
+		}
+	})
+	var subReps []wire.BatchSubReply
 	var baseRep serve.Report
 	var baseIDs []int64
 	baseline = func() {
 		baseIDs = baseIDs[:0]
-		for u, up := range r.ups {
-			c, err := up.get()
-			if err != nil {
+		for u, c := range conns {
+			f := wire.AppendBatchTag(wire.BeginBatchRequest(c.frame[:0]), 0)
+			f = wire.AppendCellAllocateRequest(f, basePairs[u], true)
+			frame := rawRoundTrip(tb, c, r.ups[u].host, f, &subReps)
+			if err := wire.ParseReport(frame, &baseRep); err != nil {
 				tb.Fatal(err)
 			}
-			if err := c.writeCellAllocate(up.host, basePairs[u], true); err != nil {
-				tb.Fatal(err)
-			}
-			body, err := c.readResponse()
-			if err == nil {
-				err = wire.ParseReport(body, &baseRep)
-			}
-			if err != nil {
-				tb.Fatal(err)
-			}
-			up.put(c, true)
 			baseIDs = baseRep.AppendIDs(baseIDs)
 		}
-		for u, up := range r.ups {
-			c, err := up.get()
-			if err != nil {
-				tb.Fatal(err)
-			}
+		for u, c := range conns {
 			// Releasing the full ID set at both replicas mirrors the router's
 			// partitioned release closely enough for allocation counting; the
 			// replicas skip unhosted IDs.
-			if err := c.writeRelease(up.host, baseIDs); err != nil {
+			f := wire.AppendBatchTag(wire.BeginBatchRequest(c.frame[:0]), 0)
+			f = wire.AppendReleaseRequest(f, baseIDs)
+			frame := rawRoundTrip(tb, c, r.ups[u].host, f, &subReps)
+			if _, err := wire.ParseReleaseReply(frame); err != nil {
 				tb.Fatal(err)
 			}
-			body, err := c.readResponse()
-			if err == nil {
-				_, err = wire.ParseReleaseReply(body)
-			}
-			if err != nil {
-				tb.Fatal(err)
-			}
-			up.put(c, true)
-			_ = u
 		}
 	}
 
@@ -91,56 +85,50 @@ func forwardPlanes(tb testing.TB) (baseline, routed, batched func()) {
 			tb.Fatalf("released %d of %d", got, len(ids))
 		}
 	}
+	return baseline, routed
+}
 
-	// The batched plane over the same replicas: the group-commit writer,
-	// the batch codec, and the demux must also add nothing per round.
-	rb, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 2, Upstreams: ups, Terse: true, UpstreamBatch: true})
+// rawRoundTrip finishes f (a batch frame holding one sub tagged 0) into
+// c.frame, sends it, and returns the sub's reply frame.
+func rawRoundTrip(tb testing.TB, c *conn, host string, f []byte, reps *[]wire.BatchSubReply) []byte {
+	c.frame = wire.FinishBatch(f, 0, 1)
+	if err := c.writeRequestVectored(host, "/allocate", c.frame); err != nil {
+		tb.Fatal(err)
+	}
+	body, err := c.readResponse()
+	if err == nil {
+		*reps, err = wire.ParseBatchReply(body, (*reps)[:0])
+	}
+	if err == nil && (len(*reps) != 1 || (*reps)[0].Status != 0) {
+		err = fmt.Errorf("raw round trip: unexpected batch reply %+v", *reps)
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { rb.Close() })
-	brep := new(serve.Report)
-	var bids []int64
-	batched = func() {
-		if err := rb.AllocateInto(batch, brep); err != nil {
-			tb.Fatal(err)
-		}
-		bids = brep.AppendIDs(bids[:0])
-		if got := rb.Release(bids); got != len(bids) {
-			tb.Fatalf("released %d of %d", got, len(bids))
-		}
-	}
-	return baseline, routed, batched
+	return (*reps)[0].Frame
 }
 
 // TestRouterForwardAllocFree: in steady state the router's binary
-// forward path — split draw, fan-out or group commit, reply merge,
-// connection cycling — adds zero allocations per allocate/release round
-// trip on top of what the raw upstream protocol costs (same
-// connections, same frames, no router logic). Both sides of the
-// comparison include the replicas' server-side work, so the delta
-// isolates the router.
+// forward path — split draw, group-commit submit and demux, reply merge
+// — adds zero allocations per allocate/release round trip on top of
+// what the raw upstream protocol costs (same frames, no router logic).
+// Both sides of the comparison include the replicas' server-side work,
+// so the delta isolates the router.
 func TestRouterForwardAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	baseline, routed, batched := forwardPlanes(t)
-	// Warm pools, connections, and slice capacities on all paths.
+	baseline, routed := forwardPlanes(t)
+	// Warm pools, connections, and slice capacities on both paths.
 	for i := 0; i < 50; i++ {
 		baseline()
 		routed()
-		batched()
 	}
 	base := testing.AllocsPerRun(200, baseline)
 	via := testing.AllocsPerRun(200, routed)
-	viaBatched := testing.AllocsPerRun(200, batched)
 	if delta := via - base; delta >= 1 {
 		t.Errorf("router forward path adds %.2f allocs/op (router %.2f, raw upstream %.2f); want 0",
 			delta, via, base)
-	}
-	if delta := viaBatched - base; delta >= 1 {
-		t.Errorf("batched forward path adds %.2f allocs/op (batched %.2f, raw upstream %.2f); want 0",
-			delta, viaBatched, base)
 	}
 }
 
@@ -148,26 +136,23 @@ func TestRouterForwardAllocFree(t *testing.T) {
 // as dedicated record columns: raw_allocs/op is what the upstream
 // protocol itself costs per round (dominated by the in-process replica
 // servers' net/http request machinery — the bench-harness side of the
-// split), and the two *_delta_allocs/op columns are the fan-out and
-// group-commit routers' own additions over it, both held at zero.
-// Counts come from testing.AllocsPerRun inside one iteration, so ns/op
-// is not meaningful here; read the custom columns.
+// split), and batched_delta_allocs/op is the router's own addition over
+// it, held at zero. Counts come from testing.AllocsPerRun inside one
+// iteration, so ns/op is not meaningful here; read the custom columns.
 func BenchmarkRouterAllocSplit(b *testing.B) {
 	if raceEnabled {
 		b.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	baseline, routed, batched := forwardPlanes(b)
+	baseline, routed := forwardPlanes(b)
 	for i := 0; i < 50; i++ {
 		baseline()
 		routed()
-		batched()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := testing.AllocsPerRun(100, baseline)
 		b.ReportMetric(base, "raw_allocs/op")
-		b.ReportMetric(testing.AllocsPerRun(100, routed)-base, "router_delta_allocs/op")
-		b.ReportMetric(testing.AllocsPerRun(100, batched)-base, "batched_delta_allocs/op")
+		b.ReportMetric(testing.AllocsPerRun(100, routed)-base, "batched_delta_allocs/op")
 	}
 }
 
@@ -219,128 +204,109 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterGroupCommit is the group-commit claim as a grid:
-// clients × replicas × batch on|off, same topology and batch size
-// everywhere. With one client the batched plane must cost nothing (the
-// window never engages, frames carry one sub); with many clients the
-// writer coalesces concurrent submissions into multi-sub frames and the
-// batched/unbatched balls/s ratio at replicas>=2 is the headline
-// speedup. Clients are explicit goroutines sharing b.N through an
-// atomic counter — RunParallel would cap the client count at
-// GOMAXPROCS, which is 1 on small CI boxes.
+// BenchmarkClusterGroupCommit is the group-commit grid: clients ×
+// replicas, same topology and batch size everywhere. With one client the
+// window never engages and frames carry one sub; with many clients the
+// writer coalesces concurrent submissions into multi-sub frames. Clients
+// are explicit goroutines sharing b.N through an atomic counter —
+// RunParallel would cap the client count at GOMAXPROCS, which is 1 on
+// small CI boxes.
 func BenchmarkClusterGroupCommit(b *testing.B) {
 	const n, cells, batch = 1024, 6, 64
 	for _, clients := range []int{1, 8} {
 		for _, replicas := range []int{1, 2, 3} {
-			for _, batched := range []bool{false, true} {
-				mode := "off"
-				if batched {
-					mode = "on"
-				}
-				name := fmt.Sprintf("clients=%d/replicas=%d/batch=%s", clients, replicas, mode)
-				b.Run(name, func(b *testing.B) {
-					ups := make([]string, replicas)
-					for i := range ups {
-						_, ups[i] = emptyReplica(b, n, cells, 1)
-					}
-					r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1,
-						Upstreams: ups, Terse: true, UpstreamBatch: batched})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer r.Close()
-					var balls atomic.Int64
-					var iters atomic.Int64
-					iters.Store(int64(b.N))
-					var wg sync.WaitGroup
-					b.ReportAllocs()
-					b.ResetTimer()
-					for c := 0; c < clients; c++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							rep := new(serve.Report)
-							var ids []int64
-							for iters.Add(-1) >= 0 {
-								if err := r.AllocateInto(batch, rep); err != nil {
-									b.Error(err)
-									return
-								}
-								ids = rep.AppendIDs(ids[:0])
-								if got := r.Release(ids); got != len(ids) {
-									b.Errorf("released %d of %d", got, len(ids))
-									return
-								}
-								balls.Add(int64(len(ids)))
-							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					st, ok := r.StatsDoc(false).(Stats)
-					if !ok || st.Live != 0 {
-						b.Fatalf("bench left %d balls live", st.Live)
-					}
-					b.ReportMetric(float64(balls.Load())/b.Elapsed().Seconds(), "balls/s")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkMigrationPause measures the data-plane pause one cell move
-// inflicts — the window in which the moving cell's forwarding gate is
-// write-locked — for the two-phase delta protocol against the legacy
-// whole-move lock, across cell sizes. The contract under test: the
-// delta pause tracks the traffic since the snapshot (zero here), not
-// the balls in the cell, so pause_ns stays flat as balls grows while
-// fulllock grows with the O(live) transfer it keeps under the lock.
-// Each iteration still pays the full copy off-lock; pause_ns is the
-// figure of merit, not ns/op.
-func BenchmarkMigrationPause(b *testing.B) {
-	for _, balls := range []int{10_000, 100_000, 1_000_000} {
-		for _, mode := range []string{"delta", "fulllock"} {
-			b.Run(fmt.Sprintf("balls=%d/mode=%s", balls, mode), func(b *testing.B) {
-				// One cell, so the whole population rides the moving cell.
-				const n = 1024
-				ups := make([]string, 2)
+			b.Run(fmt.Sprintf("clients=%d/replicas=%d", clients, replicas), func(b *testing.B) {
+				ups := make([]string, replicas)
 				for i := range ups {
-					_, ups[i] = emptyReplica(b, n, 1, 3)
+					_, ups[i] = emptyReplica(b, n, cells, 1)
 				}
-				r, err := New(Config{N: n, Cells: 1, Alg: "aheavy", Seed: 3, Upstreams: ups, Terse: true})
+				r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: ups, Terse: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer r.Close()
-				rep := new(serve.Report)
-				for placed := 0; placed < balls; {
-					k := balls - placed
-					if k > 8192 {
-						k = 8192
-					}
-					if err := r.AllocateInto(k, rep); err != nil {
-						b.Fatal(err)
-					}
-					placed += k
-				}
-				var total time.Duration
+				var balls atomic.Int64
+				var iters atomic.Int64
+				iters.Store(int64(b.N))
+				var wg sync.WaitGroup
+				b.ReportAllocs()
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dst := 1 - int(r.table[0].Load())
-					var pause time.Duration
-					if mode == "delta" {
-						pause, err = r.MigrateTimed(0, dst)
-					} else {
-						pause, err = r.migrateLegacy(0, int(r.table[0].Load()), dst)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += pause
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rep := new(serve.Report)
+						var ids []int64
+						for iters.Add(-1) >= 0 {
+							if err := r.AllocateInto(batch, rep); err != nil {
+								b.Error(err)
+								return
+							}
+							ids = rep.AppendIDs(ids[:0])
+							if got := r.Release(ids); got != len(ids) {
+								b.Errorf("released %d of %d", got, len(ids))
+								return
+							}
+							balls.Add(int64(len(ids)))
+						}
+					}()
 				}
+				wg.Wait()
 				b.StopTimer()
-				b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "pause_ns")
+				st, ok := r.StatsDoc(false).(Stats)
+				if !ok || st.Live != 0 {
+					b.Fatalf("bench left %d balls live", st.Live)
+				}
+				b.ReportMetric(float64(balls.Load())/b.Elapsed().Seconds(), "balls/s")
 			})
 		}
+	}
+}
+
+// BenchmarkMigrationPause measures the data-plane pause one two-phase
+// cell move inflicts — the window in which the moving cell's forwarding
+// gate is write-locked — across cell sizes. The contract under test: the
+// pause tracks the traffic since the snapshot (zero here), not the balls
+// in the cell, so pause_ns stays flat as balls grows. Each iteration
+// still pays the full copy off-lock; pause_ns is the figure of merit,
+// not ns/op. BENCH_pr9.json and BENCH_pr10.json record the retired
+// whole-move (full-lock) baseline it replaced.
+func BenchmarkMigrationPause(b *testing.B) {
+	for _, balls := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("balls=%d", balls), func(b *testing.B) {
+			// One cell, so the whole population rides the moving cell.
+			const n = 1024
+			ups := make([]string, 2)
+			for i := range ups {
+				_, ups[i] = emptyReplica(b, n, 1, 3)
+			}
+			r, err := New(Config{N: n, Cells: 1, Alg: "aheavy", Seed: 3, Upstreams: ups, Terse: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			rep := new(serve.Report)
+			for placed := 0; placed < balls; {
+				k := balls - placed
+				if k > 8192 {
+					k = 8192
+				}
+				if err := r.AllocateInto(k, rep); err != nil {
+					b.Fatal(err)
+				}
+				placed += k
+			}
+			var total time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pause, err := r.MigrateTimed(0, 1-int(r.table[0].Load()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += pause
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "pause_ns")
+		})
 	}
 }

@@ -5,8 +5,9 @@
 // assignment table, draws every request's multinomial split itself (the
 // same SplitBalls spelling the single-process service uses, against the
 // same admission sequence), and forwards each replica its hosted cells'
-// shares as cell-addressed binary allocates over persistent pipelined
-// connections. Replicas reply in global IDs and bins, so merging their
+// shares as cell-addressed binary allocates through one group-commit
+// writer per replica (batch.go), which owns that replica's persistent
+// connection. Replicas reply in global IDs and bins, so merging their
 // replies in global cell order reconstructs exactly the single-process
 // reply — and replaying a fixed (seed, request sequence, topology,
 // migration schedule) sequentially through the router is
@@ -48,22 +49,12 @@ type Config struct {
 	// X-PBA-Router evacuation coordinate on every cell attach so replicas
 	// know whom to ask for migration on shutdown.
 	SelfURL string
-	// PoolSize is the connection free-list depth per upstream (default 4).
-	PoolSize int
 	// Terse asks replicas to omit placements from forwarded allocate
 	// replies. The spans still name every granted ID; only callers that
 	// need per-ball bin assignments (pba-bench -placements) turn this off.
 	Terse bool
-	// UpstreamBatch turns on per-upstream group commit: one writer
-	// goroutine per replica owns the connection and flushes concurrent
-	// forwards as one multi-request batch frame (see batch.go). Sequential
-	// callers still see immediate single-sub flushes, so a fixed trace
-	// replayed sequentially stays bit-identical to the unbatched plane.
+	// Deprecated: ignored; group commit is the only forwarding plane.
 	UpstreamBatch bool
-	// BatchMinWindow and BatchMaxWindow clamp the adaptive coalescing
-	// window (defaults 2µs and 100µs); meaningful only with UpstreamBatch.
-	BatchMinWindow time.Duration
-	BatchMaxWindow time.Duration
 	// Logf, when set, receives one line per control-plane event the
 	// router performs on its own initiative (per-cell migrations inside
 	// an evacuation or rebalance, with their pause windows). Nil is
@@ -104,9 +95,8 @@ type Router struct {
 	table []atomic.Int32
 	ups   []*upstream
 
-	// batchers, non-nil iff Config.UpstreamBatch, hold one group-commit
-	// writer per upstream; the data plane then submits instead of running
-	// its own fan-out rounds.
+	// batchers hold one group-commit writer per upstream (batch.go); the
+	// data plane submits to them.
 	batchers []*upBatcher
 
 	scratch sync.Pool
@@ -156,7 +146,6 @@ type fwdScratch struct {
 	perUp   [][]wire.CellCount // per-upstream (cell, count) shares
 	relIDs  [][]int64          // per-upstream release partitions
 	relMark []bool             // cells a release touches (gate set)
-	conns   []*conn
 	reps    []serve.Report
 	failed  []error
 	cur     []int       // per-upstream span cursor during the merge
@@ -178,9 +167,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Upstreams) == 0 {
 		return nil, fmt.Errorf("cluster: no upstreams")
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 4
-	}
 	met := newRouterMetrics()
 	r := &Router{
 		cfg:     cfg,
@@ -195,7 +181,7 @@ func New(cfg Config) (*Router, error) {
 		r.table[i].Store(-1)
 	}
 	for _, raw := range cfg.Upstreams {
-		up, err := newUpstream(raw, cfg.PoolSize, met)
+		up, err := newUpstream(raw, met)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +194,6 @@ func New(cfg Config) (*Router, error) {
 			perUp:   make([][]wire.CellCount, nup),
 			relIDs:  make([][]int64, nup),
 			relMark: make([]bool, cfg.Cells),
-			conns:   make([]*conn, nup),
 			reps:    make([]serve.Report, nup),
 			failed:  make([]error, nup),
 			cur:     make([]int, nup),
@@ -222,22 +207,10 @@ func New(cfg Config) (*Router, error) {
 	if err := r.bootstrap(); err != nil {
 		return nil, err
 	}
-	if cfg.UpstreamBatch {
-		minW, maxW := cfg.BatchMinWindow, cfg.BatchMaxWindow
-		if minW <= 0 {
-			minW = defBatchMinWindow
-		}
-		if maxW <= 0 {
-			maxW = defBatchMaxWindow
-		}
-		if maxW < minW {
-			maxW = minW
-		}
-		for u, up := range r.ups {
-			bt := newUpBatcher(up, u, minW, maxW, met)
-			r.batchers = append(r.batchers, bt)
-			go bt.run()
-		}
+	for _, up := range r.ups {
+		bt := newUpBatcher(up, met)
+		r.batchers = append(r.batchers, bt)
+		go bt.run()
 	}
 	return r, nil
 }
@@ -365,9 +338,10 @@ func (r *Router) Table() []string {
 	return out
 }
 
-// Close retires every pooled connection. In-flight forwards finish first
-// (drain-by-gate: every cell gate is write-locked in ascending order),
-// new ones fail at the replicas' closed sockets.
+// Close stops the upstream writers, which close their connections.
+// In-flight forwards finish first (drain-by-gate: every cell gate is
+// write-locked in ascending order); later ones fail with a closed-router
+// error.
 func (r *Router) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
@@ -383,14 +357,10 @@ func (r *Router) Close() {
 		}
 	}()
 	// Holding every gate means no forward is queued or awaiting a reply,
-	// so the group-commit writers are idle: stop them (each returns its
-	// owned connection to the free list) before draining the lists.
+	// so the group-commit writers are idle.
 	for _, bt := range r.batchers {
 		close(bt.stop)
 		<-bt.done
-	}
-	for _, up := range r.ups {
-		up.drain()
 	}
 }
 
@@ -403,10 +373,10 @@ func (r *Router) Allocate(k int) (*serve.Report, error) {
 }
 
 // AllocateInto implements serve.Backend: draw the request's multinomial
-// split against the router's admission sequence, forward each involved
-// replica its cells' shares as one cell-addressed binary allocate
-// (write-all-then-read-all, so replicas run their epochs in parallel),
-// and merge the replies in global cell order into rep.
+// split against the router's admission sequence, submit each involved
+// replica's share to its writer (submit-all-then-wait-all, so replicas
+// run their epochs in parallel), and merge the replies in global cell
+// order into rep.
 //
 // Partial failures keep the replica contract cluster-wide: if a replica
 // fails, the spans granted by the replicas that succeeded are still
@@ -446,19 +416,9 @@ func (r *Router) AllocateInto(k int, rep *serve.Report) error {
 	}
 	r.met.splitStage.ObserveDuration(time.Since(start))
 
-	// Write all requests, then read all replies: the replicas' epochs
+	// Submit every share, then wait for every reply: the replicas' epochs
 	// overlap, and the slowest upstream bounds the round, not the sum.
-	// Under group commit the writers own the connections instead, and
-	// this forward's shares ride whatever frames they flush next.
-	if r.batchers != nil {
-		r.batchAllocate(sc)
-	} else {
-		r.fanOut(sc, func(c *conn, up *upstream, u int) error {
-			return c.writeCellAllocate(up.host, sc.perUp[u], r.cfg.Terse)
-		}, func(body []byte, u int) error {
-			return wire.ParseReport(body, &sc.reps[u])
-		})
-	}
+	r.batchAllocate(sc)
 
 	// Merge in global cell order. Each reply's spans and placements are
 	// already ordered by global cell (replicas collect hosted cells
@@ -546,8 +506,8 @@ func (r *Router) AllocateCellsInto(pairs []wire.CellCount, rep *serve.Report) er
 }
 
 // Release implements serve.Backend: partition ids by hosting replica
-// (cell = id mod cells) and forward each partition as one binary
-// release, write-all-then-read-all like the allocate path.
+// (cell = id mod cells) and submit each partition as one binary release,
+// submit-all-then-wait-all like the allocate path.
 func (r *Router) Release(ids []int64) int {
 	if len(ids) == 0 {
 		return 0
@@ -556,8 +516,6 @@ func (r *Router) Release(ids []int64) int {
 	defer r.scratch.Put(sc)
 	for u := range sc.relIDs {
 		sc.relIDs[u] = sc.relIDs[u][:0]
-		sc.perUp[u] = sc.perUp[u][:0]
-		sc.failed[u] = nil
 	}
 	// Mark the touched cells, then gate them ascending — the partition by
 	// upstream must read a table no migration can flip mid-release.
@@ -582,28 +540,7 @@ func (r *Router) Release(ids []int64) int {
 		u := r.table[int(id%r.stride)].Load()
 		sc.relIDs[u] = append(sc.relIDs[u], id)
 	}
-	if r.batchers != nil {
-		return r.batchRelease(sc)
-	}
-	// fanOut keys involvement off perUp; mark each used upstream with a
-	// sentinel pair.
-	for u := range sc.relIDs {
-		if len(sc.relIDs[u]) > 0 {
-			sc.perUp[u] = append(sc.perUp[u], wire.CellCount{})
-		}
-	}
-	total := 0
-	r.fanOut(sc, func(c *conn, up *upstream, u int) error {
-		return c.writeRelease(up.host, sc.relIDs[u])
-	}, func(body []byte, u int) error {
-		n, err := wire.ParseReleaseReply(body)
-		if err != nil {
-			return err
-		}
-		total += n
-		return nil
-	})
-	return total
+	return r.batchRelease(sc)
 }
 
 // runlockReleaseGates releases the gates a release marked.
@@ -612,61 +549,6 @@ func (r *Router) runlockReleaseGates(sc *fwdScratch) {
 		if marked {
 			r.gates[g].RUnlock()
 		}
-	}
-}
-
-// fanOut runs one write-all-then-read-all round over the upstreams with
-// a non-empty sc.perUp share: check out one connection per involved
-// upstream, write every request, then read the replies in upstream
-// order. Failures never abort the round — each is recorded per upstream
-// in sc.failed (the other replicas' replies are still valid; the
-// partial-failure contract). HTTP errors leave the connection in sync
-// and reusable; transport errors retire it and mark the upstream
-// unhealthy.
-func (r *Router) fanOut(sc *fwdScratch, write func(*conn, *upstream, int) error, decode func([]byte, int) error) {
-	for u, up := range r.ups {
-		sc.conns[u] = nil
-		if len(sc.perUp[u]) == 0 {
-			continue
-		}
-		c, err := up.get()
-		if err == nil {
-			err = write(c, up, u)
-		}
-		if err != nil {
-			up.put(c, false)
-			up.errors.Inc()
-			up.healthy.Store(false)
-			sc.failed[u] = err
-			continue
-		}
-		sc.conns[u] = c
-		up.forwards.Inc()
-	}
-	for u, up := range r.ups {
-		c := sc.conns[u]
-		if c == nil {
-			continue
-		}
-		start := time.Now()
-		body, err := c.readResponse()
-		up.latency.ObserveDuration(time.Since(start))
-		if err == nil {
-			err = decode(body, u)
-		}
-		if err != nil {
-			if isHTTPError(err) {
-				// Protocol-level failure: the connection is still in sync.
-				up.put(c, true)
-			} else {
-				up.put(c, false)
-				up.healthy.Store(false)
-			}
-			up.errors.Inc()
-			sc.failed[u] = err
-			continue
-		}
-		up.put(c, true)
 	}
 }
 

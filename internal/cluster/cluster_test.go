@@ -15,6 +15,13 @@ import (
 // listener — the router's data plane needs actual sockets, not
 // httptest's in-process transport.
 func startReplica(t testing.TB, cfg serve.Config) (*serve.Service, string) {
+	return startWrappedReplica(t, cfg, nil)
+}
+
+// startWrappedReplica is startReplica with the replica's handler passed
+// through wrap (nil serves it unwrapped), so a test can make one
+// endpoint misbehave while the rest serve normally.
+func startWrappedReplica(t testing.TB, cfg serve.Config, wrap func(http.Handler) http.Handler) (*serve.Service, string) {
 	t.Helper()
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -25,7 +32,11 @@ func startReplica(t testing.TB, cfg serve.Config) (*serve.Service, string) {
 		s.Close()
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: serve.NewHandler(s, serve.HandlerConfig{})}
+	h := serve.NewHandler(s, serve.HandlerConfig{})
+	if wrap != nil {
+		h = wrap(h)
+	}
+	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() {
 		_ = srv.Close()

@@ -22,20 +22,18 @@ import (
 // loadgen plane but allocation-free in steady state: request lines,
 // headers, and binary frames are appended into per-connection buffers,
 // responses are parsed with a reusable bufio.Reader into a reusable body
-// buffer, and connections cycle through a fixed-size free list. A warm
-// forward therefore adds zero allocations on top of what the replica's
-// own handler does.
+// buffer, and each upstream's group-commit writer (batch.go) dials and
+// owns exactly one connection. A warm forward therefore adds zero
+// allocations on top of what the replica's own handler does.
 
 // dialTimeout bounds one upstream connection attempt.
 const dialTimeout = 5 * time.Second
 
-// upstream is one replica as the router sees it: its address, its
-// connection free list, and its health word.
+// upstream is one replica as the router sees it: its address and its
+// health word.
 type upstream struct {
 	base string // normalized base URL, e.g. http://127.0.0.1:9100
 	host string // host:port for the Host header and dialing
-
-	idle chan *conn
 
 	// healthy is flipped by the health loop (and by forward errors); the
 	// data path keeps using an unhealthy upstream — its cells live nowhere
@@ -48,7 +46,7 @@ type upstream struct {
 	latency  *obs.Histogram
 }
 
-func newUpstream(raw string, pool int, met *metrics) (*upstream, error) {
+func newUpstream(raw string, met *metrics) (*upstream, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: upstream %q: %w", raw, err)
@@ -66,7 +64,6 @@ func newUpstream(raw string, pool int, met *metrics) (*upstream, error) {
 	up := &upstream{
 		base:     "http://" + u.Host,
 		host:     host,
-		idle:     make(chan *conn, pool),
 		forwards: met.reg.Counter("pba_router_forwards_total", "Data-plane requests forwarded, by upstream.", obs.L("upstream", u.Host)),
 		errors:   met.reg.Counter("pba_router_forward_errors_total", "Forward failures (transport or HTTP), by upstream.", obs.L("upstream", u.Host)),
 		latency:  met.reg.DurationHistogram("pba_router_upstream_seconds", "Upstream round-trip time: request write to reply decoded.", obs.L("upstream", u.Host)),
@@ -75,14 +72,8 @@ func newUpstream(raw string, pool int, met *metrics) (*upstream, error) {
 	return up, nil
 }
 
-// get checks a connection out of the free list, dialing when empty. The
-// checkout is exclusive: concurrent forwards hold distinct connections.
-func (u *upstream) get() (*conn, error) {
-	select {
-	case c := <-u.idle:
-		return c, nil
-	default:
-	}
+// dial opens a fresh connection to the upstream.
+func (u *upstream) dial() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", u.host, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing %s: %w", u.base, err)
@@ -91,36 +82,6 @@ func (u *upstream) get() (*conn, error) {
 		_ = tc.SetNoDelay(true)
 	}
 	return &conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16)}, nil
-}
-
-// put returns a connection to the free list. Broken connections (ok
-// false) and ones the server asked to close are discarded; the next get
-// redials.
-func (u *upstream) put(c *conn, ok bool) {
-	if c == nil {
-		return
-	}
-	if !ok || c.closing {
-		_ = c.nc.Close()
-		return
-	}
-	select {
-	case u.idle <- c:
-	default:
-		_ = c.nc.Close()
-	}
-}
-
-// drain closes every idle connection.
-func (u *upstream) drain() {
-	for {
-		select {
-		case c := <-u.idle:
-			_ = c.nc.Close()
-		default:
-			return
-		}
-	}
 }
 
 // conn is one persistent upstream connection plus its reusable buffers:
@@ -134,34 +95,14 @@ type conn struct {
 	body    []byte
 	vecArr  [2][]byte   // backing array for vec; survives WriteTo consuming the slice
 	vec     net.Buffers // reusable iovec pair for vectored writes, resliced from vecArr
-	closing bool        // server sent Connection: close for the current response
+	closing bool        // the current response ends the connection (Connection: close, or an EOF-framed body)
 }
 
-// writeRequest assembles one POST with the given binary frame as its
-// body and writes it in a single syscall. The frame must already be in
-// c.frame (aliasing is fine — callers encode into c.frame[:0]).
-func (c *conn) writeRequest(host, path string, frame []byte) error {
-	b := c.wbuf[:0]
-	b = append(b, "POST "...)
-	b = append(b, path...)
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, host...)
-	b = append(b, "\r\nContent-Type: "...)
-	b = append(b, wire.ContentType...)
-	b = append(b, "\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(frame)), 10)
-	b = append(b, "\r\n\r\n"...)
-	b = append(b, frame...)
-	c.wbuf = b
-	_, err := c.nc.Write(b)
-	return err
-}
-
-// writeRequestVectored assembles the request headers into c.wbuf and
+// writeRequestVectored assembles one POST's headers into c.wbuf and
 // hands headers+frame to the kernel as one vectored write (writev on
-// platforms that have it), skipping the copy of a potentially large
-// batch frame into the write buffer that writeRequest's single-buffer
-// spelling would make. The iovec pair is reused across calls.
+// platforms that have it), skipping a copy of the potentially large
+// batch frame into the write buffer. The iovec pair is reused across
+// calls.
 func (c *conn) writeRequestVectored(host, path string, frame []byte) error {
 	b := c.wbuf[:0]
 	b = append(b, "POST "...)
@@ -184,21 +125,6 @@ func (c *conn) writeRequestVectored(host, path string, frame []byte) error {
 	return err
 }
 
-// writeCellAllocate forwards one upstream's (cell, count) shares as a
-// KindCellAllocateRequest. Terse replies skip placements — span
-// arithmetic alone names every granted ID, which is all the router needs
-// to merge replies.
-func (c *conn) writeCellAllocate(host string, pairs []wire.CellCount, terse bool) error {
-	c.frame = wire.AppendCellAllocateRequest(c.frame[:0], pairs, terse)
-	return c.writeRequest(host, "/allocate", c.frame)
-}
-
-// writeRelease forwards one upstream's share of a release.
-func (c *conn) writeRelease(host string, ids []int64) error {
-	c.frame = wire.AppendReleaseRequest(c.frame[:0], ids)
-	return c.writeRequest(host, "/release", c.frame)
-}
-
 // httpError is a non-200 upstream reply, decoded from the JSON error
 // shape every error path of the serve protocol uses. Spans carries the
 // partially-granted IDs of a partial allocate failure so the router can
@@ -215,8 +141,9 @@ func (e *httpError) Error() string {
 
 // readResponse reads the next in-order response off the connection into
 // c.body and returns the body. Non-200 responses come back as *httpError
-// (transport intact, connection reusable); transport failures return the
-// underlying error and the caller must discard the connection.
+// (transport intact, connection reusable unless c.closing); transport
+// failures return the underlying error and the caller must discard the
+// connection.
 func (c *conn) readResponse() ([]byte, error) {
 	line, err := c.readLine()
 	if err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,10 +33,6 @@ import (
 // re-verified after replay and again at detach, so a move that would
 // lose or duplicate a ball fails loudly instead. Any failure before the
 // table flip aborts the move with the source still authoritative.
-//
-// Replicas predating the two-phase endpoints answer /cells/migrate/begin
-// with 404; the router falls back to the legacy whole-move pause
-// (migrateLegacy), so mixed-version clusters keep migrating.
 
 // Migrate moves global cell g to upstream dst (an index into the
 // configured upstream list). Migrating a cell onto its current host is a
@@ -67,12 +62,9 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 
 	// Phase 1: snapshot at the source and stage at the destination, both
 	// with the gate open — the cell serves throughout.
-	frame, legacy, err := r.migrateBegin(src, g)
+	frame, err := r.migrateBegin(src, g)
 	if err != nil {
 		return 0, err
-	}
-	if legacy {
-		return r.migrateLegacy(g, src, dst)
 	}
 	r.met.snapBytes.Add(uint64(len(frame)))
 	if err := r.shipFrame(dst, "/cells/stage", frame); err != nil {
@@ -110,7 +102,7 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 	var det struct {
 		Chain string `json:"chain"`
 	}
-	if err := r.postJSON(r.ups[src].base, "/cells/detach", fmt.Sprintf(`{"cell":%d,"lite":true}`, g), &det); err != nil {
+	if err := r.postJSON(r.ups[src].base, "/cells/detach", fmt.Sprintf(`{"cell":%d}`, g), &det); err != nil {
 		return pause, fmt.Errorf("cluster: detaching cell %d from %s (cell live on %s): %w", g, r.ups[src].base, r.ups[dst].base, err)
 	}
 	if want := hex.EncodeToString(chain); det.Chain != want {
@@ -120,26 +112,22 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 }
 
 // migrateBegin posts phase 1's begin to the source and returns the
-// snapshot frame; legacy reports a 404 (replica without the two-phase
-// endpoints).
-func (r *Router) migrateBegin(src, g int) (frame []byte, legacy bool, err error) {
+// snapshot frame.
+func (r *Router) migrateBegin(src, g int) ([]byte, error) {
 	res, err := r.ctl.Post(r.ups[src].base+"/cells/migrate/begin", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"cell":%d,"proto":"binary"}`, g)))
+		strings.NewReader(fmt.Sprintf(`{"cell":%d}`, g)))
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
+		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
 	}
-	frame, err = io.ReadAll(res.Body)
+	frame, err := io.ReadAll(res.Body)
 	res.Body.Close()
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	if res.StatusCode == http.StatusNotFound {
-		return nil, true, nil
+		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
 	}
 	if res.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("cluster: snapshotting cell %d on %s: %s", g, r.ups[src].base, readError(bytes.NewReader(frame), res.Status))
+		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %s", g, r.ups[src].base, readError(bytes.NewReader(frame), res.Status))
 	}
-	return frame, false, nil
+	return frame, nil
 }
 
 // shipFrame posts a binary frame to base+path with the evacuation
@@ -197,72 +185,6 @@ func (r *Router) abortSource(src, g int) {
 // still be parked).
 func (r *Router) discardStaged(dst, g int) {
 	_ = r.postJSON(r.ups[dst].base, "/cells/migrate/abort", fmt.Sprintf(`{"cell":%d,"staged":true}`, g), nil)
-}
-
-// migrateLegacy is the pre-delta-log move — snapshot, restore, detach,
-// all under the cell's gate write lock, so the pause spans the whole
-// O(live) transfer. It remains both the mixed-version fallback and the
-// baseline BenchmarkMigrationPause measures the two-phase pause against.
-func (r *Router) migrateLegacy(g, src, dst int) (pause time.Duration, err error) {
-	t0 := time.Now()
-	r.gates[g].Lock()
-	defer func() { pause = time.Since(t0) }()
-	defer r.gates[g].Unlock()
-
-	// Snapshot at the source. The frame embeds the cell's verified state
-	// document; remember its fingerprint for the detach check.
-	res, err := r.ctl.Get(fmt.Sprintf("%s/cells/snapshot?cell=%d", r.ups[src].base, g))
-	if err != nil {
-		return 0, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	frame, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		return 0, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	if res.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("cluster: snapshotting cell %d on %s: %s", g, r.ups[src].base, readError(bytes.NewReader(frame), res.Status))
-	}
-	_, doc, err := wire.ParseCellSnapshot(frame)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: cell %d snapshot frame: %w", g, err)
-	}
-	var meta struct {
-		Fingerprint string `json:"fingerprint"`
-	}
-	if err := json.Unmarshal(doc, &meta); err != nil {
-		return 0, fmt.Errorf("cluster: cell %d snapshot document: %w", g, err)
-	}
-	r.met.snapBytes.Add(uint64(len(frame)))
-
-	// Restore at the destination; the replica re-derives the cell's seed
-	// and bin range from the topology and verifies the state against the
-	// embedded fingerprint before going live.
-	if err := r.shipFrame(dst, "/cells/attach", frame); err != nil {
-		return 0, fmt.Errorf("cluster: restoring cell %d on %s: %w", g, r.ups[dst].base, err)
-	}
-
-	// Drain the source. The detach reply carries the cell's final
-	// fingerprint; anything but the snapshot's means the source mutated
-	// the cell after the cut — with the gate write-locked that cannot
-	// happen, so a mismatch is corruption, and the router refuses to
-	// continue quietly. The table flips regardless: the destination copy
-	// is the live one either way.
-	var det struct {
-		Fingerprint string `json:"fingerprint"`
-	}
-	detErr := r.postJSON(r.ups[src].base, "/cells/detach", fmt.Sprintf(`{"cell":%d}`, g), &det)
-	r.table[g].Store(int32(dst))
-	r.met.migrations.Inc()
-	r.met.migTotal.Inc()
-	r.met.migPause.ObserveDuration(time.Since(t0))
-	if detErr != nil {
-		return 0, fmt.Errorf("cluster: detaching cell %d from %s (cell now live on %s): %w", g, r.ups[src].base, r.ups[dst].base, detErr)
-	}
-	if det.Fingerprint != meta.Fingerprint {
-		return 0, fmt.Errorf("cluster: cell %d mutated mid-migration: snapshot %s, detach %s", g, meta.Fingerprint, det.Fingerprint)
-	}
-	return 0, nil
 }
 
 // UpstreamIndex resolves an upstream base URL (as configured, or as

@@ -1,14 +1,18 @@
 package cluster
 
 import (
+	"net/http"
+	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // TestTwoPhaseMigrateOverHTTP drives the router's bounded-pause
 // migration against real replicas: an idle move (empty delta) leaves
 // the cluster fingerprint untouched, moves with concurrent traffic ship
-// the in-flight balls as the delta and lose none, and the pre-delta
-// legacy path still works as the mixed-version fallback.
+// the in-flight balls as the delta and lose none, and a source that
+// refuses the begin call fails the move with the cell left in place.
 func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 	const n, cells, seed = 40, 4, 9
 	ups := make([]string, 2)
@@ -108,20 +112,50 @@ func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 		t.Fatalf("pba_migrations_total = %d after five migrations", got)
 	}
 
-	// The legacy whole-move pause still works (and is what a router
-	// falls back to against replicas without the two-phase endpoints).
-	fp1, err := r.Fingerprint()
+	// A source without the begin endpoint (404) fails the move loudly,
+	// naming the upstream; the cell stays put and keeps serving.
+	noBegin := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/cells/migrate/begin" {
+				http.NotFound(w, req)
+				return
+			}
+			h.ServeHTTP(w, req)
+		})
+	}
+	_, stub := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, noBegin)
+	_, peer := emptyReplica(t, n, cells, seed)
+	rs, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{stub, peer}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := int(r.table[2].Load())
-	if _, err := r.migrateLegacy(2, src, 1-src); err != nil {
+	defer rs.Close()
+	if _, err := rs.Allocate(200); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Table()[2]; got != ups[1-src] {
-		t.Fatalf("cell 2 on %s after legacy migration, want %s", got, ups[1-src])
+	g := -1
+	for cell, base := range rs.Table() {
+		if base == stub {
+			g = cell
+			break
+		}
 	}
-	if fp, err := r.Fingerprint(); err != nil || fp != fp1 {
-		t.Fatalf("fingerprint changed across a legacy migration: %s -> %s (%v)", fp1, fp, err)
+	if g < 0 {
+		t.Fatal("bootstrap placed no cell on the stub replica")
+	}
+	if _, err := rs.MigrateTimed(g, 1); err == nil || !strings.Contains(err.Error(), stub) {
+		t.Fatalf("migration off a 404 source: err %v, want one naming %s", err, stub)
+	}
+	if got := rs.Table()[g]; got != stub {
+		t.Fatalf("cell %d on %s after a failed migration, want %s", g, got, stub)
+	}
+	if got := rs.met.migTotal.Load(); got != 0 {
+		t.Fatalf("pba_migrations_total = %d after a failed migration", got)
+	}
+	if rep, err := rs.Allocate(200); err != nil || rep.Admitted != 200 {
+		t.Fatalf("allocate after a failed migration: %+v, %v", rep, err)
+	}
+	if st, _ := rs.StatsDoc(false).(Stats); st.Live != 400 {
+		t.Fatalf("cluster live %d after a failed migration, want 400", st.Live)
 	}
 }

@@ -6,23 +6,12 @@ import (
 	"repro/internal/online"
 )
 
-// Cell-level topology operations: the migration seam the cluster tier
+// Cell-level topology operations: the seam the cluster tier
 // (internal/cluster) drives. A cell is self-contained — its seed, bin
 // range, and global ID arithmetic derive from the (n, shards, seed)
-// topology, not from where it runs — so moving one between replicas is
-// snapshot, ship, restore, with fingerprint verification at both ends:
-//
-//	src: CellSnapshot(g)            capture the cell (fingerprint inside)
-//	dst: AttachCell(g, snap)        restore; online.Restore verifies the
-//	                                state against the stored fingerprint
-//	src: DetachCell(g)              stop the cell; returns the final
-//	                                fingerprint for the router to compare
-//	                                against the snapshot it shipped
-//
-// All three take the topology write side, so they only proceed when the
-// replica is quiescent for that cell (no in-flight epochs, empty queue);
-// the router guarantees no new traffic targets the cell mid-move by
-// pausing its forwarding table entry first.
+// topology, not from where it runs — so a router can attach fresh cells
+// anywhere (AttachCell, at bootstrap) and move live ones between
+// replicas with the two-phase migration of migrate.go.
 
 // CellInfo is one hosted cell's line in the GET /cells document.
 type CellInfo struct {
@@ -60,27 +49,10 @@ func (s *Service) Cells(fingerprints bool) []CellInfo {
 	return out
 }
 
-// CellSnapshot captures one hosted cell's state as the same verified
-// document the whole-service snapshot embeds per cell. Taken under the
-// topology write lock, the cut is exact: every granted ball is inside.
-func (s *Service) CellSnapshot(g int) (*online.Snapshot, error) {
-	s.topo.Lock()
-	defer s.topo.Unlock()
-	c, err := s.hostedCell(g)
-	if err != nil {
-		return nil, err
-	}
-	return c.alloc.Snapshot(), nil
-}
-
-// AttachCell adds global cell g to this replica: restored from snap when
-// non-nil (the migration path), fresh and empty otherwise (cluster
-// bootstrap). The snapshot must be the cell it claims to be — bin count,
-// algorithm, and seed are all re-derived from the topology and checked —
-// and online restore verifies the state against the embedded
-// fingerprint, so a corrupted or mis-addressed migration fails here
-// rather than diverging later.
-func (s *Service) AttachCell(g int, snap *online.Snapshot) error {
+// AttachCell adds global cell g to this replica, fresh and empty (cluster
+// bootstrap). Migrated cells arrive through StageCell/CommitStagedCell
+// instead.
+func (s *Service) AttachCell(g int) error {
 	s.topo.Lock()
 	defer s.topo.Unlock()
 	s.mu.Lock()
@@ -99,26 +71,10 @@ func (s *Service) AttachCell(g int, snap *online.Snapshot) error {
 		return fmt.Errorf("serve: cell %d already hosted here", g)
 	}
 	binBase, cellN := cellBins(s.cfg.N, s.total, g)
-	wantSeed := cellSeed(s.cfg.Seed, g, s.total)
-	ins := s.metrics.cellInstrumentation(g)
-	var alloc *online.Allocator
-	var err error
-	if snap == nil {
-		alloc, err = online.New(online.Config{
-			N: cellN, Alg: s.cfg.Alg, Seed: wantSeed, Workers: s.cfg.Workers, Ins: ins,
-		})
-	} else {
-		if snap.N != cellN {
-			return fmt.Errorf("serve: cell %d snapshot has %d bins, topology expects %d", g, snap.N, cellN)
-		}
-		if snap.Alg != s.cfg.Alg {
-			return fmt.Errorf("serve: cell %d snapshot ran %s, service runs %s", g, snap.Alg, s.cfg.Alg)
-		}
-		if snap.Seed != wantSeed {
-			return fmt.Errorf("serve: cell %d snapshot seed %d does not derive from service seed %d", g, snap.Seed, s.cfg.Seed)
-		}
-		alloc, err = snap.Restore(online.Config{Workers: s.cfg.Workers, Ins: ins})
-	}
+	alloc, err := online.New(online.Config{
+		N: cellN, Alg: s.cfg.Alg, Seed: cellSeed(s.cfg.Seed, g, s.total),
+		Workers: s.cfg.Workers, Ins: s.metrics.cellInstrumentation(g),
+	})
 	if err != nil {
 		return fmt.Errorf("serve: attaching cell %d: %w", g, err)
 	}
@@ -127,34 +83,7 @@ func (s *Service) AttachCell(g int, snap *online.Snapshot) error {
 	s.rebuildHosted()
 	s.startCell(c)
 	s.metrics.attaches.Inc()
-	if snap != nil {
-		s.metrics.migrations.Inc()
-	}
 	return nil
-}
-
-// DetachCell removes global cell g from this replica, stopping its
-// batcher, and returns the cell's final state fingerprint so the caller
-// can verify nothing changed since the snapshot it holds. The balls
-// themselves are untouched — detaching only forgets the state here; the
-// router must have restored the snapshot elsewhere first or those balls
-// are gone.
-func (s *Service) DetachCell(g int) (string, error) {
-	s.topo.Lock()
-	defer s.topo.Unlock()
-	c, err := s.hostedCell(g)
-	if err != nil {
-		return "", err
-	}
-	close(c.queue)
-	<-c.done
-	fp := c.alloc.Fingerprint()
-	s.byGlobal[g] = nil
-	s.rebuildHosted()
-	s.zeroCellGauges(g)
-	s.metrics.detaches.Inc()
-	s.metrics.migrations.Inc()
-	return fp, nil
 }
 
 // hostedCell resolves a global index to the hosted cell. Callers hold

@@ -95,28 +95,6 @@ func (d *clusterDriver) fingerprint(n, cells int, alg string) string {
 	return ClusterFingerprint(n, cells, alg, fps)
 }
 
-// migrate moves global cell g from replica src to replica dst via the
-// snapshot/restore/detach seam, asserting the fingerprint survives the
-// trip.
-func (d *clusterDriver) migrate(g, src, dst int) {
-	d.t.Helper()
-	snap, err := d.replicas[src].CellSnapshot(g)
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	if err := d.replicas[dst].AttachCell(g, snap); err != nil {
-		d.t.Fatal(err)
-	}
-	fp, err := d.replicas[src].DetachCell(g)
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	if fp != snap.Fingerprint {
-		d.t.Fatalf("cell %d changed during migration: snapshot %s, final %s", g, snap.Fingerprint, fp)
-	}
-	d.hostOf[g] = dst
-}
-
 // TestCellAddressedMatchesPlain: feeding a service the splits the router
 // would draw, as cell-addressed allocates, reproduces the plain-allocate
 // run bit for bit — the equivalence the cluster tier's determinism
@@ -212,7 +190,7 @@ func TestClusterReplicasMatchSingleProcess(t *testing.T) {
 	}
 	for i, st := range steps {
 		if st.migrate {
-			d.migrate(1, 0, 1)
+			d.migrateTwoPhase(1, 0, 1, nil)
 		}
 		if st.release > 0 {
 			sGot := single.Release(singleLive[:st.release])
@@ -275,17 +253,11 @@ func TestClusterTopologyErrors(t *testing.T) {
 	if err := r.AllocateCellsInto([]wire.CellCount{{Cell: 0, Count: -1}}, &rep); err == nil {
 		t.Error("cell-addressed allocate accepted a negative count")
 	}
-	if err := r.AttachCell(1, nil); err == nil {
+	if err := r.AttachCell(1); err == nil {
 		t.Error("attach accepted an already-hosted cell")
 	}
-	if err := r.AttachCell(7, nil); err == nil {
+	if err := r.AttachCell(7); err == nil {
 		t.Error("attach accepted an out-of-range cell")
-	}
-	if _, err := r.DetachCell(3); err == nil {
-		t.Error("detach accepted an unhosted cell")
-	}
-	if _, err := r.CellSnapshot(3); err == nil {
-		t.Error("snapshot accepted an unhosted cell")
 	}
 	// A seed-mismatched snapshot must be rejected before it can poison
 	// determinism.
@@ -294,12 +266,12 @@ func TestClusterTopologyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	snap, err := other.CellSnapshot(2)
+	snap, err := other.BeginCellMigration(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AttachCell(2, snap); err == nil {
-		t.Error("attach accepted a snapshot whose seed does not derive from the service seed")
+	if err := r.StageCell(2, snap); err == nil {
+		t.Error("stage accepted a snapshot whose seed does not derive from the service seed")
 	}
 
 	// Fixed-topology services refuse attach outright.
@@ -308,7 +280,7 @@ func TestClusterTopologyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fixed.Close()
-	if err := fixed.AttachCell(0, nil); err == nil {
+	if err := fixed.AttachCell(0); err == nil {
 		t.Error("attach accepted on a non-cluster service")
 	}
 

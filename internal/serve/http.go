@@ -9,12 +9,10 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/online"
 	"repro/internal/wire"
 )
 
@@ -27,14 +25,14 @@ const MaxBatch = 1 << 22
 // before it can balloon server memory.
 const MaxBody = 16 << 20
 
-// MaxSnapshotBody caps a cell-snapshot transfer on /cells/attach — state
+// MaxSnapshotBody caps a cell-snapshot transfer on /cells/stage — state
 // documents scale with live balls, so the migration path gets a far
 // larger allowance than the request path.
 const MaxSnapshotBody = 1 << 30
 
 // Evacuation coordinate headers: a cluster router stamps these on every
-// /cells/attach so the replica knows whom to ask for migration when it is
-// told to shut down (see Service.SetEvacuation).
+// /cells/attach and /cells/stage so the replica knows whom to ask for
+// migration when it is told to shut down (see Service.SetEvacuation).
 const (
 	HeaderRouter = "X-PBA-Router"
 	HeaderSelf   = "X-PBA-Self"
@@ -336,33 +334,26 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 //	                                            counters, Go runtime gauges
 //	GET  /cells                                 hosted cells (?fingerprint=1
 //	                                            adds full-state fingerprints)
-//	GET  /cells/snapshot?cell=g                 one cell's state as a
-//	                                            wire.CellSnapshot frame
-//	                                            (?proto=binary: the columnar
-//	                                            CellSnapshotBinary frame,
-//	                                            ~6 bytes per ball vs 25+ JSON)
-//	POST /cells/attach                          attach a cell: a CellSnapshot
-//	                                            or CellSnapshotBinary frame
-//	                                            restores a migrated cell, JSON
-//	                                            {"cell": g} attaches a fresh
-//	                                            one; the X-PBA-Router /
-//	                                            X-PBA-Self headers set the
-//	                                            evacuation coordinates
-//	POST /cells/detach {"cell": g}              detach -> {"cell", "fingerprint"}
-//	                                            ({"lite": true}: skip the
-//	                                            O(live) hash, return the O(1)
-//	                                            chain fingerprint instead)
+//	POST /cells/attach {"cell": g}              attach a fresh cell; the
+//	                                            X-PBA-Router / X-PBA-Self
+//	                                            headers set the evacuation
+//	                                            coordinates
+//	POST /cells/detach {"cell": g}              drop a migrated-away cell ->
+//	                                            {"cell", "chain"} (its O(1)
+//	                                            chain fingerprint)
 //
 // The two-phase migration family (see Service.BeginCellMigration for the
-// protocol; frames as above, errors 409 on topology conflicts):
+// protocol; errors 409 on topology conflicts):
 //
-//	POST /cells/migrate/begin {"cell", "proto"} snapshot + arm the delta log
-//	                                            -> snapshot frame
+//	POST /cells/migrate/begin {"cell": g}       snapshot + arm the delta log
+//	                                            -> CellSnapshotBinary frame
 //	POST /cells/migrate/cut   {"cell": g}       cut the log -> CellDelta frame
 //	POST /cells/migrate/abort {"cell": g}       drop the log ({"staged": true}:
 //	                                            discard this replica's staged
 //	                                            copy instead)
-//	POST /cells/stage                           snapshot frame -> staged cell
+//	POST /cells/stage                           CellSnapshotBinary frame ->
+//	                                            staged cell (same headers as
+//	                                            /cells/attach)
 //	POST /cells/commit                          CellDelta frame -> replay,
 //	                                            verify chain, enter topology
 //
@@ -380,7 +371,7 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			return
 		}
 		if s.Clustered() {
-			httpError(w, http.StatusConflict, "cluster replicas snapshot per cell (GET /cells/snapshot?cell=g)")
+			httpError(w, http.StatusConflict, "cluster replicas snapshot per cell (POST /cells/migrate/begin)")
 			return
 		}
 		writeJSON(w, m.handlerMetrics(), s.Snapshot())
@@ -399,75 +390,24 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		}{s.N(), s.Shards(), s.Alg(), s.Seed(), s.Cells(r.URL.Query().Get("fingerprint") == "1")}
 		writeJSON(w, nil, doc)
 	})
-	mux.HandleFunc("/cells/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		g, err := strconv.Atoi(r.URL.Query().Get("cell"))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "cell query parameter must be an integer: %v", err)
-			return
-		}
-		proto := r.URL.Query().Get("proto")
-		if proto != "" && proto != "json" && proto != "binary" {
-			httpError(w, http.StatusBadRequest, "proto must be json or binary, got %q", proto)
-			return
-		}
-		snap, err := s.CellSnapshot(g)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		frame, err := encodeSnapshotFrame(g, snap, proto == "binary")
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding cell snapshot: %v", err)
-			return
-		}
-		s.metrics.snapshotBytes.Add(uint64(len(frame)))
-		w.Header()["Content-Type"] = wireCTValue
-		_, _ = w.Write(frame)
-	})
 	mux.HandleFunc("/cells/attach", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		s.SetEvacuation(r.Header.Get(HeaderRouter), r.Header.Get(HeaderSelf))
-		var g int
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
-			if err != nil {
-				bodyError(w, err)
-				return
-			}
-			cell, cs, err := parseSnapshotFrame(body)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			s.metrics.snapshotBytes.Add(uint64(len(body)))
-			if err := s.AttachCell(cell, cs); err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			g = cell
-		} else {
-			var req struct {
-				Cell int `json:"cell"`
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, MaxSnapshotBody)
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				bodyError(w, err)
-				return
-			}
-			if err := s.AttachCell(req.Cell, nil); err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			g = req.Cell
+		var req struct {
+			Cell int `json:"cell"`
 		}
-		writeJSON(w, nil, map[string]any{"cell": g, "attached": true})
+		if err := readBody(w, r, &req); err != nil {
+			bodyError(w, err)
+			return
+		}
+		if err := s.AttachCell(req.Cell); err != nil {
+			httpError(w, http.StatusConflict, "%v", err)
+			return
+		}
+		writeJSON(w, nil, map[string]any{"cell": req.Cell, "attached": true})
 	})
 	mux.HandleFunc("/cells/detach", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -475,28 +415,18 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			return
 		}
 		var req struct {
-			Cell int  `json:"cell"`
-			Lite bool `json:"lite"`
+			Cell int `json:"cell"`
 		}
 		if err := readBody(w, r, &req); err != nil {
 			bodyError(w, err)
 			return
 		}
-		if req.Lite {
-			chain, err := s.DetachCellLite(req.Cell)
-			if err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			writeJSON(w, nil, map[string]any{"cell": req.Cell, "chain": chain})
-			return
-		}
-		fp, err := s.DetachCell(req.Cell)
+		chain, err := s.DetachCellLite(req.Cell)
 		if err != nil {
 			httpError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, nil, map[string]any{"cell": req.Cell, "fingerprint": fp})
+		writeJSON(w, nil, map[string]any{"cell": req.Cell, "chain": chain})
 	})
 	mux.HandleFunc("/cells/migrate/begin", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -504,15 +434,10 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			return
 		}
 		var req struct {
-			Cell  int    `json:"cell"`
-			Proto string `json:"proto"`
+			Cell int `json:"cell"`
 		}
 		if err := readBody(w, r, &req); err != nil {
 			bodyError(w, err)
-			return
-		}
-		if req.Proto != "" && req.Proto != "json" && req.Proto != "binary" {
-			httpError(w, http.StatusBadRequest, "proto must be json or binary, got %q", req.Proto)
 			return
 		}
 		snap, err := s.BeginCellMigration(req.Cell)
@@ -520,13 +445,7 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		// Default binary: the begin transfer is the O(live) bulk of the move.
-		frame, err := encodeSnapshotFrame(req.Cell, snap, req.Proto != "json")
-		if err != nil {
-			_ = s.AbortCellMigration(req.Cell)
-			httpError(w, http.StatusInternalServerError, "encoding cell snapshot: %v", err)
-			return
-		}
+		frame := wire.AppendCellSnapshotBinary(nil, req.Cell, snap)
 		s.metrics.snapshotBytes.Add(uint64(len(frame)))
 		w.Header()["Content-Type"] = wireCTValue
 		_, _ = w.Write(frame)
@@ -594,9 +513,9 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			bodyError(w, err)
 			return
 		}
-		cell, cs, err := parseSnapshotFrame(body)
+		cell, cs, err := wire.ParseCellSnapshotBinary(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			httpError(w, http.StatusBadRequest, "bad frame: %v", err)
 			return
 		}
 		s.metrics.snapshotBytes.Add(uint64(len(body)))
@@ -629,60 +548,6 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		writeJSON(w, nil, map[string]any{"cell": cell, "committed": true})
 	})
 	return mux
-}
-
-// decodeCellSnapshot unmarshals the JSON state document a CellSnapshot
-// frame carries.
-func decodeCellSnapshot(doc []byte) (*online.Snapshot, error) {
-	var cs online.Snapshot
-	if err := json.Unmarshal(doc, &cs); err != nil {
-		return nil, fmt.Errorf("decoding cell snapshot document: %w", err)
-	}
-	return &cs, nil
-}
-
-// encodeSnapshotFrame encodes one cell snapshot as a wire frame: the
-// columnar binary form when binaryProto, the readable JSON-document form
-// otherwise. Both restore identically; binary runs ~4x smaller.
-func encodeSnapshotFrame(cell int, snap *online.Snapshot, binaryProto bool) ([]byte, error) {
-	if binaryProto {
-		return wire.AppendCellSnapshotBinary(nil, cell, snap), nil
-	}
-	doc, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return wire.AppendCellSnapshot(nil, cell, doc), nil
-}
-
-// parseSnapshotFrame decodes either cell-snapshot frame kind — the JSON
-// document CellSnapshot or the columnar CellSnapshotBinary — so every
-// snapshot-accepting endpoint speaks both protocol versions.
-func parseSnapshotFrame(body []byte) (int, *online.Snapshot, error) {
-	kind, err := wire.Kind(body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad frame: %w", err)
-	}
-	switch kind {
-	case wire.KindCellSnapshot:
-		cell, doc, err := wire.ParseCellSnapshot(body)
-		if err != nil {
-			return 0, nil, fmt.Errorf("bad frame: %w", err)
-		}
-		cs, err := decodeCellSnapshot(doc)
-		if err != nil {
-			return 0, nil, err
-		}
-		return cell, cs, nil
-	case wire.KindCellSnapshotBinary:
-		cell, cs, err := wire.ParseCellSnapshotBinary(body)
-		if err != nil {
-			return 0, nil, fmt.Errorf("bad frame: %w", err)
-		}
-		return cell, cs, nil
-	default:
-		return 0, nil, fmt.Errorf("frame kind 0x%02x is not a cell snapshot", kind)
-	}
 }
 
 // backendMux builds the shared data-plane mux over a Backend.

@@ -8,10 +8,8 @@ import (
 )
 
 // Two-phase cell migration: the bounded-pause seam the cluster tier
-// drives (internal/cluster). The legacy path (CellSnapshot / AttachCell /
-// DetachCell) moves a cell under a full forwarding pause, so the pause
-// grows with the cell's live-ball count. The two-phase path shrinks the
-// pause to the traffic that arrived *during* the transfer:
+// drives (internal/cluster). The pause covers only the traffic that
+// arrived *during* the transfer, not the cell's live-ball count:
 //
 //	phase 1 — cell keeps serving:
 //	  src: BeginCellMigration(g)   snapshot + start the delta log
@@ -196,9 +194,8 @@ func (s *Service) DiscardStagedCell(g int) error {
 }
 
 // DetachCellLite removes hosted cell g after a committed two-phase
-// migration and returns its chain fingerprint — an O(1) read, unlike
-// DetachCell's O(live) full-state hash, so the pause window never rehashes
-// the cell. It also closes the cell's migration-pause measurement: the
+// migration and returns its chain fingerprint — an O(1) read, so the
+// detach never rehashes the cell. It also closes the cell's migration-pause measurement: the
 // time from CutCellMigration to here is what the data plane actually
 // observed as the cell's write pause on this replica.
 func (s *Service) DetachCellLite(g int) (chainHex string, err error) {

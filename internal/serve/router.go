@@ -153,16 +153,12 @@ func (s *Service) AllocateInto(k int, rep *Report) error {
 	// alternating callers do not ping-pong between modes).
 	if s.total == 1 {
 		c := s.cells[0]
-		if subs := c.ewmaSubs.Load(); subs < coalesceOn && c.inlineBusy.CompareAndSwap(0, 1) {
+		if !c.win.Engaged() && c.inlineBusy.CompareAndSwap(0, 1) {
 			err := s.allocateInline(c, k, rep, start)
 			c.inlineBusy.Store(0)
 			return err
 		}
-		old := c.ewmaSubs.Load()
-		if old == 0 {
-			old = 256
-		}
-		c.ewmaSubs.Store((3*old + 2*256) / 4)
+		c.win.NoteSubs(2)
 	}
 
 	sc := s.allocPool.Get().(*allocScratch)
@@ -249,8 +245,8 @@ type batchScratch struct {
 // (Err), with the same validation and partial-failure contract as
 // AllocateCellsInto; invalid items sit the round out without touching
 // any cell. Item order is preserved: collecting in item order keeps a
-// sequential replay (one item per frame) bit-identical to the unbatched
-// path.
+// sequential replay (one item per frame) bit-identical to
+// AllocateCellsInto.
 func (s *Service) AllocateCellsBatch(items []CellBatchItem) {
 	start := time.Now()
 	s.topo.RLock()
@@ -335,11 +331,7 @@ func (s *Service) allocateInline(c *cell, k int, rep *Report, start time.Time) e
 	s.metrics.stageEpochRun.ObserveDuration(time.Since(epochStart))
 	// One contributor: fold 1 into the coalescing EWMA so a burst's
 	// elevated estimate decays back and reopens this path.
-	old := c.ewmaSubs.Load()
-	if old == 0 {
-		old = 256
-	}
-	c.ewmaSubs.Store((3*old + 256) / 4)
+	c.win.NoteSubs(1)
 	if err != nil {
 		s.metrics.stageAllocate.ObserveDuration(time.Since(start))
 		return fmt.Errorf("serve: cell %d: %w", c.index, err)
@@ -398,7 +390,7 @@ func (s *Service) enqueueEpochs(sc *allocScratch) {
 		sub := &sc.subs[g]
 		sub.count = int(sc.counts[g])
 		sub.enq = now
-		c.noteArrival(nowNs)
+		c.win.NoteArrival(nowNs)
 		c.queue <- sub
 	}
 }
@@ -477,71 +469,9 @@ func (s *Service) collectEpochs(sc *allocScratch, rep *Report, start time.Time) 
 	return firstErr
 }
 
-// Adaptive group-commit tunables (see cellLoop).
-const (
-	// maxCoalesce caps contributors per epoch so a wait window cannot
-	// grow a batch without bound under sustained overload.
-	maxCoalesce = 128
-	// coalesceOn is the contributors-per-epoch EWMA (in 1/256ths) above
-	// which a cell considers waiting productive: 320/256 = 1.25 — epochs
-	// have recently merged concurrent requests.
-	coalesceOn = 320
-	// Window clamp: at least one scheduler pass, at most a fraction of a
-	// typical epoch, so the window can only trade latency it wins back by
-	// coalescing.
-	minWindow = 2 * time.Microsecond
-	maxWindow = 100 * time.Microsecond
-	// maxGapNs clamps the inter-arrival EWMA so one idle stretch does not
-	// poison the estimate for the next burst.
-	maxGapNs = int64(10 * time.Millisecond)
-)
-
-// noteArrival folds one enqueue timestamp (nanoseconds since service
-// start) into the cell's inter-arrival EWMA. Lost updates under
-// concurrent arrivals only soften the estimate; the window logic treats
-// it as a hint, never a correctness input.
-func (c *cell) noteArrival(nowNs int64) {
-	prev := c.lastEnq.Swap(nowNs)
-	if prev == 0 {
-		return
-	}
-	gap := nowNs - prev
-	if gap < 0 {
-		gap = 0
-	}
-	if gap > maxGapNs {
-		gap = maxGapNs
-	}
-	old := c.ewmaGap.Load()
-	if old == 0 {
-		old = gap
-	}
-	c.ewmaGap.Store((3*old + gap) / 4)
-}
-
-// window sizes the cell's batch-wait window from the observed arrival
-// pattern: zero unless recent epochs actually coalesced concurrent
-// contributors, otherwise a few inter-arrival gaps, clamped. A lone
-// sequential caller drives the contributor EWMA to 1 and pays no window
-// at all — the PR6 stage data showed the old unconditional yield taxing
-// exactly that path.
-func (c *cell) window() time.Duration {
-	if c.ewmaSubs.Load() < coalesceOn {
-		return 0
-	}
-	gap := c.ewmaGap.Load()
-	if gap <= 0 {
-		return 0
-	}
-	w := time.Duration(4 * gap)
-	if w < minWindow {
-		return minWindow
-	}
-	if w > maxWindow {
-		return maxWindow
-	}
-	return w
-}
+// maxCoalesce caps contributors per epoch so a wait window cannot grow a
+// batch without bound under sustained overload.
+const maxCoalesce = 128
 
 // cellLoop is cell c's batcher: it blocks for one sub-request, coalesces
 // everything else already queued into the same epoch — holding the batch
@@ -578,7 +508,7 @@ func (s *Service) cellLoop(c *cell) {
 			}
 		}
 		if open && len(subs) < maxCoalesce {
-			if w := c.window(); w > 0 {
+			if w := c.win.Duration(); w > 0 {
 				deadline := time.Now().Add(w)
 			wait:
 				for len(subs) < maxCoalesce {
@@ -597,13 +527,9 @@ func (s *Service) cellLoop(c *cell) {
 				}
 			}
 		}
-		// Fold this epoch's contributor count into the coalescing EWMA
-		// (x256 fixed point); it decays back to 1 under sequential load.
-		oldSubs := c.ewmaSubs.Load()
-		if oldSubs == 0 {
-			oldSubs = 256
-		}
-		c.ewmaSubs.Store((3*oldSubs + int64(len(subs))*256) / 4)
+		// Fold this epoch's contributor count into the coalescing EWMA; it
+		// decays back to 1 under sequential load.
+		c.win.NoteSubs(len(subs))
 
 		total := 0
 		epochStart := time.Now()

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coalesce"
 	"repro/internal/online"
 	"repro/internal/rng"
 )
@@ -82,7 +83,7 @@ type Service struct {
 
 	// topo orders topology changes against data operations: every data op
 	// (allocate, release, stats, snapshot) holds the read side for its full
-	// duration, and AttachCell/DetachCell take the write side, so a
+	// duration, and AttachCell/DetachCellLite take the write side, so a
 	// migration observes a quiescent replica — no in-flight epochs, empty
 	// cell queues — without stopping the world for ordinary traffic.
 	topo sync.RWMutex
@@ -152,13 +153,9 @@ type cell struct {
 	queue   chan *subReq
 	done    chan struct{} // closed when the cell's batcher loop exits
 
-	// Arrival-rate estimate feeding the adaptive group-commit window
-	// (router.go): lastEnq is the service-relative nanosecond timestamp of
-	// the latest enqueue, ewmaGap the smoothed inter-arrival gap in
-	// nanoseconds, ewmaSubs the smoothed contributors-per-epoch in 1/256ths.
-	lastEnq  atomic.Int64
-	ewmaGap  atomic.Int64
-	ewmaSubs atomic.Int64
+	// win is the adaptive group-commit window (internal/coalesce), fed
+	// service-relative enqueue timestamps and contributors per epoch.
+	win coalesce.Window
 
 	// inlineBusy is the single-shard fast path's mutual-exclusion flag: a
 	// request that wins the CAS runs its epoch inline on the calling

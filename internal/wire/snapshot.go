@@ -321,8 +321,8 @@ func ParseSnapshot(doc []byte) (*online.Snapshot, error) {
 
 // AppendCellSnapshotBinary appends a binary cell-snapshot frame to dst:
 // the global cell index plus the binary snapshot document. It is the
-// migration transfer format's compact variant of AppendCellSnapshot; a
-// replica accepts either kind on /cells/attach and /cells/stage.
+// migration transfer format: /cells/migrate/begin answers with it and
+// /cells/stage accepts it.
 func AppendCellSnapshotBinary(dst []byte, cell int, s *online.Snapshot) []byte {
 	base := len(dst)
 	dst = appendHeader(dst, KindCellSnapshotBinary, 0) // length patched below

@@ -37,15 +37,9 @@
 //	CellAllocateRequest  u8 flags (bit 0: terse) | u32 npairs |
 //	                     npairs x (u32 cell | u32 count); answered with an
 //	                     AllocateReply whose spans/placements use global IDs
-//	CellSnapshot         u32 cell | the cell's canonical JSON snapshot
-//	                     document (online.Snapshot) verbatim — the framing
-//	                     and cell addressing are binary, the state document
-//	                     stays the one self-verifying JSON serialization
 //	CellSnapshotBinary   u32 cell | the columnar varint snapshot document
-//	                     (see snapshot.go) — same fields as the JSON
-//	                     document at a fraction of the bytes per ball;
-//	                     replicas accept either kind, so the two formats
-//	                     are version-negotiated by the frame kind byte
+//	                     (see snapshot.go) — the fields of online.Snapshot
+//	                     at a fraction of the JSON bytes per ball
 //	CellDelta            u32 cell | u8 chain_len | chain | delta-log bytes
 //	                     — the paused tail of a two-phase cell migration:
 //	                     the epochs the source ran after its snapshot was
@@ -85,14 +79,14 @@ const ContentType = "application/x-pba-wire"
 // cluster tier's upstream vocabulary (internal/cluster): a pba-router
 // front process draws the per-cell multinomial split itself and forwards
 // each replica its cells' shares in one CellAllocateRequest, and live
-// cell migration ships a cell's state as a CellSnapshot frame.
+// cell migration ships a cell's state as a CellSnapshotBinary frame.
+// Kind 0x06 (the JSON-document cell snapshot) is retired; never reuse it.
 const (
 	KindAllocateRequest     = 0x01
 	KindAllocateReply       = 0x02
 	KindReleaseRequest      = 0x03
 	KindReleaseReply        = 0x04
 	KindCellAllocateRequest = 0x05
-	KindCellSnapshot        = 0x06
 	KindCellSnapshotBinary  = 0x07
 	KindCellDelta           = 0x08
 	KindBatchRequest        = 0x09
@@ -409,33 +403,6 @@ func ParseCellAllocateRequest(frame []byte, pairs []CellCount) ([]CellCount, boo
 		pairs = append(pairs, CellCount{Cell: int(cell), Count: int(count)})
 	}
 	return pairs, terse, nil
-}
-
-// AppendCellSnapshot appends a cell-snapshot frame to dst: the global
-// cell index plus the cell's JSON snapshot document verbatim. It is the
-// migration transfer format — snapshot a cell on the source replica, ship
-// this frame, restore on the target.
-func AppendCellSnapshot(dst []byte, cell int, snapshot []byte) []byte {
-	dst = appendHeader(dst, KindCellSnapshot, 4+len(snapshot))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(cell))
-	return append(dst, snapshot...)
-}
-
-// ParseCellSnapshot decodes a cell-snapshot frame. The returned document
-// bytes alias the frame; decode or copy them before reusing the buffer.
-func ParseCellSnapshot(frame []byte) (cell int, snapshot []byte, err error) {
-	body, err := payload(frame, KindCellSnapshot)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(body) < 4 {
-		return 0, nil, fmt.Errorf("wire: cell snapshot body is %d bytes, want >= 4", len(body))
-	}
-	c := binary.LittleEndian.Uint32(body)
-	if c > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("wire: cell snapshot cell %d out of range", c)
-	}
-	return int(c), body[4:], nil
 }
 
 // ParseReport decodes an allocate-reply frame into r, reusing r's span

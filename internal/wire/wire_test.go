@@ -53,11 +53,6 @@ func TestGoldenFrames(t *testing.T) {
 			"06000000" + "05" + "01" + "00000000",
 		},
 		{
-			"cell_snapshot",
-			AppendCellSnapshot(nil, 3, []byte(`{"v":1}`)),
-			"0c000000" + "06" + "03000000" + hex.EncodeToString([]byte(`{"v":1}`)),
-		},
-		{
 			"allocate_reply",
 			AppendReport(nil, &Report{
 				Admitted: 3, Pending: 1, Cells: 2, Rounds: 4,
@@ -138,25 +133,6 @@ func TestCellAllocateRequestRoundTrip(t *testing.T) {
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Error("parse did not reuse the caller's backing array")
-	}
-}
-
-func TestCellSnapshotRoundTrip(t *testing.T) {
-	doc := []byte(`{"version":1,"n":64}`)
-	frame := AppendCellSnapshot(nil, 11, doc)
-	if k, err := Kind(frame); err != nil || k != KindCellSnapshot {
-		t.Fatalf("Kind = %d, %v", k, err)
-	}
-	cell, got, err := ParseCellSnapshot(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell != 11 || !bytes.Equal(got, doc) {
-		t.Fatalf("round trip -> cell %d, doc %q", cell, got)
-	}
-	// Empty documents frame fine; migration rejects them at a higher layer.
-	if cell, got, err = ParseCellSnapshot(AppendCellSnapshot(nil, 0, nil)); err != nil || cell != 0 || len(got) != 0 {
-		t.Fatalf("empty snapshot round trip -> %d, %q, %v", cell, got, err)
 	}
 }
 
@@ -337,9 +313,6 @@ func TestParseRejects(t *testing.T) {
 	if _, _, err := ParseCellAllocateRequest(cellReq[:7], nil); err == nil {
 		t.Error("truncated cell allocate accepted")
 	}
-	if _, _, err := ParseCellSnapshot(AppendCellSnapshot(nil, 1, []byte("{}"))[:7]); err == nil {
-		t.Error("truncated cell snapshot accepted")
-	}
 	if _, err := Kind(cellReq[:4]); err == nil {
 		t.Error("Kind accepted a truncated header")
 	}
@@ -368,7 +341,6 @@ func FuzzParse(f *testing.F) {
 		Placements: []Placement{{ID: 0, Bin: 1}},
 	}, false))
 	f.Add(AppendCellAllocateRequest(nil, []CellCount{{Cell: 0, Count: 128}, {Cell: 3, Count: 1}}, false))
-	f.Add(AppendCellSnapshot(nil, 2, []byte(`{"version":1}`)))
 	f.Add(AppendCellSnapshotBinary(nil, 1, &online.Snapshot{
 		Version: 1, N: 4, Alg: "aheavy", NextID: 5, Arrived: 5, Departed: 1,
 		Placed:      []Placement{{ID: 0, Bin: 1}, {ID: 1, Bin: 0}, {ID: 3, Bin: 2}},
@@ -405,11 +377,6 @@ func FuzzParse(f *testing.F) {
 		if pairs, terse, err := ParseCellAllocateRequest(data, nil); err == nil {
 			if got := AppendCellAllocateRequest(nil, pairs, terse); !bytes.Equal(got, data) {
 				t.Errorf("cell allocate request not canonical: %x -> %x", data, got)
-			}
-		}
-		if cell, doc, err := ParseCellSnapshot(data); err == nil {
-			if got := AppendCellSnapshot(nil, cell, doc); !bytes.Equal(got, data) {
-				t.Errorf("cell snapshot not canonical: %x -> %x", data, got)
 			}
 		}
 		if cell, snap, err := ParseCellSnapshotBinary(data); err == nil {
