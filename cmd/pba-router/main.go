@@ -13,7 +13,11 @@
 // The router draws each request's multinomial split itself and forwards
 // every replica its hosted cells' shares as cell-addressed binary
 // allocates through one group-commit writer per replica, which coalesces
-// concurrent requests into multi-request batch frames; clients see the
+// concurrent requests into multi-request batch frames. Each writer owns
+// one connection to its replica, upgraded at dial with GET /frames
+// (Upgrade: pba-frames) to carry bare wire frames, so the data plane
+// parses no HTTP; a replica built without the frame protocol refuses the
+// upgrade with 404 and every forward to it fails. Clients see the
 // byte-identical /allocate, /release, /stats, /healthz, /metrics
 // protocol a single replica serves (JSON and binary alike). Cells are
 // the unit of placement: on startup the router adopts whatever cells

@@ -29,6 +29,10 @@
 //	                              histograms, per-cell counters, runtime
 //	                              gauges); recording is allocation-free
 //
+// GET /frames (Upgrade: pba-frames) is not a client endpoint: it is the
+// connection a pba-router upgrades to bare wire frames for its data plane
+// (see DESIGN.md's cluster tier).
+//
 // With -pprof the net/http/pprof profile endpoints are mounted under
 // /debug/pprof/ on the same listener (off by default: profiling handlers
 // do not belong on an unguarded production port).

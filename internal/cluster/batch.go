@@ -13,14 +13,14 @@ import (
 )
 
 // Upstream group commit, the router's forwarding plane: each upstream's
-// connection is owned by a single writer goroutine. Forwards submit
-// their share of a round to the writer's queue and wait; the writer
-// drains whatever has queued up, holds an adaptive window open when
-// sustained concurrency makes coalescing pay, and flushes the whole
-// group as one KindBatchRequest frame — many concurrent client requests
-// become one upstream round trip, so upstream frames/s grows with
-// replicas/window instead of client concurrency. Replies demux back to
-// the waiting callers by sequence tag.
+// upgraded frame connection (conn.go) is owned by a single writer
+// goroutine. Forwards submit their share of a round to the writer's
+// queue and wait; the writer drains whatever has queued up, holds an
+// adaptive window open when sustained concurrency makes coalescing pay,
+// and flushes the whole group as one KindBatchRequest frame — many
+// concurrent client requests become one upstream round trip, so upstream
+// frames/s grows with replicas/window instead of client concurrency.
+// Replies demux back to the waiting callers by sequence tag.
 //
 // The flush policy is the replica cell batcher's (internal/coalesce): an
 // EWMA of the round-start gap and of subs-per-flush decides whether a
@@ -186,13 +186,12 @@ func (bt *upBatcher) run() {
 	}
 }
 
-// flush frames pending as one batch request (tag = index), writes it
-// vectored, reads the one reply, and demuxes sub-replies back to their
-// waiting callers. Transport failures fail every sub and retire the
-// connection; a whole-frame HTTP error fails every sub but keeps the
-// connection (it is still in protocol sync); per-sub errors decode to
-// *httpError so the merge path's partial-failure handling sees the same
-// error a replica's plain non-200 reply would produce. Returns the
+// flush frames pending as one batch request (tag = index), sends it over
+// the upgraded connection, reads the one reply, and demuxes sub-replies
+// back to their waiting callers. Transport failures and unparseable
+// replies fail every sub and retire the connection; per-sub errors
+// decode to *httpError so the merge path's partial-failure handling sees
+// the replica's status, message and granted spans. Returns the
 // connection to own next round, nil when the next flush must redial.
 func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	bt.frames.Inc()
@@ -213,25 +212,17 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 	}
 	c.frame = wire.FinishBatch(f, 0, len(pending))
-	if err := c.writeRequestVectored(bt.up.host, "/allocate", c.frame); err != nil {
-		return bt.broken(c, pending, err)
-	}
 	bt.up.forwards.Add(uint64(len(pending)))
 	start := time.Now()
-	body, err := c.readResponse()
+	reply, err := c.roundTrip(c.frame)
 	bt.up.latency.ObserveDuration(time.Since(start))
 	if err != nil {
-		if !isHTTPError(err) {
-			return bt.broken(c, pending, err)
-		}
-		bt.up.errors.Inc()
-		bt.fail(pending, err)
-		return reusable(c)
+		return bt.broken(c, pending, err)
 	}
-	bt.reps, err = wire.ParseBatchReply(body, bt.reps[:0])
+	bt.reps, err = wire.ParseBatchReply(reply, bt.reps[:0])
 	if err != nil {
-		// An unparseable reply body means the stream can no longer be
-		// trusted; retire the connection like a transport failure.
+		// An unparseable reply means the stream can no longer be trusted;
+		// retire the connection like a transport failure.
 		return bt.broken(c, pending, fmt.Errorf("bad batch reply: %w", err))
 	}
 	for _, s := range pending {
@@ -262,45 +253,42 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 		s.done <- struct{}{}
 	}
-	return reusable(c)
-}
-
-// reusable returns c for the next flush, or closes it and returns nil
-// when the replica ended the connection with this response (Connection:
-// close, or a body framed by EOF) — the next flush then redials.
-func reusable(c *conn) *conn {
-	if c.closing {
-		_ = c.nc.Close()
-		return nil
-	}
 	return c
 }
 
-// broken handles a transport failure: close c (if any), mark the
-// upstream unhealthy, and fail every pending sub with err. It returns
-// nil so the next flush redials.
+// broken handles a failure that leaves the stream untrusted (transport
+// error or unparseable reply): close c (if any), mark the upstream
+// unhealthy, and fail every pending sub with err. It returns nil so the
+// next flush redials.
 func (bt *upBatcher) broken(c *conn, pending []*batchSub, err error) *conn {
 	if c != nil {
 		_ = c.nc.Close()
 	}
 	bt.up.errors.Inc()
 	bt.up.healthy.Store(false)
-	bt.fail(pending, err)
-	return nil
-}
-
-// fail completes every pending sub with err.
-func (bt *upBatcher) fail(pending []*batchSub, err error) {
 	for _, s := range pending {
 		s.err = err
 		s.done <- struct{}{}
 	}
+	return nil
+}
+
+// httpError is a failed sub-request as the replica reported it: the
+// HTTP status and message of the serve error shape, plus the spans a
+// partial allocate failure still granted, so the router can propagate
+// the replica's partial-failure contract cluster-wide.
+type httpError struct {
+	Status int
+	Msg    string
+	Spans  []serve.Span
+}
+
+func (e *httpError) Error() string {
+	return fmt.Sprintf("upstream HTTP %d: %s", e.Status, e.Msg)
 }
 
 // decodeSubError turns a framed sub-error (HTTP status + JSON document)
-// into the same *httpError a plain non-200 reply produces, spans and
-// all — the caller's partial-failure folding cannot tell them apart.
-// Error paths may allocate.
+// into an *httpError, spans and all. Error paths may allocate.
 func decodeSubError(status int, doc []byte) error {
 	he := &httpError{Status: status}
 	var d struct {

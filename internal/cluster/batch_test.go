@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"net/http"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -220,34 +221,90 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	}
 }
 
-// TestWriterRedialsAfterConnectionClose: a replica that ends every
-// /allocate reply with Connection: close must not break the next flush —
-// the writer drops the connection the replica closed and redials.
-func TestWriterRedialsAfterConnectionClose(t *testing.T) {
-	const n, cells, seed = 24, 3, 4
-	closeAfterAllocate := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Path == "/allocate" {
-				w.Header().Set("Connection", "close")
-			}
-			h.ServeHTTP(w, req)
-		})
+// severListener records every connection it accepts so a test can cut
+// them all at once, as a replica-side crash or a reset on the path
+// would.
+type severListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *severListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
 	}
-	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, closeAfterAllocate)
+	return c, err
+}
+
+// sever closes every connection accepted so far.
+func (l *severListener) sever() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		_ = c.Close()
+	}
+	l.conns = nil
+}
+
+// TestWriterRedialsAfterSeveredConnection: when the replica side cuts
+// the upgraded connection between two forwards, the next forward fails
+// fast with a transport error (not a replica error, and nothing is
+// admitted), the one after redials and succeeds, and every granted ball
+// is still releasable.
+func TestWriterRedialsAfterSeveredConnection(t *testing.T) {
+	const n, cells, seed = 24, 3, 4
+	var ln *severListener
+	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}},
+		func(inner net.Listener) net.Listener {
+			ln = &severListener{Listener: inner}
+			return ln
+		}, nil)
 	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{up}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	var ids []int64
-	for i := 1; i <= 5; i++ {
+	allocate := func() error {
 		rep, err := r.Allocate(20)
-		if err != nil {
+		if err == nil {
+			ids = rep.AppendIDs(ids)
+		}
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		if err := allocate(); err != nil {
 			t.Fatalf("allocate %d: %v", i, err)
 		}
-		ids = rep.AppendIDs(ids)
 	}
-	if got := r.Release(ids); got != len(ids) {
-		t.Fatalf("released %d of %d", got, len(ids))
+
+	ln.sever()
+	start := time.Now()
+	err = allocate()
+	if err == nil {
+		t.Fatal("forward over a severed connection succeeded")
+	}
+	var he *httpError
+	if errors.As(err, &he) {
+		t.Fatalf("severed connection surfaced as a replica error: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("forward over a severed connection took %v to fail", took)
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := allocate(); err != nil {
+			t.Fatalf("allocate after redial %d: %v", i, err)
+		}
+	}
+	if got := r.Release(ids); got != len(ids) || got != 4*20 {
+		t.Fatalf("released %d of %d granted (want %d)", got, len(ids), 4*20)
+	}
+	if st, _ := r.StatsDoc(false).(Stats); st.Live != 0 {
+		t.Fatalf("%d balls live after releasing every granted ID", st.Live)
 	}
 }

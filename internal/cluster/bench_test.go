@@ -13,9 +13,9 @@ import (
 
 // forwardPlanes builds the two measurement closures the allocation
 // split reads from, over one shared replica pair: the raw upstream
-// protocol (one-sub batch frames on connections this helper dials
-// itself — the router's connection and codec layer with none of its
-// orchestration) and the router. Each closure plays one warm
+// protocol (one-sub batch frames sent with conn.roundTrip on upgraded
+// connections this helper dials itself — the router's connection and
+// codec layer with none of its orchestration) and the router. Each closure plays one warm
 // allocate+release round; the router, connections and replicas are torn
 // down via tb.Cleanup.
 func forwardPlanes(tb testing.TB) (baseline, routed func()) {
@@ -55,19 +55,19 @@ func forwardPlanes(tb testing.TB) (baseline, routed func()) {
 		for u, c := range conns {
 			f := wire.AppendBatchTag(wire.BeginBatchRequest(c.frame[:0]), 0)
 			f = wire.AppendCellAllocateRequest(f, basePairs[u], true)
-			frame := rawRoundTrip(tb, c, r.ups[u].host, f, &subReps)
+			frame := rawRoundTrip(tb, c, f, &subReps)
 			if err := wire.ParseReport(frame, &baseRep); err != nil {
 				tb.Fatal(err)
 			}
 			baseIDs = baseRep.AppendIDs(baseIDs)
 		}
-		for u, c := range conns {
+		for _, c := range conns {
 			// Releasing the full ID set at both replicas mirrors the router's
 			// partitioned release closely enough for allocation counting; the
 			// replicas skip unhosted IDs.
 			f := wire.AppendBatchTag(wire.BeginBatchRequest(c.frame[:0]), 0)
 			f = wire.AppendReleaseRequest(f, baseIDs)
-			frame := rawRoundTrip(tb, c, r.ups[u].host, f, &subReps)
+			frame := rawRoundTrip(tb, c, f, &subReps)
 			if _, err := wire.ParseReleaseReply(frame); err != nil {
 				tb.Fatal(err)
 			}
@@ -90,14 +90,11 @@ func forwardPlanes(tb testing.TB) (baseline, routed func()) {
 
 // rawRoundTrip finishes f (a batch frame holding one sub tagged 0) into
 // c.frame, sends it, and returns the sub's reply frame.
-func rawRoundTrip(tb testing.TB, c *conn, host string, f []byte, reps *[]wire.BatchSubReply) []byte {
+func rawRoundTrip(tb testing.TB, c *conn, f []byte, reps *[]wire.BatchSubReply) []byte {
 	c.frame = wire.FinishBatch(f, 0, 1)
-	if err := c.writeRequestVectored(host, "/allocate", c.frame); err != nil {
-		tb.Fatal(err)
-	}
-	body, err := c.readResponse()
+	reply, err := c.roundTrip(c.frame)
 	if err == nil {
-		*reps, err = wire.ParseBatchReply(body, (*reps)[:0])
+		*reps, err = wire.ParseBatchReply(reply, (*reps)[:0])
 	}
 	if err == nil && (len(*reps) != 1 || (*reps)[0].Status != 0) {
 		err = fmt.Errorf("raw round trip: unexpected batch reply %+v", *reps)
@@ -134,10 +131,10 @@ func TestRouterForwardAllocFree(t *testing.T) {
 
 // BenchmarkRouterAllocSplit pins the ClusterThroughput allocation story
 // as dedicated record columns: raw_allocs/op is what the upstream
-// protocol itself costs per round (dominated by the in-process replica
-// servers' net/http request machinery — the bench-harness side of the
-// split), and batched_delta_allocs/op is the router's own addition over
-// it, held at zero. Counts come from testing.AllocsPerRun inside one
+// protocol itself costs per round (conn.roundTrip over the upgraded
+// connection plus the in-process replicas' frame loops and services),
+// and batched_delta_allocs/op is the router's own addition over it, held
+// at zero. Counts come from testing.AllocsPerRun inside one
 // iteration, so ns/op is not meaningful here; read the custom columns.
 func BenchmarkRouterAllocSplit(b *testing.B) {
 	if raceEnabled {

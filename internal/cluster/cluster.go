@@ -6,8 +6,10 @@
 // same SplitBalls spelling the single-process service uses, against the
 // same admission sequence), and forwards each replica its hosted cells'
 // shares as cell-addressed binary allocates through one group-commit
-// writer per replica (batch.go), which owns that replica's persistent
-// connection. Replicas reply in global IDs and bins, so merging their
+// writer per replica (batch.go). The writer owns that replica's one
+// data-plane connection, upgraded at dial from HTTP to bare wire frames
+// (conn.go); the control plane (bootstrap, health, migration) stays
+// HTTP/JSON. Replicas reply in global IDs and bins, so merging their
 // replies in global cell order reconstructs exactly the single-process
 // reply — and replaying a fixed (seed, request sequence, topology,
 // migration schedule) sequentially through the router is
@@ -497,14 +499,6 @@ func (r *Router) runlockAllocGates(sc *fwdScratch, k int) {
 	}
 }
 
-// AllocateCellsInto implements serve.Backend. The router owns the
-// cluster's split sequence; accepting caller-supplied shares would fork
-// the admission order, so cell-addressed requests stop here.
-func (r *Router) AllocateCellsInto(pairs []wire.CellCount, rep *serve.Report) error {
-	rep.Reset()
-	return fmt.Errorf("cluster: the router draws its own splits; cell-addressed allocate is replica-only")
-}
-
 // Release implements serve.Backend: partition ids by hosting replica
 // (cell = id mod cells) and submit each partition as one binary release,
 // submit-all-then-wait-all like the allocate path.
@@ -559,11 +553,6 @@ func asHTTPError(err error, out **httpError) bool {
 	if ok {
 		*out = he
 	}
-	return ok
-}
-
-func isHTTPError(err error) bool {
-	_, ok := err.(*httpError)
 	return ok
 }
 

@@ -3,25 +3,28 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // startReplica boots one pba-serve replica over a real loopback TCP
 // listener — the router's data plane needs actual sockets, not
 // httptest's in-process transport.
 func startReplica(t testing.TB, cfg serve.Config) (*serve.Service, string) {
-	return startWrappedReplica(t, cfg, nil)
+	return startWrappedReplica(t, cfg, nil, nil)
 }
 
-// startWrappedReplica is startReplica with the replica's handler passed
-// through wrap (nil serves it unwrapped), so a test can make one
+// startWrappedReplica is startReplica with the replica's listener and
+// handler passed through wrapLn and wrap (nil leaves either as is), so a
+// test can reach the connections the replica accepts or make one
 // endpoint misbehave while the rest serve normally.
-func startWrappedReplica(t testing.TB, cfg serve.Config, wrap func(http.Handler) http.Handler) (*serve.Service, string) {
+func startWrappedReplica(t testing.TB, cfg serve.Config, wrapLn func(net.Listener) net.Listener, wrap func(http.Handler) http.Handler) (*serve.Service, string) {
 	t.Helper()
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -31,6 +34,9 @@ func startWrappedReplica(t testing.TB, cfg serve.Config, wrap func(http.Handler)
 	if err != nil {
 		s.Close()
 		t.Fatal(err)
+	}
+	if wrapLn != nil {
+		ln = wrapLn(ln)
 	}
 	h := serve.NewHandler(s, serve.HandlerConfig{})
 	if wrap != nil {
@@ -227,10 +233,11 @@ func TestTopologyMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPartialFailurePropagates: when a replica answers /allocate with
-// the partial-failure shape (500 + granted spans), the router folds the
-// granted spans into its reply and surfaces the error — the replica
-// contract, held cluster-wide.
+// TestPartialFailurePropagates: when a replica answers an allocate sub
+// with the partial-failure shape (500 + granted spans), the router folds
+// the granted spans into its reply and surfaces the error — the replica
+// contract, held cluster-wide. The stub replica speaks the frame
+// protocol and fails every sub it is sent.
 func TestPartialFailurePropagates(t *testing.T) {
 	const n, cells = 8, 2
 	mux := http.NewServeMux()
@@ -240,13 +247,34 @@ func TestPartialFailurePropagates(t *testing.T) {
 			"cells": []map[string]int{{"cell": 0}, {"cell": 1}},
 		})
 	})
-	mux.HandleFunc("/allocate", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_ = json.NewEncoder(w).Encode(map[string]any{
+	mux.HandleFunc("/frames", func(w http.ResponseWriter, req *http.Request) {
+		nc, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_, _ = io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+serve.FramesProtocol+"\r\n\r\n")
+		doc, _ := json.Marshal(map[string]any{
 			"error": "cell 1: allocator wedged",
 			"spans": []serve.Span{{Start: 0, Stride: cells, Count: 3}},
 		})
+		var in []byte
+		var subs []wire.BatchSub
+		for {
+			if in, err = wire.ReadFrame(brw, in, serve.MaxBody); err != nil {
+				return
+			}
+			if subs, err = wire.ParseBatchRequest(in, subs[:0]); err != nil {
+				return
+			}
+			out := wire.BeginBatchReply(nil)
+			for _, sub := range subs {
+				out = wire.AppendBatchSubError(wire.AppendBatchTag(out, sub.Tag), http.StatusInternalServerError, doc)
+			}
+			if _, err := nc.Write(wire.FinishBatch(out, 0, len(subs))); err != nil {
+				return
+			}
+		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -269,20 +297,6 @@ func TestPartialFailurePropagates(t *testing.T) {
 	}
 	if rep.Admitted != 3 || len(rep.Spans) != 1 || rep.Spans[0].Count != 3 {
 		t.Fatalf("granted spans not folded into the reply: %+v", rep)
-	}
-}
-
-// TestRouterRejectsCellAddressed: the router owns the split sequence.
-func TestRouterRejectsCellAddressed(t *testing.T) {
-	_, up := emptyReplica(t, 16, 2, 1)
-	r, err := New(Config{N: 16, Cells: 2, Alg: "aheavy", Seed: 1, Upstreams: []string{up}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var rep serve.Report
-	if err := r.AllocateCellsInto(nil, &rep); err == nil {
-		t.Fatal("router accepted a cell-addressed allocate")
 	}
 }
 

@@ -123,7 +123,7 @@ func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 			h.ServeHTTP(w, req)
 		})
 	}
-	_, stub := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, noBegin)
+	_, stub := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, nil, noBegin)
 	_, peer := emptyReplica(t, n, cells, seed)
 	rs, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{stub, peer}})
 	if err != nil {

@@ -53,27 +53,12 @@ type Backend interface {
 	// the handler); see Service.AllocateInto for the partial-failure
 	// contract the handler's 500 path depends on.
 	AllocateInto(k int, rep *Report) error
-	// AllocateCellsInto runs a cell-addressed allocate: explicit per-cell
-	// shares instead of a split draw. Backends that do not accept
-	// cell-addressed requests return an error.
-	AllocateCellsInto(pairs []wire.CellCount, rep *Report) error
 	// Release departs balls by global ID, returning how many released.
 	Release(ids []int64) int
 	// StatsDoc returns the /stats JSON document (with full-state
 	// fingerprints when fingerprint is true); HealthDoc the /healthz one.
 	StatsDoc(fingerprint bool) any
 	HealthDoc() any
-}
-
-// BatchBackend is the optional group-commit surface: a backend that can
-// run many cell-addressed allocates as one round implements it, letting
-// a batch frame's sub-requests share cell epochs instead of serializing
-// one epoch per sub. The handler falls back to per-sub
-// AllocateCellsInto calls when the backend lacks it.
-type BatchBackend interface {
-	// AllocateCellsBatch enqueues every item's epoch work before
-	// collecting any reply; items fail independently via their Err field.
-	AllocateCellsBatch(items []CellBatchItem)
 }
 
 // StatsDoc implements Backend for the Service.
@@ -106,46 +91,22 @@ type releaseReq struct {
 	IDs []int64 `json:"ids"`
 }
 
-// allocateReq is the JSON /allocate payload. Count is the plain form;
-// Cells is the cell-addressed form (mutually exclusive, the JSON twin of
-// wire.KindCellAllocateRequest for debuggability).
+// allocateReq is the JSON /allocate payload.
 type allocateReq struct {
-	Count int              `json:"count"`
-	Terse bool             `json:"terse,omitempty"`
-	Cells []wire.CellCount `json:"cells,omitempty"`
+	Count int  `json:"count"`
+	Terse bool `json:"terse,omitempty"`
 }
 
 // wireScratch is one binary-protocol request's complete workspace: the
-// body slurp buffer, a bounded reader over it, the decoded ID slice or
-// cell pairs, the reply report, and the outgoing frame. Pooled as a
-// unit, the binary /allocate and /release paths run allocation-free in
-// steady state.
+// body slurp buffer, a bounded reader over it, the decoded ID slice, the
+// reply report, and the outgoing frame. Pooled as a unit, the binary
+// /allocate and /release paths run allocation-free in steady state.
 type wireScratch struct {
-	lr    io.LimitedReader
-	in    bytes.Buffer
-	ids   []int64
-	pairs []wire.CellCount
-	rep   Report
-	out   []byte
-
-	// Batch-frame workspace: parsed sub views, their routing metadata,
-	// and the group-commit items with their reply reports.
-	bsubs  []wire.BatchSub
-	bmeta  []batchSubMeta
-	bitems []CellBatchItem
-	breps  []Report
-}
-
-// batchSubMeta carries one batch sub-request through the handler: which
-// span of sc.pairs (allocate) or sc.ids (release) it parsed into, its
-// reply mode, and any pre-execution failure.
-type batchSubMeta struct {
-	allocate bool
-	terse    bool
-	status   int // non-zero: reply with this HTTP error status
-	off, n   int // span into sc.pairs (allocate) or sc.ids (release)
-	item     int // index into sc.bitems/sc.breps; -1 when not executed
-	released int
+	lr  io.LimitedReader
+	in  bytes.Buffer
+	ids []int64
+	rep Report
+	out []byte
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -163,23 +124,8 @@ func putWire(sc *wireScratch) {
 	if cap(sc.ids) > 1<<17 {
 		sc.ids = nil
 	}
-	if cap(sc.pairs) > 1<<12 {
-		sc.pairs = nil
-	}
 	if cap(sc.out) > 1<<20 {
 		sc.out = nil
-	}
-	if cap(sc.bsubs) > 1<<10 {
-		sc.bsubs = nil
-	}
-	if cap(sc.bmeta) > 1<<10 {
-		sc.bmeta = nil
-	}
-	if cap(sc.bitems) > 1<<10 {
-		sc.bitems = nil
-	}
-	if cap(sc.breps) > 256 {
-		sc.breps = nil
 	}
 	sc.lr.R = nil
 	wirePool.Put(sc)
@@ -313,13 +259,14 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 //	POST /allocate {"count": k, "terse": bool}  admit k balls -> Report
 //	                                            (terse drops placements,
 //	                                            keeps the ID spans)
-//	               {"cells": [{"cell","count"}]} cell-addressed form: the
-//	                                            caller (a cluster router)
-//	                                            supplies each cell's share
-//	                                            instead of a split draw;
-//	                                            binary twin is
-//	                                            wire.KindCellAllocateRequest
 //	POST /release  {"ids": [..]}                depart balls -> {"released": k}
+//	GET  /frames   Upgrade: pba-frames          101, then the connection
+//	                                            carries bare batch frames,
+//	                                            one reply per request — a
+//	                                            cluster router's data plane
+//	                                            (see frames.go; a frame over
+//	                                            MaxBody or one that does not
+//	                                            parse closes it)
 //	GET  /stats                                 aggregated StatsLite (O(1)
 //	                                            counters + chain fingerprints);
 //	                                            ?fingerprint=1 adds the O(live)
@@ -359,11 +306,14 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 //
 // Errors are JSON {"error": ...} with 400 (bad request or bad frame),
 // 405 (wrong method), 409 (topology conflict), 413 (body over the cap),
-// or 500 (allocator failure; carries the granted spans, see
-// writePartialFailure).
+// 426 (GET /frames without the upgrade), or 500 (allocator failure;
+// carries the granted spans, see writePartialFailure).
 func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 	mux := backendMux(s, s.metrics.handlerMetrics(), s.metrics.reg, hc)
 	m := s.metrics
+	mux.HandleFunc("/frames", func(w http.ResponseWriter, r *http.Request) {
+		s.serveFrames(hc, w, r)
+	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		m.httpSnapshot.Inc()
 		if r.Method != http.MethodGet {
@@ -571,32 +521,12 @@ func backendMux(b Backend, m *handlerMetrics, reg *obs.Registry, hc HandlerConfi
 			bodyError(w, err)
 			return
 		}
-		if len(req.Cells) > 0 && req.Count != 0 {
-			httpError(w, http.StatusBadRequest, "count and cells are mutually exclusive")
-			return
-		}
-		total := req.Count
-		if len(req.Cells) > 0 {
-			total = 0
-			for _, p := range req.Cells {
-				if p.Count < 0 {
-					httpError(w, http.StatusBadRequest, "cell %d count must be >= 0, got %d", p.Cell, p.Count)
-					return
-				}
-				total += p.Count
-			}
-		}
-		if total < 0 || total > MaxBatch {
-			httpError(w, http.StatusBadRequest, "count must be in [0, %d], got %d", MaxBatch, total)
+		if req.Count < 0 || req.Count > MaxBatch {
+			httpError(w, http.StatusBadRequest, "count must be in [0, %d], got %d", MaxBatch, req.Count)
 			return
 		}
 		rep := repPool.Get().(*Report)
-		if len(req.Cells) > 0 {
-			err = b.AllocateCellsInto(req.Cells, rep)
-		} else {
-			err = b.AllocateInto(req.Count, rep)
-		}
-		if err != nil {
+		if err = b.AllocateInto(req.Count, rep); err != nil {
 			writePartialFailure(w, err, rep.Spans)
 			repPool.Put(rep)
 			return
@@ -673,10 +603,9 @@ func backendMux(b Backend, m *handlerMetrics, reg *obs.Registry, hc HandlerConfi
 
 // wireAllocate is the binary-protocol /allocate path: parse the frame out
 // of the pooled scratch, allocate into the scratch report, encode the
-// reply frame in place, one Write. Steady state allocates nothing. Both
-// allocate kinds arrive here — the plain AllocateRequest and the
-// cell-addressed CellAllocateRequest a cluster router forwards — and are
-// answered with the same AllocateReply frame.
+// reply frame in place, one Write. Steady state allocates nothing. Only
+// the plain AllocateRequest is accepted here; a cluster router's
+// cell-addressed allocates ride GET /frames.
 func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
 	sc := wirePool.Get().(*wireScratch)
 	start := time.Now()
@@ -685,28 +614,7 @@ func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.Respons
 		putWire(sc)
 		return
 	}
-	kind, err := wire.Kind(frame)
-	if err != nil {
-		putWire(sc)
-		httpError(w, http.StatusBadRequest, "bad frame: %v", err)
-		return
-	}
-	if kind == wire.KindBatchRequest {
-		wireBatch(b, m, hc, sc, frame, start, w)
-		return
-	}
-	var count int
-	var terse bool
-	cellAddressed := kind == wire.KindCellAllocateRequest
-	if cellAddressed {
-		sc.pairs, terse, err = wire.ParseCellAllocateRequest(frame, sc.pairs[:0])
-		count = 0
-		for _, p := range sc.pairs {
-			count += p.Count
-		}
-	} else {
-		count, terse, err = wire.ParseAllocateRequest(frame)
-	}
+	count, terse, err := wire.ParseAllocateRequest(frame)
 	m.stageDecode.ObserveDuration(time.Since(start))
 	if err != nil {
 		putWire(sc)
@@ -719,12 +627,7 @@ func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.Respons
 		return
 	}
 	rep := &sc.rep
-	if cellAddressed {
-		err = b.AllocateCellsInto(sc.pairs, rep)
-	} else {
-		err = b.AllocateInto(count, rep)
-	}
-	if err != nil {
+	if err := b.AllocateInto(count, rep); err != nil {
 		writePartialFailure(w, err, rep.Spans)
 		putWire(sc)
 		return
@@ -739,146 +642,6 @@ func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.Respons
 	w.Header()["Content-Type"] = wireCTValue
 	_, _ = w.Write(sc.out)
 	putWire(sc)
-}
-
-// wireBatch is the group-commit path: one KindBatchRequest frame
-// carrying many sequence-tagged sub-requests, decoded in a single pass,
-// the allocates executed as one batch (sharing cell epochs when the
-// backend implements BatchBackend), answered with one KindBatchReply
-// frame. Sub-requests fail independently — an oversized count or an
-// allocator failure turns into that sub's error entry, never a frame
-// error — while structural malformation fails the whole request with a
-// 400 before anything executes. Owns sc and returns it to the pool.
-func wireBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, frame []byte, start time.Time, w http.ResponseWriter) {
-	var err error
-	sc.bsubs, err = wire.ParseBatchRequest(frame, sc.bsubs[:0])
-	if err != nil {
-		putWire(sc)
-		httpError(w, http.StatusBadRequest, "bad frame: %v", err)
-		return
-	}
-	sc.bmeta = sc.bmeta[:0]
-	sc.bitems = sc.bitems[:0]
-	sc.pairs = sc.pairs[:0]
-	sc.ids = sc.ids[:0]
-	nalloc := 0
-	for _, sub := range sc.bsubs {
-		kind, _ := wire.Kind(sub.Frame)
-		meta := batchSubMeta{item: -1}
-		switch kind {
-		case wire.KindCellAllocateRequest:
-			meta.allocate = true
-			off := len(sc.pairs)
-			sc.pairs, meta.terse, err = wire.ParseCellAllocateRequest(sub.Frame, sc.pairs)
-			if err != nil {
-				putWire(sc)
-				httpError(w, http.StatusBadRequest, "bad frame: sub %d: %v", len(sc.bmeta), err)
-				return
-			}
-			meta.off, meta.n = off, len(sc.pairs)-off
-			count := 0
-			for _, p := range sc.pairs[off:] {
-				count += p.Count
-			}
-			if count > MaxBatch {
-				meta.status = http.StatusBadRequest
-			} else {
-				meta.item = nalloc
-				nalloc++
-			}
-		default: // KindReleaseRequest — ParseBatchRequest admits nothing else
-			off := len(sc.ids)
-			sc.ids, err = wire.ParseReleaseRequest(sub.Frame, sc.ids)
-			if err != nil {
-				putWire(sc)
-				httpError(w, http.StatusBadRequest, "bad frame: sub %d: %v", len(sc.bmeta), err)
-				return
-			}
-			meta.off, meta.n = off, len(sc.ids)-off
-		}
-		sc.bmeta = append(sc.bmeta, meta)
-	}
-	m.stageDecode.ObserveDuration(time.Since(start))
-
-	// Sub-slices are taken only now that every append into sc.pairs and
-	// sc.ids is done — mid-parse views could alias a stale backing array.
-	for len(sc.breps) < nalloc {
-		sc.breps = append(sc.breps, Report{})
-	}
-	for i := range sc.bmeta {
-		mt := &sc.bmeta[i]
-		if !mt.allocate || mt.status != 0 {
-			continue
-		}
-		sc.bitems = append(sc.bitems, CellBatchItem{
-			Pairs: sc.pairs[mt.off : mt.off+mt.n],
-			Rep:   &sc.breps[mt.item],
-		})
-	}
-	if len(sc.bitems) > 0 {
-		if bb, ok := b.(BatchBackend); ok {
-			bb.AllocateCellsBatch(sc.bitems)
-		} else {
-			for i := range sc.bitems {
-				sc.bitems[i].Err = b.AllocateCellsInto(sc.bitems[i].Pairs, sc.bitems[i].Rep)
-			}
-		}
-	}
-	for i := range sc.bmeta {
-		mt := &sc.bmeta[i]
-		if mt.allocate {
-			continue
-		}
-		mt.released = b.Release(sc.ids[mt.off : mt.off+mt.n])
-	}
-	if hc.Verbose {
-		log.Printf("batch: %d sub-request(s), %d allocate(s)", len(sc.bsubs), nalloc)
-	}
-
-	start = time.Now()
-	out := wire.BeginBatchReply(sc.out[:0])
-	for i, sub := range sc.bsubs {
-		mt := &sc.bmeta[i]
-		out = wire.AppendBatchTag(out, sub.Tag)
-		switch {
-		case mt.status != 0:
-			out = wire.AppendBatchSubError(out, mt.status,
-				batchErrDoc(fmt.Errorf("count must be in [0, %d]", MaxBatch), nil))
-		case mt.allocate:
-			rep := &sc.breps[mt.item]
-			if serr := sc.bitems[mt.item].Err; serr != nil {
-				out = wire.AppendBatchSubError(out, http.StatusInternalServerError,
-					batchErrDoc(fmt.Errorf("allocate: %w", serr), rep.Spans))
-			} else {
-				out = wire.AppendBatchOK(out)
-				out = wire.AppendReport(out, rep, mt.terse)
-			}
-		default:
-			out = wire.AppendBatchOK(out)
-			out = wire.AppendReleaseReply(out, mt.released)
-		}
-	}
-	sc.out = wire.FinishBatch(out, 0, len(sc.bsubs))
-	m.stageEncode.ObserveDuration(time.Since(start))
-	w.Header()["Content-Type"] = wireCTValue
-	_, _ = w.Write(sc.out)
-	putWire(sc)
-}
-
-// batchErrDoc builds a sub-error JSON document in the writePartialFailure
-// shape ({"error", "spans"}), so the router's error decoding is the same
-// whether a failure arrives framed or as a whole HTTP error. Error paths
-// may allocate.
-func batchErrDoc(err error, spans []Span) []byte {
-	doc := struct {
-		Error string `json:"error"`
-		Spans []Span `json:"spans,omitempty"`
-	}{err.Error(), spans}
-	out, merr := json.Marshal(doc)
-	if merr != nil {
-		return []byte(`{"error":"encoding error document failed"}`)
-	}
-	return out
 }
 
 // wireRelease is the binary-protocol /release path; like wireAllocate it

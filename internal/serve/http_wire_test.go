@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/online"
 	"repro/internal/wire"
@@ -163,6 +168,62 @@ func (d *protoDriver) step(batch int) error {
 	return nil
 }
 
+// frameConn is a test client of GET /frames: one upgraded connection
+// and its reusable reply buffers.
+type frameConn struct {
+	nc    net.Conn
+	br    *bufio.Reader
+	reply []byte
+	subs  []wire.BatchSubReply
+}
+
+// upgradeFrames dials the server at addr (host:port) and upgrades the
+// connection with GET /frames.
+func upgradeFrames(addr string) (*frameConn, error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	fc := &frameConn{nc: nc, br: bufio.NewReader(nc)}
+	if _, err = fmt.Fprintf(nc, "GET /frames HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", addr, FramesProtocol); err == nil {
+		var res *http.Response
+		if res, err = http.ReadResponse(fc.br, nil); err == nil && res.StatusCode != http.StatusSwitchingProtocols {
+			err = fmt.Errorf("upgrade answered %s", res.Status)
+		}
+	}
+	if err != nil {
+		_ = nc.Close()
+		return nil, err
+	}
+	return fc, nil
+}
+
+// dialFrames is upgradeFrames for a test that needs the connection; it
+// closes with the test.
+func dialFrames(t testing.TB, addr string) *frameConn {
+	t.Helper()
+	fc, err := upgradeFrames(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fc.nc.Close() })
+	return fc
+}
+
+// roundTrip sends one batch-request frame and parses the reply frame.
+// The sub-replies alias the connection's buffers until the next call.
+func (c *frameConn) roundTrip(frame []byte) ([]wire.BatchSubReply, error) {
+	if _, err := c.nc.Write(frame); err != nil {
+		return nil, err
+	}
+	var err error
+	if c.reply, err = wire.ReadFrame(c.br, c.reply, 1<<30); err != nil {
+		return nil, err
+	}
+	c.subs, err = wire.ParseBatchReply(c.reply, c.subs[:0])
+	return c.subs, err
+}
+
 // TestPartialFailureAccounting: when one cell's epoch fails, Admitted
 // must equal the sum of the granted span counts (not the requested k),
 // and the granted balls must be live and releasable.
@@ -241,40 +302,48 @@ func TestPartialFailureAccounting(t *testing.T) {
 	}
 }
 
-// TestCellAllocatePartialFailureBinary: the partial-failure contract
-// over the binary cell-addressed encoding (wire kind 0x05) — the frame a
-// pba-router forwards upstream. When one addressed cell's epoch fails
-// the replica answers 500 with the JSON error shape carrying the spans
-// it did grant, and every granted ball is live and releasable. The
-// router's merge path folds exactly this shape into its partial reply,
-// so this contract is what keeps a cluster from losing grants when a
+// TestFramePartialFailure: the partial-failure contract on the path
+// that carries it, one batch frame over an upgraded GET /frames
+// connection. When one addressed cell's epoch fails, that sub answers 500
+// with the JSON error shape naming the cell and carrying the spans the
+// healthy cells granted; a second sub in the same frame, clear of the
+// failing cell, succeeds; and a release sub then frees every granted ID.
+// The router's merge folds exactly this shape into its partial reply, so
+// this contract is what keeps a cluster from losing grants when a
 // replica half-fails.
-func TestCellAllocatePartialFailureBinary(t *testing.T) {
+func TestFramePartialFailure(t *testing.T) {
 	s, err := New(Config{N: 64, Shards: 4, Host: []int{0, 1, 2, 3}, Alg: "aheavy", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.cells[2].alloc = &failingAlloc{cellAllocator: s.cells[2].alloc, fail: true}
+	ts := httptest.NewServer(NewHandler(s, HandlerConfig{}))
+	defer ts.Close()
+	fc := dialFrames(t, ts.Listener.Addr().String())
 
-	h := NewHandler(s, HandlerConfig{})
-	d := newProtoDriver(h, "binary")
-	pairs := []wire.CellCount{
+	f := wire.AppendBatchTag(wire.BeginBatchRequest(nil), 7)
+	f = wire.AppendCellAllocateRequest(f, []wire.CellCount{
 		{Cell: 0, Count: 250}, {Cell: 1, Count: 250}, {Cell: 2, Count: 250}, {Cell: 3, Count: 250},
+	}, false)
+	f = wire.AppendBatchTag(f, 8)
+	f = wire.AppendCellAllocateRequest(f, []wire.CellCount{{Cell: 0, Count: 10}, {Cell: 3, Count: 20}}, true)
+	subs, err := fc.roundTrip(wire.FinishBatch(f, 0, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.frame = wire.AppendCellAllocateRequest(d.frame[:0], pairs, false)
-	if code := d.do(d.areq, d.abody, d.frame); code != http.StatusInternalServerError {
-		t.Fatalf("cell-addressed partial failure served status %d, want 500: %s", code, d.w.body)
+	if len(subs) != 2 || subs[0].Tag != 7 || subs[1].Tag != 8 {
+		t.Fatalf("batch reply carries subs %+v, want tags 7 and 8", subs)
 	}
-	if ct := d.w.h.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("partial-failure Content-Type %q, want application/json (errors are never binary)", ct)
+	if subs[0].Status != http.StatusInternalServerError {
+		t.Fatalf("failing sub answered status %d, want 500", subs[0].Status)
 	}
 	var body struct {
 		Error string `json:"error"`
 		Spans []Span `json:"spans"`
 	}
-	if err := json.Unmarshal(d.w.body, &body); err != nil {
-		t.Fatalf("500 body is not the JSON error shape: %v (%s)", err, d.w.body)
+	if err := json.Unmarshal(subs[0].Frame, &body); err != nil {
+		t.Fatalf("sub-error is not the JSON error shape: %v (%s)", err, subs[0].Frame)
 	}
 	if !strings.Contains(body.Error, "cell 2") {
 		t.Errorf("error %q does not name the failing cell", body.Error)
@@ -293,18 +362,37 @@ func TestCellAllocatePartialFailureBinary(t *testing.T) {
 	if granted != 750 {
 		t.Fatalf("healthy cells granted %d balls, want 750", granted)
 	}
-	// The granted balls are real state: a binary release departs them all.
-	released, err := d.release(ids)
+	if subs[1].Status != 0 {
+		t.Fatalf("sub clear of the failing cell answered status %d: %s", subs[1].Status, subs[1].Frame)
+	}
+	var rep Report
+	if err := wire.ParseReport(subs[1].Frame, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Admitted != 30 {
+		t.Fatalf("second sub admitted %d, want 30", rep.Admitted)
+	}
+	ids = rep.AppendIDs(ids)
+
+	// The granted balls are real state: one release sub departs them all.
+	f = wire.AppendBatchTag(wire.BeginBatchRequest(nil), 9)
+	f = wire.AppendReleaseRequest(f, ids)
+	if subs, err = fc.roundTrip(wire.FinishBatch(f, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 1 || subs[0].Tag != 9 || subs[0].Status != 0 {
+		t.Fatalf("release reply %+v", subs)
+	}
+	released, err := wire.ParseReleaseReply(subs[0].Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if released != granted {
-		t.Fatalf("released %d of %d balls granted alongside the 500", released, granted)
+	if released != len(ids) {
+		t.Fatalf("released %d of %d granted balls", released, len(ids))
 	}
-	// The failed cell granted nothing and holds nothing.
 	for _, ci := range s.Cells(false) {
-		if ci.Cell == 2 && ci.Live != 0 {
-			t.Fatalf("failing cell holds %d live balls, want 0", ci.Live)
+		if ci.Live != 0 {
+			t.Fatalf("cell %d holds %d live balls after the release, want 0", ci.Cell, ci.Live)
 		}
 	}
 }
@@ -344,6 +432,123 @@ func TestOversizedBody413(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code == http.StatusRequestEntityTooLarge {
 		t.Errorf("body of exactly MaxBody bytes rejected with 413")
+	}
+}
+
+// TestFramesEntryPoint: GET /frames refuses what it cannot serve. A frame
+// declaring more than MaxBody bytes closes the connection before its body
+// is read, and so does a malformed batch frame; GET without the upgrade
+// header and POST get the JSON error shape. After every case a fresh
+// upgrade still serves.
+func TestFramesEntryPoint(t *testing.T) {
+	s, err := New(Config{N: 16, Shards: 2, Alg: "aheavy", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := NewHandler(s, HandlerConfig{})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	addr := ts.Listener.Addr().String()
+
+	stillServes := func(after string) {
+		t.Helper()
+		fc := dialFrames(t, addr)
+		f := wire.AppendBatchTag(wire.BeginBatchRequest(nil), 1)
+		f = wire.AppendCellAllocateRequest(f, []wire.CellCount{{Cell: 0, Count: 5}}, true)
+		subs, err := fc.roundTrip(wire.FinishBatch(f, 0, 1))
+		if err != nil || len(subs) != 1 || subs[0].Status != 0 {
+			t.Fatalf("after %s, a fresh upgrade does not serve: %+v, %v", after, subs, err)
+		}
+		_ = fc.nc.Close()
+	}
+	closes := func(name string, payload []byte) {
+		t.Helper()
+		fc := dialFrames(t, addr)
+		if _, err := fc.nc.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		_ = fc.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := fc.br.ReadByte()
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Errorf("%s: connection still open (read: %v)", name, err)
+		}
+		stillServes(name)
+	}
+	// Only the header is sent, so a close proves the body was never awaited.
+	closes("a frame over MaxBody", binary.LittleEndian.AppendUint32(nil, MaxBody))
+	closes("a malformed batch frame", wire.FinishBatch(wire.BeginBatchRequest(nil), 0, 0))
+
+	for _, tc := range []struct {
+		method  string
+		upgrade string
+		want    int
+	}{
+		{http.MethodGet, "", http.StatusUpgradeRequired},
+		{http.MethodPost, FramesProtocol, http.StatusMethodNotAllowed},
+	} {
+		req := httptest.NewRequest(tc.method, "/frames", nil)
+		if tc.upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", tc.upgrade)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s /frames (Upgrade %q): status %d, want %d", tc.method, tc.upgrade, rec.Code, tc.want)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s /frames: body %q is not the JSON error shape", tc.method, rec.Body.String())
+		}
+		stillServes(tc.method + " /frames")
+	}
+}
+
+// TestCloseEndsFrameConns: Close ends every upgraded connection, which
+// http.Server.Shutdown does not see, and returns only after their loops
+// have exited, with frames in flight on all of them; an upgrade after
+// Close is refused.
+func TestCloseEndsFrameConns(t *testing.T) {
+	s, err := New(Config{N: 64, Shards: 4, Alg: "aheavy", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s, HandlerConfig{}))
+	defer ts.Close()
+	addr := ts.Listener.Addr().String()
+	f := wire.AppendBatchTag(wire.BeginBatchRequest(nil), 0)
+	f = wire.FinishBatch(wire.AppendCellAllocateRequest(f, []wire.CellCount{{Cell: 1, Count: 3}}, true), 0, 1)
+
+	const clients = 3
+	served := make(chan struct{}, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		fc := dialFrames(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				if _, err := fc.roundTrip(f); err != nil {
+					return // Close cut the connection
+				}
+				if n == 0 {
+					served <- struct{}{}
+				}
+			}
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		<-served
+	}
+	s.Close()
+	wg.Wait()
+	if fc, err := upgradeFrames(addr); err == nil {
+		_ = fc.nc.Close()
+		t.Fatal("upgrade after Close succeeded")
 	}
 }
 
@@ -466,6 +671,69 @@ func TestBinaryHandlerAllocFree(t *testing.T) {
 	if delta := viaHTTP - direct; delta >= 1 {
 		t.Errorf("binary HTTP layer adds %.2f allocs/op (handler %.2f, service core %.2f); want 0",
 			delta, viaHTTP, direct)
+	}
+}
+
+// TestFrameLoopAllocFree: in steady state, a batch round trip over an
+// upgraded /frames connection — frame read, decode, reply encode, write,
+// and the client's own frame codec — adds zero allocations over calling
+// AllocateCellsBatch and Release directly.
+func TestFrameLoopAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	s, err := New(Config{N: 256, Shards: 4, Alg: "aheavy", Seed: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s, HandlerConfig{}))
+	defer ts.Close()
+	fc := dialFrames(t, ts.Listener.Addr().String())
+	pairs := []wire.CellCount{{Cell: 0, Count: 16}, {Cell: 1, Count: 16}, {Cell: 2, Count: 16}, {Cell: 3, Count: 16}}
+	items := []CellBatchItem{{Pairs: pairs, Rep: new(Report)}}
+	var frame []byte
+	var rep Report
+	var ids []int64
+	viaFrames := func() {
+		frame = wire.AppendBatchTag(wire.BeginBatchRequest(frame[:0]), 0)
+		frame = wire.FinishBatch(wire.AppendCellAllocateRequest(frame, pairs, true), 0, 1)
+		subs, err := fc.roundTrip(frame)
+		if err != nil || len(subs) != 1 || subs[0].Status != 0 {
+			t.Fatalf("allocate frame: %+v, %v", subs, err)
+		}
+		if err := wire.ParseReport(subs[0].Frame, &rep); err != nil {
+			t.Fatal(err)
+		}
+		ids = rep.AppendIDs(ids[:0])
+		frame = wire.AppendBatchTag(wire.BeginBatchRequest(frame[:0]), 0)
+		frame = wire.FinishBatch(wire.AppendReleaseRequest(frame, ids), 0, 1)
+		if subs, err = fc.roundTrip(frame); err != nil || len(subs) != 1 || subs[0].Status != 0 {
+			t.Fatalf("release frame: %+v, %v", subs, err)
+		}
+		if got, err := wire.ParseReleaseReply(subs[0].Frame); err != nil || got != len(ids) {
+			t.Fatalf("released %d of %d: %v", got, len(ids), err)
+		}
+	}
+	direct := func() {
+		s.AllocateCellsBatch(items)
+		if err := items[0].Err; err != nil {
+			t.Fatal(err)
+		}
+		ids = items[0].Rep.AppendIDs(ids[:0])
+		if got := s.Release(ids); got != len(ids) {
+			t.Fatalf("released %d of %d", got, len(ids))
+		}
+	}
+	// Warm every buffer and slice capacity on both paths.
+	for i := 0; i < 50; i++ {
+		viaFrames()
+		direct()
+	}
+	base := testing.AllocsPerRun(200, direct)
+	via := testing.AllocsPerRun(200, viaFrames)
+	if delta := via - base; delta >= 1 {
+		t.Errorf("frame loop adds %.2f allocs/op (frames %.2f, service core %.2f); want 0", delta, via, base)
 	}
 }
 

@@ -115,7 +115,7 @@ func (s *Service) Allocate(k int) (*Report, error) {
 // still carries the successful cells' spans (see the partial-failure
 // contract in runEpochs). A cluster replica hosting a subset of the
 // cells rejects plain allocates — it cannot run the whole split — and
-// takes AllocateCellsInto instead.
+// takes cell-addressed ones (AllocateCellsBatch) instead.
 func (s *Service) AllocateInto(k int, rep *Report) error {
 	rep.Reset()
 	if k < 0 {
@@ -171,60 +171,25 @@ func (s *Service) AllocateInto(k int, rep *Report) error {
 	return err
 }
 
-// AllocateCellsInto is the cell-addressed allocate a cluster router
-// speaks upstream: the router has already drawn the request's multinomial
-// split and hands this replica its hosted cells' shares as (cell, count)
-// pairs. Each listed cell receives exactly one epoch offer (a zero count
-// re-offers pending balls, as k == 0 does for plain allocates); the
-// reply uses global IDs and bins, so concatenating the replicas' replies
-// reconstructs the single-process reply for the same split. Pairs
-// naming unhosted or out-of-range cells fail the whole request before
-// any cell is touched.
+// AllocateCellsInto is one cell-addressed allocate: the router has
+// already drawn the request's multinomial split and hands this replica
+// its hosted cells' shares as (cell, count) pairs. Each listed cell
+// receives exactly one epoch offer (a zero count re-offers pending
+// balls, as k == 0 does for plain allocates); the reply uses global IDs
+// and bins, so concatenating the replicas' replies reconstructs the
+// single-process reply for the same split. Pairs naming unhosted or
+// out-of-range cells fail the whole request before any cell is touched.
+// It is AllocateCellsBatch with one item, the shape a sequential
+// router's frames carry.
 func (s *Service) AllocateCellsInto(pairs []wire.CellCount, rep *Report) error {
-	rep.Reset()
-	start := time.Now()
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	for _, p := range pairs {
-		if p.Cell < 0 || p.Cell >= s.total {
-			return fmt.Errorf("serve: cell %d out of range [0, %d)", p.Cell, s.total)
-		}
-		if s.byGlobal[p.Cell] == nil {
-			return fmt.Errorf("serve: cell %d not hosted here", p.Cell)
-		}
-		if p.Count < 0 {
-			return fmt.Errorf("serve: cell %d: negative arrival count %d", p.Cell, p.Count)
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("serve: service closed")
-	}
-	s.nextReq++ // telemetry only: the router owns the split-relevant sequence
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-	s.metrics.requests.Inc()
-
-	sc := s.allocPool.Get().(*allocScratch)
-	for g := range sc.counts {
-		sc.counts[g] = 0
-		sc.target[g] = false
-	}
-	for _, p := range pairs {
-		sc.counts[p.Cell] += int64(p.Count)
-		sc.target[p.Cell] = true
-	}
-	err := s.runEpochs(sc, rep, start)
-	s.allocPool.Put(sc)
-	return err
+	items := [1]CellBatchItem{{Pairs: pairs, Rep: rep}}
+	s.AllocateCellsBatch(items[:])
+	return items[0].Err
 }
 
 // CellBatchItem is one sub-request of a batched upstream frame: a
 // cell-addressed allocate plus its caller-owned reply report. Err
-// reports the item's outcome — items fail independently, exactly as if
-// each had arrived as its own AllocateCellsInto call.
+// reports the item's outcome; items fail independently.
 type CellBatchItem struct {
 	Pairs []wire.CellCount
 	Rep   *Report
@@ -242,15 +207,16 @@ type batchScratch struct {
 // reply is collected, so sub-requests arriving in one upstream batch
 // frame coalesce into shared cell epochs instead of serializing one
 // epoch per sub-request. Each item succeeds or fails independently
-// (Err), with the same validation and partial-failure contract as
-// AllocateCellsInto; invalid items sit the round out without touching
-// any cell. Item order is preserved: collecting in item order keeps a
-// sequential replay (one item per frame) bit-identical to
-// AllocateCellsInto.
+// (Err): pairs naming unhosted or out-of-range cells, or a negative
+// count, keep the item out of the round without touching any cell, and a
+// failing cell epoch is a partial failure (runEpochs' contract). Items
+// are collected in item order, so a sequential replay (one item per
+// frame) is bit-identical to one AllocateCellsInto call per request.
 func (s *Service) AllocateCellsBatch(items []CellBatchItem) {
 	start := time.Now()
 	s.topo.RLock()
 	defer s.topo.RUnlock()
+	valid := len(items)
 	for i := range items {
 		items[i].Err = nil
 		items[i].Rep.Reset()
@@ -268,6 +234,9 @@ func (s *Service) AllocateCellsBatch(items []CellBatchItem) {
 				break
 			}
 		}
+		if items[i].Err != nil {
+			valid--
+		}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -279,7 +248,7 @@ func (s *Service) AllocateCellsBatch(items []CellBatchItem) {
 		}
 		return
 	}
-	s.nextReq += uint64(len(items)) // telemetry only: the router owns the split-relevant sequence
+	s.nextReq += uint64(valid) // telemetry only: the router owns the split-relevant sequence
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	defer s.inflight.Done()

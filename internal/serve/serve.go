@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +93,12 @@ type Service struct {
 	nextReq  uint64     // router cursor: requests admitted so far
 	closed   bool
 	inflight sync.WaitGroup // Allocate calls between admission and reply
+
+	// frameConns are the upgraded GET /frames connections (frames.go),
+	// guarded by mu and ended by Close; frameLoops counts the goroutines
+	// serving them.
+	frameConns map[net.Conn]struct{}
+	frameLoops sync.WaitGroup
 
 	loops     sync.WaitGroup // cell batcher goroutines
 	relPool   sync.Pool      // *releaseBufs: reusable Release partition buffers
@@ -371,8 +378,10 @@ func (s *Service) Alg() string { return s.cfg.Alg }
 // Seed returns the service seed (the snapshot's seed after a restore).
 func (s *Service) Seed() uint64 { return s.cfg.Seed }
 
-// Close stops the cell batchers. It waits for in-flight Allocate calls to
-// drain; concurrent and subsequent Allocates fail cleanly.
+// Close stops the cell batchers. It ends the upgraded /frames
+// connections and waits for their loops to exit, then for in-flight
+// Allocate calls to drain; concurrent and subsequent Allocates fail
+// cleanly.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -380,7 +389,11 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	for nc := range s.frameConns {
+		_ = nc.Close()
+	}
 	s.mu.Unlock()
+	s.frameLoops.Wait()
 	s.inflight.Wait()
 	s.topo.Lock()
 	for _, c := range s.cells {

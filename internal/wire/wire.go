@@ -20,7 +20,9 @@
 //
 // The length prefix makes the frame self-delimiting, so the same bytes
 // work over HTTP (where Content-Length already frames the body — the
-// prefix is then redundant but cheap) and over raw pipelined streams.
+// prefix is then redundant but cheap) and over a bare stream, where
+// ReadFrame is the only framing (the cluster tier's upgraded
+// router↔replica connections).
 // Parsers require the frame to be exactly one message: a declared length
 // that disagrees with the bytes on hand, trailing garbage, or an
 // unexpected kind is an error, never a best-effort decode.
@@ -35,7 +37,8 @@
 //	ReleaseRequest       u32 n | n x i64 id
 //	ReleaseReply         u32 released
 //	CellAllocateRequest  u8 flags (bit 0: terse) | u32 npairs |
-//	                     npairs x (u32 cell | u32 count); answered with an
+//	                     npairs x (u32 cell | u32 count); travels only
+//	                     nested in a BatchRequest, answered with an
 //	                     AllocateReply whose spans/placements use global IDs
 //	CellSnapshotBinary   u32 cell | the columnar varint snapshot document
 //	                     (see snapshot.go) — the fields of online.Snapshot
@@ -66,6 +69,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/online"
@@ -78,9 +82,10 @@ const ContentType = "application/x-pba-wire"
 // Message kinds, one per frame type. The cell-addressed kinds are the
 // cluster tier's upstream vocabulary (internal/cluster): a pba-router
 // front process draws the per-cell multinomial split itself and forwards
-// each replica its cells' shares in one CellAllocateRequest, and live
-// cell migration ships a cell's state as a CellSnapshotBinary frame.
-// Kind 0x06 (the JSON-document cell snapshot) is retired; never reuse it.
+// each replica its cells' shares as a CellAllocateRequest nested in a
+// BatchRequest (never standalone), and live cell migration ships a
+// cell's state as a CellSnapshotBinary frame. Kind 0x06 (the
+// JSON-document cell snapshot) is retired; never reuse it.
 const (
 	KindAllocateRequest     = 0x01
 	KindAllocateReply       = 0x02
@@ -339,14 +344,41 @@ func AppendReport(dst []byte, r *Report, terse bool) []byte {
 	return dst
 }
 
-// Kind returns the frame's kind byte, so an endpoint accepting several
-// frame kinds (POST /allocate takes AllocateRequest from clients and
-// CellAllocateRequest from a cluster router) can dispatch before parsing.
+// Kind returns the frame's kind byte, so a reader accepting several
+// frame kinds (a batch request's subs are cell allocates or releases)
+// can dispatch before parsing.
 func Kind(frame []byte) (byte, error) {
 	if len(frame) < headerLen {
 		return 0, fmt.Errorf("wire: frame truncated: %d bytes, header needs %d", len(frame), headerLen)
 	}
 	return frame[4], nil
+}
+
+// ReadFrame reads one frame off r into buf, reusing its capacity, and
+// returns it: the u32 length, then exactly that many payload bytes. A
+// frame declaring more than max bytes in all is refused before its body
+// is read, so a bad length cannot balloon memory. The frame is not
+// parsed. After an error r's position is unknown: drop the stream.
+func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
+	if cap(buf) < headerLen {
+		buf = make([]byte, 0, 512)
+	}
+	buf = buf[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	n := 4 + int64(binary.LittleEndian.Uint32(buf))
+	if n > int64(max) {
+		return nil, fmt.Errorf("wire: frame declares %d bytes, over the %d-byte cap", n, max)
+	}
+	if int64(cap(buf)) < n {
+		buf = append(make([]byte, 0, n), buf...)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // CellCount is one cell's share of a cell-addressed allocate: admit Count

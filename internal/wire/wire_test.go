@@ -454,3 +454,42 @@ func TestEncodeAllocFree(t *testing.T) {
 		t.Errorf("codec hot path allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestReadFrame: frames read back-to-back off one stream come out whole,
+// into the caller's reused buffer; a length over the cap is refused
+// after the header alone, and a stream cut mid-frame is an error.
+func TestReadFrame(t *testing.T) {
+	a := AppendAllocateRequest(nil, 7, true)
+	b := AppendReleaseRequest(nil, []int64{1, 2, 3})
+	r := bytes.NewReader(append(append([]byte(nil), a...), b...))
+	buf := make([]byte, 0, 64)
+	for _, want := range [][]byte{a, b} {
+		got, err := ReadFrame(r, buf, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("read %x, want %x", got, want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Error("ReadFrame did not reuse the caller's buffer")
+		}
+	}
+	if _, err := ReadFrame(r, buf, 64); err == nil {
+		t.Error("read past the end of the stream")
+	}
+
+	r = bytes.NewReader(b)
+	if _, err := ReadFrame(r, nil, len(b)-1); err == nil {
+		t.Errorf("accepted a %d-byte frame over a %d-byte cap", len(b), len(b)-1)
+	}
+	if left := r.Len(); left != len(b)-4 {
+		t.Errorf("an over-cap frame consumed %d bytes past its header", len(b)-4-left)
+	}
+	if _, err := ReadFrame(bytes.NewReader(b[:len(b)-1]), nil, 64); err == nil {
+		t.Error("accepted a frame cut short")
+	}
+	if got, err := ReadFrame(bytes.NewReader(b), nil, len(b)); err != nil || !bytes.Equal(got, b) {
+		t.Errorf("frame exactly at the cap: %x, %v", got, err)
+	}
+}
