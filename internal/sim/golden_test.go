@@ -1,0 +1,174 @@
+package sim_test
+
+// Golden fingerprints pin the agent engine's complete output — loads,
+// rounds, message metrics, placements and the remaining-ball trace — for
+// every commit and process path it has. The values were recorded before
+// the engine's round loop was last reworked; a change to the engine that
+// alters any result, at any worker count, fails here.
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/asym"
+	"repro/internal/core"
+	"repro/internal/light"
+	"repro/internal/model"
+	"repro/internal/rng"
+	"repro/internal/sim"
+)
+
+// fingerprint hashes every field of r, in a fixed order.
+func fingerprint(r *model.Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(r.Problem.M)
+	put(int64(r.Problem.N))
+	put(int64(r.Rounds))
+	put(r.Unallocated)
+	m := r.Metrics
+	for _, v := range []int64{m.TotalMessages, m.BallRequests, m.BinReplies, m.MaxBallSent, m.MaxBinReceived, m.CommitMessages} {
+		put(v)
+	}
+	put(int64(len(r.Loads)))
+	for _, v := range r.Loads {
+		put(v)
+	}
+	put(int64(len(r.TraceRemaining)))
+	for _, v := range r.TraceRemaining {
+		put(v)
+	}
+	put(int64(len(r.Placements)))
+	for _, v := range r.Placements {
+		put(int64(v))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// holdProto collects requests for two rounds and answers them in the
+// third, so every third round flushes three rounds' worth of requests and
+// a ball can hold several accepts at once.
+type holdProto struct{ quota int64 }
+
+func (p holdProto) Targets(_ int, b *sim.Ball, n int, buf []int) []int {
+	return append(buf, b.Rand().Intn(n))
+}
+func (p holdProto) Hold(round int) bool { return round%3 != 2 }
+func (p holdProto) Capacity(round, _ int, load int64) int64 {
+	return p.quota*int64(round/3+1) - load
+}
+func (p holdProto) Payload(int, int, int64) int64           { return 0 }
+func (p holdProto) Choose(int, *sim.Ball, []sim.Accept) int { return 0 }
+func (p holdProto) Place(a sim.Accept) int                  { return a.From }
+func (p holdProto) Done(int, int64) bool                    { return false }
+
+type goldenCase struct {
+	name string
+	run  func(workers int) (*model.Result, error)
+	want string
+}
+
+var goldenCases = []goldenCase{
+	{
+		// Rounds far above any fork threshold: 2^16 balls in round 0.
+		name: "aheavy",
+		run: func(w int) (*model.Result, error) {
+			return core.Run(model.Problem{M: 1 << 16, N: 1 << 6}, core.Config{Seed: 3, Workers: w, Trace: true, RecordPlacements: true})
+		},
+		want: "d6b72a02d6893a26084ef5c0",
+	},
+	{
+		// Two requests per ball: the commit step groups accepts by ball.
+		name: "aheavy-degree2",
+		run: func(w int) (*model.Result, error) {
+			return core.Run(model.Problem{M: 1 << 14, N: 1 << 5}, core.Config{Seed: 5, Workers: w, Trace: true, RecordPlacements: true, Params: core.Params{Degree: 2}})
+		},
+		want: "d2d2e0479263ced30e4fe322",
+	},
+	{
+		// Held requests flushed every third round.
+		name: "hold",
+		run: func(w int) (*model.Result, error) {
+			return sim.New(model.Problem{M: 1 << 14, N: 1 << 6}, holdProto{quota: 64}, sim.Config{Seed: 7, Workers: w, Trace: true, RecordPlacements: true}).Run()
+		},
+		want: "af63f55ec3d099cf14c9777a",
+	},
+	{
+		// Place redirects accepts from superbin leaders to member bins.
+		name: "asym",
+		run: func(w int) (*model.Result, error) {
+			return asym.Run(model.Problem{M: 1 << 15, N: 1 << 6}, asym.Config{Seed: 9, Workers: w, Trace: true})
+		},
+		want: "128f219e67749d5f7483ecd8",
+	},
+	{
+		// Alight: 1, 2, 4, ... targets per ball as rounds go on.
+		name: "alight",
+		run: func(w int) (*model.Result, error) {
+			return light.Run(model.Problem{M: 1 << 13, N: 1 << 13}, light.Config{Seed: 11, Workers: w, Trace: true, RecordPlacements: true})
+		},
+		want: "794e0570c841a4ff52f96973",
+	},
+	{
+		name: "aheavy-tie-random",
+		run: func(w int) (*model.Result, error) {
+			return core.Run(model.Problem{M: 1 << 15, N: 1 << 6}, core.Config{Seed: 13, Workers: w, TieBreak: sim.TieRandom, Trace: true, RecordPlacements: true})
+		},
+		want: "5e625283adbfda3e885b0da7",
+	},
+	{
+		name: "aheavy-tie-high-id",
+		run: func(w int) (*model.Result, error) {
+			return core.Run(model.Problem{M: 1 << 15, N: 1 << 6}, core.Config{Seed: 15, Workers: w, TieBreak: sim.TieAdversarialHighID, Trace: true, RecordPlacements: true})
+		},
+		want: "9b8ca07504730bcd7b84f75a",
+	},
+	{
+		// A serving epoch: residual loads, a reused scratch (its second
+		// run is the one pinned), and rounds too small to fork.
+		name: "aheavy-epoch",
+		run: func(w int) (*model.Result, error) {
+			const n = 1 << 8
+			base := make([]int64, n)
+			r := rng.New(17)
+			for i := range base {
+				base[i] = 900 + int64(r.Intn(200))
+			}
+			scr := &core.Scratch{}
+			cfg := core.Config{Seed: 17, Workers: w, BaseLoads: base, RecordPlacements: true, Trace: true, Scratch: scr}
+			if _, err := core.Run(model.Problem{M: 3000, N: n}, cfg); err != nil {
+				return nil, err
+			}
+			cfg.Seed = 19
+			return core.Run(model.Problem{M: 2000, N: n}, cfg)
+		},
+		want: "08b19e2aa70484a4be186e79",
+	},
+}
+
+// TestGoldenFingerprints runs every case at 1, 2 and 4 workers and
+// compares the whole Result against its recorded fingerprint.
+func TestGoldenFingerprints(t *testing.T) {
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, w := range []int{1, 2, 4} {
+				res, err := c.run(w)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if err := res.Check(); err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if got := fingerprint(res); got != c.want {
+					t.Errorf("workers=%d: fingerprint %s, want %s", w, got, c.want)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -74,24 +75,34 @@ func TestOneRoundUnlimitedAllocatesAll(t *testing.T) {
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	// The final load multiset must be identical for 1 and 4 workers, since
-	// ball randomness is derived from ball IDs, not worker shards.
+	// The whole Result must be identical at 1, 2 and 4 workers, since ball
+	// randomness is derived from ball IDs, not worker shards.
 	p := model.Problem{M: 5000, N: 50}
 	proto := &uniformProto{threshold: func(int) int64 { return 120 }}
-	r1, err := New(p, proto, Config{Seed: 7, Workers: 1}).Run()
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) *model.Result {
+		res, err := New(p, proto, Config{Seed: 7, Workers: workers, Trace: true, RecordPlacements: true}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	r4, err := New(p, proto, Config{Seed: 7, Workers: 4}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Rounds != r4.Rounds {
-		t.Fatalf("rounds differ: %d vs %d", r1.Rounds, r4.Rounds)
-	}
-	for i := range r1.Loads {
-		if r1.Loads[i] != r4.Loads[i] {
-			t.Fatalf("load[%d] differs: %d vs %d", i, r1.Loads[i], r4.Loads[i])
+	r1 := run(1)
+	for _, w := range []int{2, 4} {
+		rw := run(w)
+		if rw.Rounds != r1.Rounds {
+			t.Fatalf("workers=%d: rounds %d, want %d", w, rw.Rounds, r1.Rounds)
+		}
+		if rw.Metrics != r1.Metrics {
+			t.Fatalf("workers=%d: metrics %+v, want %+v", w, rw.Metrics, r1.Metrics)
+		}
+		if !slices.Equal(rw.Loads, r1.Loads) {
+			t.Fatalf("workers=%d: loads differ", w)
+		}
+		if !slices.Equal(rw.Placements, r1.Placements) {
+			t.Fatalf("workers=%d: placements differ", w)
+		}
+		if !slices.Equal(rw.TraceRemaining, r1.TraceRemaining) {
+			t.Fatalf("workers=%d: trace %v, want %v", w, rw.TraceRemaining, r1.TraceRemaining)
 		}
 	}
 }
