@@ -1,0 +1,36 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// TestRunFreshMemoryPerBall fences a fresh Run's heap traffic. The agent
+// engine sizes every round buffer once, for its whole input, so a run
+// allocates the ball array plus one copy of each buffer — about 128 B per
+// ball — at any worker count. Buffers that grow by doubling, or per-worker
+// copies, push it past the bound.
+func TestRunFreshMemoryPerBall(t *testing.T) {
+	const maxBytesPerBall = 160
+	p := model.Problem{M: 1 << 20, N: 256}
+	for _, w := range []int{1, 2, 4} {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		res, err := Run(p, Config{Seed: 1, Workers: w})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if res.Unallocated != 0 {
+			t.Fatalf("workers=%d: %d balls unallocated", w, res.Unallocated)
+		}
+		perBall := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(p.M)
+		t.Logf("workers=%d: %.1f B/ball", w, perBall)
+		if perBall > maxBytesPerBall {
+			t.Errorf("workers=%d: fresh Run allocated %.1f B/ball, want at most %d", w, perBall, maxBytesPerBall)
+		}
+	}
+}

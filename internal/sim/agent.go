@@ -2,14 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/rng"
 )
 
-// Ball is the per-agent state of one ball. Protocols may use State freely;
+// Ball is the per-agent state of one ball. Protocols may use State freely
+// (the engine records placements in its own array, never in the Ball);
 // Rand() is the ball's private randomness.
 type Ball struct {
 	ID    int64
@@ -58,10 +59,12 @@ const (
 
 // Protocol defines a balls-into-bins algorithm run by the Engine.
 //
-// All methods must be safe for concurrent use: the engine invokes them from
-// multiple goroutines for distinct balls/bins. Implementations should treat
-// receiver state as read-only during a run (round-indexed parameters such as
-// thresholds must be precomputed or derived from the arguments).
+// Targets, Capacity and Payload must be safe for concurrent use: in large
+// rounds the engine invokes them from several goroutines for distinct balls
+// and bins. Choose and Place run on the engine's own goroutine.
+// Implementations should treat receiver state as read-only during a run
+// (round-indexed parameters such as thresholds must be precomputed or
+// derived from the arguments).
 type Protocol interface {
 	// Targets appends the bins that (unallocated) ball b contacts in round
 	// to buf and returns the extended slice. Returning an empty slice means
@@ -124,14 +127,15 @@ type acceptRec struct {
 }
 
 // agentRun is the mutable state of one agent-mode execution. The shard
-// worker bodies are methods on it, bound once per run (gatherFn et al.),
-// so the round loop allocates nothing in the steady state.
+// worker bodies are methods on it, bound once per arena (gatherFn,
+// processFn), so the round loop allocates nothing in the steady state.
 type agentRun struct {
 	e   *Engine
 	scr *scratch
 
 	balls       []Ball
 	active      []int32
+	placed      []bool // placed[i]: ball i has committed
 	loads       []int64
 	binReceived []int64
 	ballSent    []int64
@@ -143,15 +147,8 @@ type agentRun struct {
 	byBin   []int32
 	offsets []int32
 
-	// step-3 inputs/outputs
-	accepts    []acceptRec
-	committed  int64
-	commitMsgs int64
-	serial     bool // commit step runs on one shard: skip the atomics
-
 	gatherFn  func(wi, lo, hi int)
 	processFn func(wi, lo, hi int)
-	commitFn  func(wi, lo, hi int)
 }
 
 // runAgent executes the agent-based engine: explicit per-ball agents,
@@ -173,7 +170,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	// identical for any worker count.
 	ballSeed := rng.Mix64(e.cfg.Seed ^ 0x5A5A5A5A5A5A5A5A)
 
-	arena.balls = growBalls(arena.balls, int(m))
+	arena.balls = grow(arena.balls, int(m))
 	balls := arena.balls
 	for i := range balls {
 		balls[i] = Ball{ID: int64(i), seed: rng.Mix64(ballSeed + uint64(i)*0x9E3779B97F4A7C15)}
@@ -189,11 +186,13 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	} else {
 		ar.scr.ensureBins(n)
 	}
-	arena.loads = growZeroInt64(arena.loads, n)
-	arena.binReceived = growZeroInt64(arena.binReceived, n)
-	arena.ballSent = growZeroInt64(arena.ballSent, int(m))
-	arena.active = growInt32(arena.active, int(m))
+	arena.loads = growZero(arena.loads, n)
+	arena.binReceived = growZero(arena.binReceived, n)
+	arena.ballSent = growZero(arena.ballSent, int(m))
+	arena.placed = growZero(arena.placed, int(m))
+	arena.active = grow(arena.active, int(m))
 	ar.balls = balls
+	ar.placed = arena.placed
 	ar.loads = arena.loads
 	ar.binReceived = arena.binReceived
 	ar.ballSent = arena.ballSent
@@ -203,7 +202,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	}
 	ar.placements = nil
 	if e.cfg.RecordPlacements {
-		arena.placements = growInt32(arena.placements, int(m))
+		arena.placements = grow(arena.placements, int(m))
 		ar.placements = arena.placements
 		for i := range ar.placements {
 			ar.placements[i] = -1
@@ -214,7 +213,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	if ar.gatherFn == nil {
 		ar.gatherFn = ar.gatherShard
 		ar.processFn = ar.processShard
-		ar.commitFn = ar.commitShard
 	}
 
 	held := arena.held[:0] // requests collected during Hold rounds
@@ -244,7 +242,8 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 		ar.round = round
 
-		// Step 1: active balls emit requests (parallel over ball shards).
+		// Step 1: active balls emit requests (ball shards; parallel from
+		// forkMin balls up).
 		reqs, perBall := ar.gatherRequests()
 		sentThisRound := int64(len(reqs))
 		metrics.BallRequests += sentThisRound
@@ -256,8 +255,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			continue
 		}
 		if len(held) > 0 {
-			ar.scr.flush = append(ar.scr.flush[:0], held...)
-			reqs = append(ar.scr.flush, reqs...)
+			reqs = join(ar.scr.flush, held, reqs)
 			ar.scr.flush = reqs
 			held = held[:0]
 			// Flushed rounds can repeat a ball across collection rounds, so
@@ -269,13 +267,14 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			continue
 		}
 
-		// Step 2: bins process requests (parallel over bin shards).
+		// Step 2: bins process requests (bin shards; parallel from forkMin
+		// requests up).
 		accepts := ar.processRequests(reqs)
 		// Every request is answered (accept or reject).
 		metrics.BinReplies += int64(len(reqs))
 		metrics.TotalMessages += int64(len(reqs))
 
-		// Step 3: balls with accepts commit (parallel over accept groups).
+		// Step 3: balls with accepts commit (on this goroutine).
 		commits, roundMax := ar.commitBalls(accepts, &metrics, perBall <= 1)
 		if roundMax > maxLoad {
 			maxLoad = roundMax
@@ -283,7 +282,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 
 		// Drop allocated balls from the active set.
 		if commits > 0 {
-			ar.active = compactActive(ar.active, balls)
+			ar.active = compactActive(ar.active, ar.placed)
 		}
 		e.emitRound(round, remaining, sentThisRound, int64(commits), maxLoad)
 	}
@@ -306,16 +305,12 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	return res, nil
 }
 
-// allocatedFlag marks a ball as placed. Protocols must keep Ball.State
-// non-negative; the engine owns this sentinel value.
-const allocatedFlag = int64(-1)
-
 // gatherShard is the step-1 worker body: balls active[lo:hi] emit their
-// requests into the worker's shard buffer.
+// requests into the worker's shard buffer, sized for one request per ball.
 func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr := r.scr
 	buf := scr.targetBuf[wi]
-	out := scr.reqShards[wi][:0]
+	out := grow(scr.reqShards[wi], hi-lo)[:0]
 	perBall := 0
 	for _, bi := range r.active[lo:hi] {
 		b := &r.balls[bi]
@@ -333,33 +328,24 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr.gatherMax[wi] = perBall
 }
 
-// gatherRequests runs step 1 in parallel and returns the concatenated
-// request list in deterministic (worker-shard) order, plus the maximum
-// number of requests any single ball sent (1 for degree-1 rounds — the
-// precondition for the sort-free commit grouping). All buffers come from
-// the scratch arena; the returned slice is valid until the next call.
+// gatherRequests runs step 1 and returns the concatenated request list in
+// deterministic (worker-shard) order, plus the maximum number of requests
+// any single ball sent (1 for degree-1 rounds — the precondition for the
+// sort-free commit grouping). All buffers come from the scratch arena; the
+// returned slice is valid until the next call.
 func (r *agentRun) gatherRequests() ([]request, int) {
-	w := r.scr.workers
-	chunk := (len(r.active) + w - 1) / w
-	shards := shard(len(r.active), chunk, w, r.gatherFn)
-
-	reqs := r.scr.reqs[:0]
-	perBall := 0
-	for wi := 0; wi < shards; wi++ {
-		reqs = append(reqs, r.scr.reqShards[wi]...)
-		if r.scr.gatherMax[wi] > perBall {
-			perBall = r.scr.gatherMax[wi]
-		}
-	}
-	r.scr.reqs = reqs
-	return reqs, perBall
+	scr := r.scr
+	shards := shard(len(r.active), scr.forkWorkers(len(r.active)), r.gatherFn)
+	scr.reqs = join(scr.reqs, scr.reqShards[:shards]...)
+	return scr.reqs, slices.Max(scr.gatherMax[:shards])
 }
 
 // processShard is the step-2 worker body: bins [lo, hi) answer their
-// requests into the worker's accept shard.
+// requests into the worker's accept shard, sized for every request in the
+// range.
 func (r *agentRun) processShard(wi, lo, hi int) {
 	scr := r.scr
-	out := scr.accShards[wi][:0]
+	out := grow(scr.accShards[wi], int(r.offsets[hi]-r.offsets[lo]))[:0]
 	for bin := lo; bin < hi; bin++ {
 		reqs := r.byBin[r.offsets[bin]:r.offsets[bin+1]]
 		if len(reqs) == 0 {
@@ -391,28 +377,22 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 const smallRoundMax = 256
 
 // processRequests runs step 2, returning all accepts in ascending-bin
-// order (scratch-backed, valid until next call). Large rounds counting-sort
-// the requests and shard the bins across workers; small rounds (the
-// serving/churn regime: a handful of requests into many bins) instead sort
-// the requests by bin and walk only the touched bins, avoiding the
-// counting sort's O(n) per-round passes. Both paths produce bit-identical
-// accept sequences.
+// order (scratch-backed, valid until next call). Rounds counting-sort the
+// requests and answer contiguous bin ranges, across workers from forkMin
+// requests up; small rounds (the serving/churn regime: a handful of
+// requests into many bins) instead sort the requests by bin and walk only
+// the touched bins, avoiding the counting sort's O(n) per-round passes.
+// Both paths produce bit-identical accept sequences.
 func (r *agentRun) processRequests(reqs []request) []acceptRec {
 	n := r.e.p.N
 	if len(reqs) <= smallRoundMax && len(reqs)*8 < n {
 		return r.processSmall(reqs)
 	}
-	r.byBin, r.offsets = r.scr.groupByBin(reqs, n)
-	w := r.scr.workers
-	chunk := (n + w - 1) / w
-	shards := shard(n, chunk, w, r.processFn)
-
-	accepts := r.scr.accepts[:0]
-	for wi := 0; wi < shards; wi++ {
-		accepts = append(accepts, r.scr.accShards[wi]...)
-	}
-	r.scr.accepts = accepts
-	return accepts
+	scr := r.scr
+	r.byBin, r.offsets = scr.groupByBin(reqs, n)
+	shards := shard(n, scr.forkWorkers(len(reqs)), r.processFn)
+	scr.accepts = join(scr.accepts, scr.accShards[:shards]...)
+	return scr.accepts
 }
 
 // processSmall is the small-round step 2: requests are stable-sorted by
@@ -470,12 +450,29 @@ func sortRequestsByBin(reqs []request) {
 	}
 }
 
-// shard runs fn(wi, lo, hi) over contiguous chunks of [0, total): shard 0
-// inline on the calling goroutine, the rest concurrently. It returns the
-// number of shards dispatched. With one worker (or one chunk) no goroutine
+// forkMin is the smallest step, in balls (gather) or requests (process),
+// that forks workers. Smaller steps run inline on the calling goroutine:
+// spawning and joining goroutines would cost more than the step itself,
+// and rounds this small (every serving epoch) then allocate nothing. The
+// choice depends on the input size alone, and results never depend on it.
+const forkMin = 4096
+
+// forkWorkers is the number of workers a step over items balls or
+// requests may use.
+func (s *scratch) forkWorkers(items int) int {
+	if items < forkMin {
+		return 1
+	}
+	return s.workers
+}
+
+// shard runs fn(wi, lo, hi) over w contiguous chunks of [0, total): chunk
+// 0 inline on the calling goroutine, the rest concurrently. It returns the
+// number of chunks dispatched. With one worker (or one chunk) no goroutine
 // is spawned, keeping the steady state allocation-free.
-func shard(total, chunk, w int, fn func(wi, lo, hi int)) int {
-	if total <= chunk || w == 1 {
+func shard(total, w int, fn func(wi, lo, hi int)) int {
+	chunk := (total + w - 1) / w
+	if total <= chunk {
 		// Single shard: run inline, no goroutines, no WaitGroup.
 		if total > 0 {
 			fn(0, 0, total)
@@ -483,27 +480,19 @@ func shard(total, chunk, w int, fn func(wi, lo, hi int)) int {
 		}
 		return 0
 	}
-	shards := 0
 	var wg sync.WaitGroup
-	for wi := 1; wi < w; wi++ {
-		lo := wi * chunk
-		if lo >= total {
-			break
-		}
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		shards++
+	wi := 1
+	for lo := chunk; lo < total; lo += chunk {
 		wg.Add(1)
 		go func(wi, lo, hi int) {
 			defer wg.Done()
 			fn(wi, lo, hi)
-		}(wi, lo, hi)
+		}(wi, lo, min(lo+chunk, total))
+		wi++
 	}
 	fn(0, 0, chunk)
 	wg.Wait()
-	return shards + 1
+	return wi
 }
 
 // applyTieBreak reorders reqs so that the accepted prefix reflects the
@@ -553,64 +542,9 @@ func siftDownMin(s []int32, i int) {
 	}
 }
 
-// commitShard is the step-3 worker body: accept groups [lo, hi) choose and
-// commit. Per-worker maxima land in scr.maxShard so the engine's running
-// max-load needs no O(n) rescan.
-func (r *agentRun) commitShard(wi, lo, hi int) {
-	scr := r.scr
-	accBuf := scr.accBuf[wi]
-	var localCommits, localMsgs, localMax int64
-	for _, g := range scr.groups[lo:hi] {
-		recs := r.accepts[g.lo:g.hi]
-		b := &r.balls[recs[0].ball]
-		accBuf = accBuf[:0]
-		for _, a := range recs {
-			accBuf = append(accBuf, Accept{From: int(a.bin), Payload: a.payload})
-		}
-		choice := r.e.proto.Choose(r.round, b, accBuf)
-		if choice < 0 || choice >= len(accBuf) {
-			panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(accBuf)))
-		}
-		place := r.e.proto.Place(accBuf[choice])
-		var v int64
-		if r.serial {
-			r.loads[place]++
-			v = r.loads[place]
-		} else {
-			v = atomic.AddInt64(&r.loads[place], 1)
-		}
-		if v > localMax {
-			localMax = v
-		}
-		if r.placements != nil {
-			// Each ball commits at most once; its group belongs to
-			// exactly one worker, so this write is race-free.
-			r.placements[recs[0].ball] = int32(place)
-		}
-		b.State = allocatedFlag
-		localCommits++
-		// One commit/inform message per accepting bin (the chosen
-		// bin learns of the placement; others learn of the decline),
-		// plus one redirect message when the placement bin differs.
-		localMsgs += int64(len(accBuf))
-		if place != accBuf[choice].From {
-			localMsgs++
-		}
-	}
-	scr.accBuf[wi] = accBuf
-	scr.maxShard[wi] = localMax
-	if r.serial {
-		r.committed += localCommits
-		r.commitMsgs += localMsgs
-		return
-	}
-	atomic.AddInt64(&r.committed, localCommits)
-	atomic.AddInt64(&r.commitMsgs, localMsgs)
-}
-
-// commitBalls runs step 3: group accepts by ball, let each ball choose, and
-// apply placements. Returns the number of balls allocated this round and
-// the maximal load observed among the bins committed to.
+// commitBalls runs step 3 on the calling goroutine: group accepts by ball,
+// let each ball choose, and apply placements. Returns the number of balls
+// allocated this round and the maximal load among the bins committed to.
 //
 // singleReq asserts that every ball sent at most one request this round
 // (every degree-1 round without a held-request flush — the paper's main
@@ -620,49 +554,45 @@ func (r *agentRun) commitShard(wi, lo, hi int) {
 // Commit outcomes are per-ball and order-independent, so results are
 // bit-identical with and without the sort.
 func (r *agentRun) commitBalls(accepts []acceptRec, metrics *model.Metrics, singleReq bool) (int, int64) {
-	if len(accepts) == 0 {
-		return 0, 0
-	}
-	// Group accepts by ball: accept lists are tiny (degree <= O(log n)), so
-	// sorting the accept slice by ball index (in-place heapsort) dominates —
-	// hence the singleReq fast path above.
+	// Accept lists are tiny (degree <= O(log n)), so sorting the accept
+	// slice by ball index (in-place heapsort) dominates — hence the
+	// singleReq fast path above.
 	if !singleReq {
 		sortAcceptsByBall(accepts)
 	}
-	r.accepts = accepts
-
-	scr := r.scr
-	groups := scr.groups[:0]
+	buf := r.scr.accBuf
+	var commits int
+	var msgs, roundMax int64
 	for i := 0; i < len(accepts); {
-		j := i + 1
-		for j < len(accepts) && accepts[j].ball == accepts[i].ball {
-			j++
+		bi := accepts[i].ball
+		buf = buf[:0]
+		for ; i < len(accepts) && accepts[i].ball == bi; i++ {
+			buf = append(buf, Accept{From: int(accepts[i].bin), Payload: accepts[i].payload})
 		}
-		groups = append(groups, group{int32(i), int32(j)})
-		i = j
-	}
-	scr.groups = groups
-
-	r.committed = 0
-	r.commitMsgs = 0
-	for i := range scr.maxShard {
-		scr.maxShard[i] = 0
-	}
-	w := scr.workers
-	chunk := (len(groups) + w - 1) / w
-	// shard runs a single inline shard exactly when w == 1 or everything
-	// fits one chunk; commitShard then skips its atomics.
-	r.serial = w == 1 || len(groups) <= chunk
-	shards := shard(len(groups), chunk, w, r.commitFn)
-	var roundMax int64
-	for wi := 0; wi < shards; wi++ {
-		if scr.maxShard[wi] > roundMax {
-			roundMax = scr.maxShard[wi]
+		choice := r.e.proto.Choose(r.round, &r.balls[bi], buf)
+		if choice < 0 || choice >= len(buf) {
+			panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(buf)))
+		}
+		place := r.e.proto.Place(buf[choice])
+		r.loads[place]++
+		roundMax = max(roundMax, r.loads[place])
+		if r.placements != nil {
+			r.placements[bi] = int32(place)
+		}
+		r.placed[bi] = true
+		commits++
+		// One commit/inform message per accepting bin (the chosen bin
+		// learns of the placement; others learn of the decline), plus one
+		// redirect message when the placement bin differs.
+		msgs += int64(len(buf))
+		if place != buf[choice].From {
+			msgs++
 		}
 	}
-	metrics.CommitMessages += r.commitMsgs
-	metrics.TotalMessages += r.commitMsgs
-	return int(r.committed), roundMax
+	r.scr.accBuf = buf
+	metrics.CommitMessages += msgs
+	metrics.TotalMessages += msgs
+	return commits, roundMax
 }
 
 func sortAcceptsByBall(a []acceptRec) {
@@ -696,12 +626,12 @@ func siftDownAccept(a []acceptRec, i int) {
 	}
 }
 
-// compactActive removes allocated balls (State == allocatedFlag) from the
-// active set, preserving order.
-func compactActive(active []int32, balls []Ball) []int32 {
+// compactActive removes placed balls from the active set, preserving
+// order.
+func compactActive(active []int32, placed []bool) []int32 {
 	out := active[:0]
 	for _, bi := range active {
-		if balls[bi].State != allocatedFlag {
+		if !placed[bi] {
 			out = append(out, bi)
 		}
 	}

@@ -28,6 +28,7 @@ type Arena struct {
 	// agent-mode buffers
 	balls       []Ball
 	active      []int32
+	placed      []bool
 	loads       []int64
 	binReceived []int64
 	ballSent    []int64
@@ -50,10 +51,10 @@ type Arena struct {
 // length N and, when requested, Placements is filled with -1 for all M
 // balls. The same validity contract as engine runs applies.
 func (a *Arena) ResultBuffers(p model.Problem, recordPlacements bool) *model.Result {
-	a.loads = growZeroInt64(a.loads, p.N)
+	a.loads = growZero(a.loads, p.N)
 	a.res = model.Result{Problem: p, Loads: a.loads, Unallocated: p.M}
 	if recordPlacements {
-		a.placements = growInt32(a.placements, int(p.M))
+		a.placements = grow(a.placements, int(p.M))
 		for i := range a.placements {
 			a.placements[i] = -1
 		}
@@ -66,35 +67,34 @@ func (a *Arena) ResultBuffers(p model.Problem, recordPlacements bool) *model.Res
 // capacity is insufficient. Contents are unspecified (callers overwrite
 // them). Shared by the scratch plumbing in core and threshold so the
 // grow-to-fit idiom has one spelling.
-func GrowInt64(buf []int64, n int) []int64 {
+func GrowInt64(buf []int64, n int) []int64 { return grow(buf, n) }
+
+// grow returns buf resized to n entries, reallocating (to exactly n) only
+// when the capacity is insufficient. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// growZeroInt64 is GrowInt64 with all n entries zeroed.
-func growZeroInt64(buf []int64, n int) []int64 {
-	buf = GrowInt64(buf, n)
-	for i := range buf {
-		buf[i] = 0
-	}
+// growZero is grow with all n entries zeroed.
+func growZero[T any](buf []T, n int) []T {
+	buf = grow(buf, n)
+	clear(buf)
 	return buf
 }
 
-// growInt32 returns buf resized to n entries (contents unspecified).
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+// join concatenates parts into dst's storage, growing it at most once, to
+// exactly their summed length.
+func join[T any](dst []T, parts ...[]T) []T {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
 	}
-	return buf[:n]
-}
-
-// growBalls returns buf resized to n balls (contents unspecified; the
-// engine fully reinitializes every entry).
-func growBalls(buf []Ball, n int) []Ball {
-	if cap(buf) < n {
-		return make([]Ball, n)
+	dst = grow(dst, total)[:0]
+	for _, p := range parts {
+		dst = append(dst, p...)
 	}
-	return buf[:n]
+	return dst
 }

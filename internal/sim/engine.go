@@ -12,9 +12,12 @@
 //     with its own lazily-derived randomness stream, so per-ball and
 //     per-bin message statistics are measured rather than estimated and
 //     arbitrary protocols (multi-target, payloads, per-ball state) are
-//     expressible. Rounds execute with data parallelism over reusable
-//     per-worker scratch arenas (scratch.go), so the steady state
-//     allocates nothing per round. Capped at 2^31-2 balls.
+//     expressible. Rounds draw every buffer from reusable scratch arenas
+//     (scratch.go), sized once per round. Steps of at least forkMin balls
+//     or requests gather and answer requests in parallel over per-worker
+//     shards; smaller steps, and every commit, run on the engine's
+//     goroutine, so small rounds allocate nothing. Placement marks live
+//     in the arena, never in the Ball. Capped at 2^31-2 balls.
 //
 //   - Mass mode (RunMass, mass.go): balls are exchangeable counts. A
 //     round evolves a per-bin ball-count vector via exact multinomial

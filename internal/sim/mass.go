@@ -74,10 +74,10 @@ func RunMass(p model.Problem, proto MassProtocol, cfg Config) (*model.Result, er
 		parent.Seed(rng.Mix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5))
 		parent.SplitInto(&arena.sampler)
 		sampler = &arena.sampler
-		arena.massLoads = growZeroInt64(arena.massLoads, n)
-		arena.massReceived = growZeroInt64(arena.massReceived, n)
-		arena.massCounts = growZeroInt64(arena.massCounts, n)
-		arena.massCaps = growZeroInt64(arena.massCaps, n)
+		arena.massLoads = growZero(arena.massLoads, n)
+		arena.massReceived = growZero(arena.massReceived, n)
+		arena.massCounts = growZero(arena.massCounts, n)
+		arena.massCaps = growZero(arena.massCaps, n)
 		loads, received, counts, caps = arena.massLoads, arena.massReceived, arena.massCounts, arena.massCaps
 	} else {
 		sampler = rng.New(rng.Mix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5)).Split()

@@ -3,7 +3,11 @@ package sim
 // scratch is the per-run arena of the agent engine: every slice a round
 // needs is allocated once, grown to the high-water mark, and reused, so
 // the steady state allocates (almost) nothing per round. One arena serves
-// one run; workers index into disjoint per-worker sub-buffers.
+// one run; workers index into disjoint per-worker sub-buffers. Buffers
+// are sized before a step writes them — a gather shard for one request
+// per ball, an accept shard for every request in its bin range, a
+// concatenation for the sum of its shards — so a degree-1 round grows no
+// buffer by doubling.
 type scratch struct {
 	workers   int
 	targetBuf [][]int       // per-worker Protocol.Targets buffer
@@ -15,15 +19,10 @@ type scratch struct {
 	byBin     []int32       // request ball indices scattered by bin
 	accShards [][]acceptRec // per-worker step-2 output
 	accepts   []acceptRec   // concatenated accepts
-	groups    []group       // per-ball accept groups
-	accBuf    [][]Accept    // per-worker Choose buffer
-	maxShard  []int64       // per-worker max load observed at commit
+	accBuf    []Accept      // step-3 Choose buffer
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
 }
-
-// group is one ball's contiguous accept range in scratch.accepts.
-type group struct{ lo, hi int32 }
 
 func newScratch(workers, n int) *scratch {
 	s := &scratch{
@@ -33,13 +32,11 @@ func newScratch(workers, n int) *scratch {
 		counts:    make([]int32, n+1),
 		cursor:    make([]int32, n),
 		accShards: make([][]acceptRec, workers),
-		accBuf:    make([][]Accept, workers),
-		maxShard:  make([]int64, workers),
+		accBuf:    make([]Accept, 0, 8),
 		gatherMax: make([]int, workers),
 	}
 	for wi := 0; wi < workers; wi++ {
 		s.targetBuf[wi] = make([]int, 0, 8)
-		s.accBuf[wi] = make([]Accept, 0, 8)
 	}
 	return s
 }
@@ -69,10 +66,8 @@ func (s *scratch) groupByBin(reqs []request, n int) (byBin []int32, offsets []in
 		counts[i+1] += counts[i]
 	}
 	offsets = counts
-	if cap(s.byBin) < len(reqs) {
-		s.byBin = make([]int32, len(reqs))
-	}
-	byBin = s.byBin[:len(reqs)]
+	s.byBin = grow(s.byBin, len(reqs))
+	byBin = s.byBin
 	cursor := s.cursor[:n]
 	copy(cursor, offsets[:n])
 	for _, r := range reqs {

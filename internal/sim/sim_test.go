@@ -497,3 +497,25 @@ func TestOnRoundMaxLoadIncremental(t *testing.T) {
 		t.Fatalf("final observer MaxLoad %d != scanned max %d", got, want)
 	}
 }
+
+// TestBallStateIsProtocolOwned guards Ball.State's contract: a protocol
+// may store any value there, -1 included, and the engine must still place
+// every ball. A sentinel of the engine's own in State would drop balls
+// from the active set unplaced while the run reported success.
+func TestBallStateIsProtocolOwned(t *testing.T) {
+	p := model.Problem{M: 100, N: 10}
+	proto := &uniformProto{threshold: func(round int) int64 { return int64(5 * (round + 1)) }}
+	res, err := New(p, proto, Config{Seed: 1, InitState: func(b *Ball) { b.State = -1 }}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unallocated != 0 {
+		t.Fatalf("%d balls unallocated", res.Unallocated)
+	}
+	if got := res.TotalAllocated(); got != p.M {
+		t.Fatalf("loads sum to %d, want %d", got, p.M)
+	}
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
