@@ -10,46 +10,34 @@
 //	pba-bench -quick -seeds 3 # fast pass
 //	pba-bench -csv -out dir   # also write one CSV per experiment
 //
-// With -serve it becomes a load generator for a running pba-serve
-// instance instead: -clients concurrent clients each depart a -churn
-// fraction of their live jobs and allocate -batch fresh ones per batch
-// (probing /healthz first), reporting epoch-latency percentiles
-// (p50/p95/p99), aggregate throughput (epochs/s, balls/s), and the
-// server's final /stats. Each client drives the data plane over one
-// persistent pipelined TCP connection (release and allocate flushed
-// together; -pipeline=false falls back to net/http keep-alive), speaking
-// either the JSON API or the compact binary wire framing (-proto
-// json|binary). The server's /metrics is scraped before and after the
-// run and the delta printed as a per-stage breakdown (decode, route,
-// batch_wait, epoch_run, commit, encode) of where the client-side
-// latency went; -metrics-out writes that summary as JSON. More than one
-// client exercises the server's per-cell epoch coalescing.
+// With -serve or -check it becomes instead a load driver for a running
+// pba-serve or pba-router; both speak the same client protocol. Each of
+// -clients concurrent clients plays its own churn trace over one
+// persistent pipelined connection, speaking the JSON API or the compact
+// binary wire framing (-proto json|binary): every batch it departs a
+// -churn fraction of its live jobs, then allocates -batch fresh ones.
+// Both modes end with the same report: per-client and merged epoch
+// latency percentiles (p50/p95/p99), throughput (epochs/s, balls/s), the
+// target's /metrics delta and its final /stats. The delta is the
+// per-stage table of where the latency went inside the server (decode,
+// route, batch_wait, epoch_run, commit, encode; -metrics-out writes it as
+// JSON) and, from a router, the per-upstream group-commit table (frames,
+// mean subs per frame, flush reasons).
+//
+// -serve soaks the target; more clients exercise the server's per-cell
+// epoch coalescing and the router's batching window.
 //
 //	pba-serve -n 512 -shards 4 &
 //	pba-bench -serve http://127.0.0.1:8380 -clients 4 -batches 20 -batch 5000 -churn 0.2 -proto binary
 //
-// With -cluster it instead checks the cluster tier's determinism
-// contract against a fresh pba-router: a sequential churn trace plays
-// against the router while the identical trace replays on an in-process
-// single-node service with the router's topology, asserting batch by
-// batch that both grant the same ball IDs and, at the end, that the
-// cluster fingerprint equals the single process's combined fingerprint.
-// -migrate-every schedules live cell migrations mid-trace, which must
-// not perturb either stream.
+// -check asserts the determinism contract against a fresh target. Its one
+// client's trace replays batch by batch on an in-process service with the
+// topology the target's /stats reports: both must grant the same ball IDs
+// every batch and end with the same fingerprint. Against a router,
+// -migrate-every schedules live cell migrations mid-trace, which must not
+// perturb either stream.
 //
-//	pba-bench -cluster http://127.0.0.1:9100 -batches 20 -batch 2000 -churn 0.3 -migrate-every 5
-//
-// With -cluster and -clients > 1 it becomes a concurrent soak against
-// the router instead (no sequential replay — concurrency voids the
-// fixed-trace contract): each client plays its own churn trace over a
-// pipelined connection, per-client epoch-latency percentiles
-// (p50/p95/p99) are printed alongside the aggregate throughput, and the
-// router's group-commit telemetry — the per-upstream batch-size
-// histogram, frame counts, and flush reasons — is scraped from /metrics
-// before and after the run; watch the coalescing window engage as
-// -clients grows.
-//
-//	pba-bench -cluster http://127.0.0.1:9100 -clients 8 -batches 50 -batch 512 -churn 0.3 -proto binary
+//	pba-bench -check http://127.0.0.1:9100 -batches 20 -batch 2000 -churn 0.3 -migrate-every 5
 package main
 
 import (
@@ -75,47 +63,26 @@ func main() {
 		baseSeed = flag.Uint64("seed", 0, "base seed offset")
 		mode     = flag.String("mode", "", "engine for the Aheavy sweeps: mass (default) or agent")
 
-		serveURL   = flag.String("serve", "", "load-generator mode: base URL of a running pba-serve (e.g. http://127.0.0.1:8380)")
-		clusterURL = flag.String("cluster", "", "determinism-check mode: base URL of a fresh pba-router; replays the trace on an in-process single service and asserts ID + fingerprint identity")
-		migEvery   = flag.Int("migrate-every", 0, "cluster mode: live-migrate one cell every this many batches (0 = none)")
-		clients    = flag.Int("clients", 1, "loadgen: concurrent clients (each plays its own churn trace)")
-		batches    = flag.Int("batches", 10, "loadgen: allocate batches (epochs) per client")
-		batch      = flag.Int("batch", 1000, "loadgen: jobs per batch")
-		churn      = flag.Float64("churn", 0.2, "loadgen: fraction of live jobs released before each batch")
-		proto      = flag.String("proto", "json", "loadgen: data-plane encoding, json or binary (the compact wire framing)")
-		pipeline   = flag.Bool("pipeline", true, "loadgen: one persistent pipelined connection per client (release+allocate flushed together); false uses net/http keep-alive")
-		metricsOut = flag.String("metrics-out", "", "loadgen: write the server-side stage summary (from /metrics deltas) to this JSON file")
+		serveURL   = flag.String("serve", "", "load driver: soak a running pba-serve or pba-router at this base URL (e.g. http://127.0.0.1:8380)")
+		checkURL   = flag.String("check", "", "load driver: check a fresh pba-serve or pba-router at this base URL against an in-process replay (grant IDs and fingerprint)")
+		migEvery   = flag.Int("migrate-every", 0, "-check against a router: live-migrate one cell every this many batches (0 = none)")
+		clients    = flag.Int("clients", 1, "load driver: concurrent clients, each playing its own churn trace (-check plays one)")
+		batches    = flag.Int("batches", 10, "load driver: allocate batches (epochs) per client")
+		batch      = flag.Int("batch", 1000, "load driver: jobs per batch")
+		churn      = flag.Float64("churn", 0.2, "load driver: fraction of live jobs released before each batch")
+		proto      = flag.String("proto", "json", "load driver: data-plane encoding, json or binary (the compact wire framing)")
+		metricsOut = flag.String("metrics-out", "", "load driver: write the server-side stage summary (from /metrics deltas) to this JSON file")
 	)
 	flag.Parse()
 
-	if *clusterURL != "" {
-		cfg := clustergenConfig{
-			Base: *clusterURL, Batches: *batches, Batch: *batch,
-			Churn: *churn, Seed: *baseSeed, Proto: *proto,
-			Pipeline: *pipeline, MigrateEvery: *migEvery,
-		}
-		var err error
-		if *clients > 1 {
-			err = clustersoak(cfg, *clients)
-		} else {
-			err = clustergen(cfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pba-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveURL != "" {
-		err := loadgen(loadgenConfig{
-			Base: *serveURL, Clients: *clients, Batches: *batches,
-			Batch: *batch, Churn: *churn, Seed: *baseSeed,
-			Proto: *proto, Pipeline: *pipeline,
-			MetricsOut: *metricsOut,
+	if *serveURL != "" || *checkURL != "" {
+		err := drive(driveConfig{
+			Serve: *serveURL, Check: *checkURL, Clients: *clients,
+			Batches: *batches, Batch: *batch, Churn: *churn, Seed: *baseSeed,
+			Proto: *proto, MigrateEvery: *migEvery, MetricsOut: *metricsOut,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pba-bench: loadgen: %v\n", err)
+			fmt.Fprintf(os.Stderr, "pba-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -3,10 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,216 +20,31 @@ const (
 	protoBinary = "binary"
 )
 
-// stepResult reports one churn batch played through a dataPlane.
-type stepResult struct {
-	released int
-	// allocLatency is the allocate round trip: request flush to reply
-	// decoded. On a pipelined plane the preceding release shares the
-	// flush, so its server time is overlapped, not added.
-	allocLatency time.Duration
-}
-
-// dataPlane plays one client's data-plane traffic against the server:
-// each step releases ids (skipped when empty) and allocates count fresh
-// balls into rep. Implementations own their connections and buffers; a
-// plane is single-client, not safe for concurrent use.
-type dataPlane interface {
-	step(ids []int64, count int, rep *serve.Report) (stepResult, error)
-	Close() error
-}
-
-func newPlane(client *http.Client, cfg loadgenConfig) (dataPlane, error) {
-	if cfg.Pipeline {
-		return newPipePlane(cfg.Base, cfg.Proto)
-	}
-	return newStdPlane(client, cfg.Base, cfg.Proto), nil
-}
-
-// codec renders request bodies and decodes replies for one protocol,
-// reusing its scratch buffers across calls. Callers must copy or consume
-// an encoded body before the next encode on the same codec.
-type codec struct {
+// plane is one client's data plane: a persistent TCP connection, each
+// step's release and allocate hand-assembled as HTTP/1.1 requests in one
+// buffer and flushed with a single write; both responses are then read
+// back in order. The Go HTTP server executes a connection's requests
+// sequentially and replies in order, so pipelining preserves the client's
+// release-before-allocate trace while saving a round trip per batch. A
+// plane reuses its buffers across steps and is not safe for concurrent
+// use.
+type plane struct {
+	conn  net.Conn
+	br    *bufio.Reader
+	host  string
 	proto string
 	raw   []byte       // binary request frames
-	jbuf  bytes.Buffer // JSON request bodies
-	fbuf  bytes.Buffer // binary reply slurp
+	wbuf  bytes.Buffer // the step's pipelined requests
+	rbuf  bytes.Buffer // the reply body being decoded
 }
 
-func (c *codec) contentType() string {
-	if c.proto == protoBinary {
-		return wire.ContentType
-	}
-	return "application/json"
-}
-
-type allocReqBody struct {
-	Count int  `json:"count"`
-	Terse bool `json:"terse"`
-}
-
-type releaseReqBody struct {
-	IDs []int64 `json:"ids"`
-}
-
-func (c *codec) encodeAllocate(count int) ([]byte, error) {
-	if c.proto == protoBinary {
-		c.raw = wire.AppendAllocateRequest(c.raw[:0], count, true)
-		return c.raw, nil
-	}
-	c.jbuf.Reset()
-	err := json.NewEncoder(&c.jbuf).Encode(allocReqBody{Count: count, Terse: true})
-	return c.jbuf.Bytes(), err
-}
-
-func (c *codec) encodeRelease(ids []int64) ([]byte, error) {
-	if c.proto == protoBinary {
-		c.raw = wire.AppendReleaseRequest(c.raw[:0], ids)
-		return c.raw, nil
-	}
-	c.jbuf.Reset()
-	err := json.NewEncoder(&c.jbuf).Encode(releaseReqBody{IDs: ids})
-	return c.jbuf.Bytes(), err
-}
-
-// decodeAllocate decodes one 200 /allocate reply body into rep, picking
-// the decoder off the reply's Content-Type (the server answers in the
-// request's protocol; errors come back as JSON with a non-200 status and
-// never reach here).
-func (c *codec) decodeAllocate(ct string, body io.Reader, rep *serve.Report) error {
-	if ct == wire.ContentType {
-		c.fbuf.Reset()
-		if _, err := c.fbuf.ReadFrom(body); err != nil {
-			return err
-		}
-		return wire.ParseReport(c.fbuf.Bytes(), rep)
-	}
-	rep.Reset()
-	return json.NewDecoder(body).Decode(rep)
-}
-
-func (c *codec) decodeRelease(ct string, body io.Reader) (int, error) {
-	if ct == wire.ContentType {
-		c.fbuf.Reset()
-		if _, err := c.fbuf.ReadFrom(body); err != nil {
-			return 0, err
-		}
-		return wire.ParseReleaseReply(c.fbuf.Bytes())
-	}
-	var rel struct {
-		Released int `json:"released"`
-	}
-	return rel.Released, json.NewDecoder(body).Decode(&rel)
-}
-
-// httpFailure turns a non-200 response into an error carrying the JSON
-// error shape, consuming the body so the connection stays reusable.
-func httpFailure(path string, res *http.Response) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	_ = json.NewDecoder(res.Body).Decode(&e)
-	_, _ = io.Copy(io.Discard, res.Body)
-	return fmt.Errorf("%s: %s (%s)", path, res.Status, e.Error)
-}
-
-// finishBody drains the response body to EOF before closing it. Without
-// the drain (a json.Decoder stops at the end of the value, leaving the
-// trailing newline unread) net/http cannot return the connection to the
-// keep-alive pool and every request pays a fresh TCP handshake.
-func finishBody(res *http.Response) {
-	_, _ = io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-}
-
-// stdPlane is the net/http data plane: one shared keep-alive client,
-// sequential request/response per call. ctx is overridable so tests can
-// attach an httptrace.ClientTrace.
-type stdPlane struct {
-	client *http.Client
-	base   string
-	ctx    context.Context
-	cod    codec
-}
-
-func newStdPlane(client *http.Client, base, proto string) *stdPlane {
-	return &stdPlane{client: client, base: base, ctx: context.Background(), cod: codec{proto: proto}}
-}
-
-func (p *stdPlane) post(path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(p.ctx, http.MethodPost, p.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", p.cod.contentType())
-	return p.client.Do(req)
-}
-
-func (p *stdPlane) step(ids []int64, count int, rep *serve.Report) (stepResult, error) {
-	var sr stepResult
-	if len(ids) > 0 {
-		body, err := p.cod.encodeRelease(ids)
-		if err != nil {
-			return sr, err
-		}
-		res, err := p.post("/release", body)
-		if err != nil {
-			return sr, err
-		}
-		if res.StatusCode != http.StatusOK {
-			err = httpFailure("/release", res)
-			res.Body.Close()
-			return sr, err
-		}
-		sr.released, err = p.cod.decodeRelease(res.Header.Get("Content-Type"), res.Body)
-		finishBody(res)
-		if err != nil {
-			return sr, err
-		}
-	}
-	body, err := p.cod.encodeAllocate(count)
-	if err != nil {
-		return sr, err
-	}
-	start := time.Now()
-	res, err := p.post("/allocate", body)
-	if err != nil {
-		return sr, err
-	}
-	if res.StatusCode != http.StatusOK {
-		err = httpFailure("/allocate", res)
-		res.Body.Close()
-		return sr, err
-	}
-	err = p.cod.decodeAllocate(res.Header.Get("Content-Type"), res.Body, rep)
-	sr.allocLatency = time.Since(start)
-	finishBody(res)
-	return sr, err
-}
-
-func (p *stdPlane) Close() error { return nil }
-
-// pipePlane is the persistent pipelined data plane: one TCP connection
-// per client, each step's release and allocate hand-assembled as
-// HTTP/1.1 requests in one buffer and flushed with a single write; both
-// responses are then read back in order. The Go HTTP server executes a
-// connection's requests sequentially and replies in order, so pipelining
-// preserves each client's release-before-allocate trace while saving a
-// round trip per batch.
-type pipePlane struct {
-	conn net.Conn
-	br   *bufio.Reader
-	host string
-	cod  codec
-	wbuf bytes.Buffer
-}
-
-func newPipePlane(base, proto string) (*pipePlane, error) {
+func dialPlane(base, proto string) (*plane, error) {
 	u, err := url.Parse(base)
 	if err != nil {
 		return nil, err
 	}
 	if u.Scheme != "http" {
-		return nil, fmt.Errorf("loadgen: pipelined connections speak plain http only, got %q (use -pipeline=false)", u.Scheme)
+		return nil, fmt.Errorf("the data plane speaks plain http only, got %q", u.Scheme)
 	}
 	addr := u.Host
 	if u.Port() == "" {
@@ -241,76 +54,124 @@ func newPipePlane(base, proto string) (*pipePlane, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	return &pipePlane{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<16),
-		host: u.Host,
-		cod:  codec{proto: proto},
-	}, nil
+	return &plane{conn: conn, br: bufio.NewReaderSize(conn, 1<<16), host: u.Host, proto: proto}, nil
 }
 
-func (p *pipePlane) writeRequest(path string, body []byte) {
+func (p *plane) Close() error { return p.conn.Close() }
+
+// step releases ids (skipped when empty) and allocates count fresh balls
+// into rep. latency is the allocate round trip, flush to reply decoded;
+// the preceding release shares the flush, so its server time is
+// overlapped, not added.
+func (p *plane) step(ids []int64, count int, rep *serve.Report) (released int, latency time.Duration, err error) {
+	p.wbuf.Reset()
+	if len(ids) > 0 {
+		body, err := p.encodeRelease(ids)
+		if err != nil {
+			return 0, 0, err
+		}
+		p.write("/release", body)
+	}
+	body, err := p.encodeAllocate(count)
+	if err != nil {
+		return 0, 0, err
+	}
+	p.write("/allocate", body)
+	start := time.Now()
+	if _, err := p.conn.Write(p.wbuf.Bytes()); err != nil {
+		return 0, 0, err
+	}
+	if len(ids) > 0 {
+		body, err := p.read("/release")
+		if err == nil {
+			released, err = p.decodeRelease(body)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	if body, err = p.read("/allocate"); err == nil {
+		err = p.decodeAllocate(body, rep)
+	}
+	return released, time.Since(start), err
+}
+
+func (p *plane) write(path string, body []byte) {
+	ct := "application/json"
+	if p.proto == protoBinary {
+		ct = wire.ContentType
+	}
 	fmt.Fprintf(&p.wbuf, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
-		path, p.host, p.cod.contentType(), len(body))
+		path, p.host, ct, len(body))
 	p.wbuf.Write(body)
 }
 
-// readResponse reads the next in-order response off the connection and
-// hands its body to decode; the body is fully consumed either way so the
-// next pipelined response starts cleanly.
-func (p *pipePlane) readResponse(path string, decode func(ct string, body io.Reader) error) error {
+// read reads the next in-order response's body in full, so the next
+// pipelined response starts cleanly. The body is valid until the next
+// read.
+func (p *plane) read(path string) ([]byte, error) {
 	res, err := http.ReadResponse(p.br, nil)
 	if err != nil {
-		return fmt.Errorf("%s: reading pipelined response: %w", path, err)
+		return nil, fmt.Errorf("%s: reading pipelined response: %w", path, err)
 	}
+	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		err = httpFailure(path, res)
-		res.Body.Close()
-		return err
+		return nil, httpFailure(path, res)
 	}
-	err = decode(res.Header.Get("Content-Type"), res.Body)
-	finishBody(res)
-	return err
+	p.rbuf.Reset()
+	_, err = p.rbuf.ReadFrom(res.Body)
+	return p.rbuf.Bytes(), err
 }
 
-func (p *pipePlane) step(ids []int64, count int, rep *serve.Report) (stepResult, error) {
-	var sr stepResult
-	p.wbuf.Reset()
-	if len(ids) > 0 {
-		body, err := p.cod.encodeRelease(ids)
-		if err != nil {
-			return sr, err
-		}
-		p.writeRequest("/release", body)
+func (p *plane) encodeAllocate(count int) ([]byte, error) {
+	if p.proto == protoBinary {
+		p.raw = wire.AppendAllocateRequest(p.raw[:0], count, true)
+		return p.raw, nil
 	}
-	body, err := p.cod.encodeAllocate(count)
-	if err != nil {
-		return sr, err
-	}
-	p.writeRequest("/allocate", body)
-	start := time.Now()
-	if _, err := p.conn.Write(p.wbuf.Bytes()); err != nil {
-		return sr, err
-	}
-	if len(ids) > 0 {
-		if err := p.readResponse("/release", func(ct string, b io.Reader) error {
-			n, derr := p.cod.decodeRelease(ct, b)
-			sr.released = n
-			return derr
-		}); err != nil {
-			return sr, err
-		}
-	}
-	if err := p.readResponse("/allocate", func(ct string, b io.Reader) error {
-		return p.cod.decodeAllocate(ct, b, rep)
-	}); err != nil {
-		return sr, err
-	}
-	sr.allocLatency = time.Since(start)
-	return sr, nil
+	return json.Marshal(struct {
+		Count int  `json:"count"`
+		Terse bool `json:"terse"`
+	}{count, true})
 }
 
-func (p *pipePlane) Close() error { return p.conn.Close() }
+func (p *plane) encodeRelease(ids []int64) ([]byte, error) {
+	if p.proto == protoBinary {
+		p.raw = wire.AppendReleaseRequest(p.raw[:0], ids)
+		return p.raw, nil
+	}
+	return json.Marshal(struct {
+		IDs []int64 `json:"ids"`
+	}{ids})
+}
+
+// decodeAllocate decodes one 200 /allocate reply into rep. The server
+// answers in the request's protocol; errors come back as JSON with a
+// non-200 status and never reach here.
+func (p *plane) decodeAllocate(body []byte, rep *serve.Report) error {
+	if p.proto == protoBinary {
+		return wire.ParseReport(body, rep)
+	}
+	rep.Reset()
+	return json.Unmarshal(body, rep)
+}
+
+func (p *plane) decodeRelease(body []byte) (int, error) {
+	if p.proto == protoBinary {
+		return wire.ParseReleaseReply(body)
+	}
+	var rel struct {
+		Released int `json:"released"`
+	}
+	err := json.Unmarshal(body, &rel)
+	return rel.Released, err
+}
+
+// httpFailure turns a non-200 response into an error carrying the JSON
+// error shape.
+func httpFailure(path string, res *http.Response) error {
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(res.Body).Decode(&e)
+	return fmt.Errorf("%s: %s (%s)", path, res.Status, e.Error)
+}

@@ -29,6 +29,11 @@
 // chain-verified replay, and table flip — so the data-plane stall is
 // O(traffic during the copy), not O(balls in the cell).
 //
+// pba-bench drives a router as it drives a single replica. -serve soaks
+// it and adds the per-upstream group-commit table to its report; -check
+// asserts the fingerprint identity against an in-process replay of a
+// fresh router's trace, with -migrate-every moving cells mid-trace.
+//
 // Admin endpoints (JSON):
 //
 //	GET  /admin/table                     cell -> replica assignment

@@ -15,7 +15,7 @@ var addrRE = regexp.MustCompile(`listening on (\S+)`)
 
 // TestClusterSmoke is the full cluster-tier acceptance run over real
 // processes: three pba-serve -cluster replicas, a pba-router spreading
-// cells over them, and pba-bench -cluster playing a sequential churn
+// cells over them, and pba-bench -check playing a sequential churn
 // trace with live migrations every 10 batches while replaying the
 // identical trace on an in-process single-node service. Mid-run — after
 // the first scheduled migration — one cell-hosting replica gets SIGTERM
@@ -50,7 +50,7 @@ func TestClusterSmoke(t *testing.T) {
 	// keeps both through the first migration (cell 0 -> replica 1), so its
 	// mid-run departure has real state to move.
 	bench, _ := cmdtest.StartProc(t, benchBin, regexp.MustCompile(`migrated cell 0`),
-		"-cluster", base, "-batches", "40", "-batch", "500", "-churn", "0.3",
+		"-check", base, "-batches", "40", "-batch", "500", "-churn", "0.3",
 		"-seed", "13", "-migrate-every", "10", "-proto", "binary")
 	reps[2].Signal(syscall.SIGTERM)
 	reps[2].ExpectLine(regexp.MustCompile(`evacuated [1-9]\d* cell\(s\)`))
@@ -60,9 +60,9 @@ func TestClusterSmoke(t *testing.T) {
 
 	// The bench keeps driving the two survivors and must still find the
 	// cluster fingerprint-identical to the single-process replay.
-	bench.ExpectLine(regexp.MustCompile(`cluster check: OK`))
+	bench.ExpectLine(regexp.MustCompile(`check: OK`))
 	if code := bench.WaitExit(); code != 0 {
-		t.Fatalf("pba-bench -cluster exited %d", code)
+		t.Fatalf("pba-bench -check exited %d", code)
 	}
 
 	// The router's own books agree: the dead upstream hosts nothing, every

@@ -44,8 +44,10 @@
 // the same -snapshot path restores it and the stream continues
 // placement-for-placement. The service is
 // deterministic: a fixed (seed, request sequence, shard count) replayed
-// sequentially produces bit-identical placements at any -workers. A load
-// generator lives in pba-bench (-serve).
+// sequentially produces bit-identical placements at any -workers.
+// pba-bench drives it: -serve soaks it with concurrent clients, and
+// -check replays a fresh server's trace in process to assert exactly
+// that contract, grant by grant.
 package main
 
 import (

@@ -129,6 +129,9 @@ func TestSmoke(t *testing.T) {
 	if stats["shards"].(float64) != 4 {
 		t.Fatalf("stats shards: %v", stats["shards"])
 	}
+	if stats["seed"] != float64(7) {
+		t.Fatalf("stats seed: %v", stats["seed"])
+	}
 
 	// /metrics serves valid exposition reflecting the traffic above.
 	resp, err := http.Get(base + "/metrics")

@@ -52,8 +52,8 @@ type Config struct {
 	// know whom to ask for migration on shutdown.
 	SelfURL string
 	// Terse asks replicas to omit placements from forwarded allocate
-	// replies. The spans still name every granted ID; only callers that
-	// need per-ball bin assignments (pba-bench -placements) turn this off.
+	// replies. The spans still name every granted ID. pba-router turns it
+	// off, so its clients get per-ball bin assignments when they ask.
 	Terse bool
 	// Deprecated: ignored; group commit is the only forwarding plane.
 	UpstreamBatch bool

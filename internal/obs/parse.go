@@ -12,8 +12,8 @@ import (
 
 // Scrape is a parsed Prometheus text exposition document: every sample
 // keyed by its full series string (name plus rendered labels, exactly as
-// exposed), plus the declared family types. It is what pba-bench's
-// loadgen holds after scraping GET /metrics, and what the exposition
+// exposed), plus the declared family types. It is what pba-bench's load
+// driver holds after scraping GET /metrics, and what the exposition
 // tests validate against.
 type Scrape struct {
 	// Values maps "name" or `name{k="v",...}` to the sample value.

@@ -9,8 +9,8 @@ import (
 )
 
 // StageNames lists the serving-pipeline stages instrumented under the
-// pba_stage_duration_seconds histogram family, in pipeline order. The
-// loadgen's server-side breakdown and the CI stage summary iterate this
+// pba_stage_duration_seconds histogram family, in pipeline order.
+// pba-bench's server stage table and the CI stage summary iterate this
 // list; keep it in sync with the instrumentation points below.
 //
 //	decode      reading and decoding one HTTP request body, JSON or binary

@@ -545,6 +545,7 @@ type Stats struct {
 	N        int    `json:"n"`
 	Shards   int    `json:"shards"`
 	Alg      string `json:"alg"`
+	Seed     uint64 `json:"seed"`
 	Requests uint64 `json:"requests"` // allocate requests admitted
 	Epochs   int64  `json:"epochs"`   // cell epochs run (>= requests/shard under coalescing)
 	Arrived  int64  `json:"arrived"`
@@ -664,7 +665,7 @@ func (s *Service) statsWith(snap func(cellAllocator) online.Stats) Stats {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	st := Stats{
-		N: s.cfg.N, Shards: s.total, Alg: s.cfg.Alg, Requests: requests,
+		N: s.cfg.N, Shards: s.total, Alg: s.cfg.Alg, Seed: s.cfg.Seed, Requests: requests,
 		Cells: make([]online.Stats, 0, len(s.cells)),
 	}
 	if s.clustered {
