@@ -426,8 +426,8 @@ func reportMetrics(client *http.Client, base, metricsOut string, before *obs.Scr
 	sort.Strings(hosts)
 	delta := func(key string) float64 { return after.Values[key] - before.Values[key] }
 	fmt.Printf("router batching (this run, from /metrics):\n")
-	fmt.Printf("  %-22s %8s %8s %10s %8s %8s %8s\n",
-		"upstream", "frames", "subs", "subs/frame", "full", "window", "drain")
+	fmt.Printf("  %-22s %8s %8s %10s %8s %8s\n",
+		"upstream", "frames", "subs", "subs/frame", "full", "drain")
 	for _, h := range hosts {
 		l := `{upstream="` + h + `"`
 		frames := delta("pba_upstream_frames_total" + l + `}`)
@@ -437,10 +437,9 @@ func reportMetrics(client *http.Client, base, metricsOut string, before *obs.Scr
 		if flushes > 0 {
 			mean = subs / flushes
 		}
-		fmt.Printf("  %-22s %8.0f %8.0f %10.2f %8.0f %8.0f %8.0f\n",
+		fmt.Printf("  %-22s %8.0f %8.0f %10.2f %8.0f %8.0f\n",
 			h, frames, subs, mean,
 			delta("pba_upstream_flush_total"+l+`,reason="full"}`),
-			delta("pba_upstream_flush_total"+l+`,reason="window"}`),
 			delta("pba_upstream_flush_total"+l+`,reason="drain"}`))
 	}
 	return nil

@@ -25,7 +25,7 @@
 // mean subs per frame, flush reasons).
 //
 // -serve soaks the target; more clients exercise the server's per-cell
-// epoch coalescing and the router's batching window.
+// epoch coalescing and the router's multi-sub upstream frames.
 //
 //	pba-serve -n 512 -shards 4 &
 //	pba-bench -serve http://127.0.0.1:8380 -clients 4 -batches 20 -batch 5000 -churn 0.2 -proto binary

@@ -3,10 +3,8 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/coalesce"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wire"
@@ -15,20 +13,20 @@ import (
 // Upstream group commit, the router's forwarding plane: each upstream's
 // upgraded frame connection (conn.go) is owned by a single writer
 // goroutine. Forwards submit their share of a round to the writer's
-// queue and wait; the writer drains whatever has queued up, holds an
-// adaptive window open when sustained concurrency makes coalescing pay,
-// and flushes the whole group as one KindBatchRequest frame — many
-// concurrent client requests become one upstream round trip, so upstream
-// frames/s grows with replicas/window instead of client concurrency.
-// Replies demux back to the waiting callers by sequence tag.
+// queue and wait; the writer drains whatever has queued up and flushes
+// the whole group as one KindBatchRequest frame — many concurrent client
+// requests become one upstream round trip, so upstream frames/s grows
+// with replicas instead of client concurrency. Replies demux back to the
+// waiting callers by sequence tag.
 //
-// The flush policy is the replica cell batcher's (internal/coalesce): an
-// EWMA of the round-start gap and of subs-per-flush decides whether a
-// window engages at all, so a sequential caller — one request in flight
-// at a time — always sees an immediate single-sub flush and pays zero
-// added latency. That also keeps the determinism contract intact: a
-// sequential replay produces one-sub batch frames, and the replica runs
-// each sub exactly as a lone cell-addressed request.
+// The writer is self-clocked, like the replica's cell batcher: it runs
+// one round trip at a time, and submissions that arrive while a frame is
+// on the wire form the next frame. Nothing holds a flush open, so a
+// sequential caller — one request in flight at a time — always sees an
+// immediate single-sub flush and pays no added latency. That also keeps
+// the determinism contract intact: a sequential replay produces one-sub
+// batch frames, and the replica runs each sub exactly as a lone
+// cell-addressed request.
 //
 // Gate interaction: callers hold their cells' read-gates across
 // submit-and-wait, and the writer never takes gates, so a migration's
@@ -86,16 +84,12 @@ type upBatcher struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// win is the flush policy, fed round starts and subs per flush.
-	win coalesce.Window
-
 	// Reply demux scratch, reused across flushes.
 	reps []wire.BatchSubReply
 
 	frames     *obs.Counter
 	batchSize  *obs.Histogram
 	flushFull  *obs.Counter
-	flushWin   *obs.Counter
 	flushDrain *obs.Counter
 }
 
@@ -103,7 +97,7 @@ func newUpBatcher(up *upstream, met *metrics) *upBatcher {
 	host := obs.L("upstream", up.host)
 	flush := func(reason string) *obs.Counter {
 		return met.reg.Counter("pba_upstream_flush_total",
-			"Group-commit flushes by reason: full (sub or byte cap), window (adaptive window expired), drain (queue empty, no window engaged).",
+			"Group-commit flushes by reason: full (sub or byte cap), drain (queue empty).",
 			host, obs.L("reason", reason))
 	}
 	return &upBatcher{
@@ -116,14 +110,13 @@ func newUpBatcher(up *upstream, met *metrics) *upBatcher {
 		batchSize: met.reg.ValueHistogram("pba_upstream_batch_size",
 			"Sub-requests per flushed batch frame (small values land in the first bucket; read mean and max).", host),
 		flushFull:  flush("full"),
-		flushWin:   flush("window"),
 		flushDrain: flush("drain"),
 	}
 }
 
-// run is the writer loop: block for the first sub, drain the queue,
-// optionally hold the adaptive window open, flush, repeat. It owns the
-// upstream connection and closes it on exit.
+// run is the writer loop: block for the first sub, drain whatever else
+// is queued (up to the sub and byte caps), flush it as one frame, repeat.
+// It owns the upstream connection and closes it on exit.
 func (bt *upBatcher) run() {
 	defer close(bt.done)
 	pending := make([]*batchSub, 0, maxUpBatch)
@@ -135,7 +128,6 @@ func (bt *upBatcher) run() {
 		}
 	}()
 	for {
-		pending = pending[:0]
 		var first *batchSub
 		if carry != nil {
 			first, carry = carry, nil
@@ -146,42 +138,27 @@ func (bt *upBatcher) run() {
 				return
 			}
 		}
-		now := time.Now()
-		bt.win.NoteArrival(now.UnixNano())
-		pending = append(pending, first)
+		pending = append(pending[:0], first)
 		size := subBytes(first)
-		reason := bt.flushDrain
-		window := bt.win.Duration()
-		deadline := now.Add(window)
-	collect:
-		for len(pending) < maxUpBatch && carry == nil {
+	drain:
+		for len(pending) < maxUpBatch {
 			select {
 			case s := <-bt.q:
 				if size+subBytes(s) > maxBatchBytes {
 					carry = s
-					reason = bt.flushFull
-				} else {
-					pending = append(pending, s)
-					size += subBytes(s)
+					break drain
 				}
+				pending = append(pending, s)
+				size += subBytes(s)
 			default:
-				if window == 0 {
-					break collect
-				}
-				if !time.Now().Before(deadline) {
-					reason = bt.flushWin
-					break collect
-				}
-				// Spin-yield rather than sleep: the window is microseconds and
-				// a timer wait would overshoot it by more than its length.
-				runtime.Gosched()
+				break drain
 			}
 		}
-		if len(pending) >= maxUpBatch {
-			reason = bt.flushFull
+		if carry != nil || len(pending) == maxUpBatch {
+			bt.flushFull.Inc()
+		} else {
+			bt.flushDrain.Inc()
 		}
-		bt.win.NoteSubs(len(pending))
-		reason.Inc()
 		c = bt.flush(c, pending)
 	}
 }

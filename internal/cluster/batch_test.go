@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +18,8 @@ import (
 // live migrations and an evacuation included — played sequentially
 // through a batched router grants the same IDs at every step and ends
 // fingerprint-identical to one single-process service. A sequential
-// caller produces one-sub batch frames, so the window never engages and
-// each sub runs exactly as a lone cell-addressed request.
+// caller has nothing queued behind it, so every frame carries one sub
+// and each sub runs exactly as a lone cell-addressed request.
 func TestBatchedMatchesSingleProcess(t *testing.T) {
 	const n, cells, seed = 60, 6, 21
 	single, err := serve.New(serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1})
@@ -303,6 +305,120 @@ func TestWriterRedialsAfterSeveredConnection(t *testing.T) {
 	}
 	if got := r.Release(ids); got != len(ids) || got != 4*20 {
 		t.Fatalf("released %d of %d granted (want %d)", got, len(ids), 4*20)
+	}
+	if st, _ := r.StatsDoc(false).(Stats); st.Live != 0 {
+		t.Fatalf("%d balls live after releasing every granted ID", st.Live)
+	}
+}
+
+// holdListener wraps a replica's listener so a test can hold the
+// replica's reply to the first batch frame of its upgraded /frames
+// connection: held closes once that reply is ready, and it goes out when
+// release closes. Connections that are never upgraded (the router's
+// control-plane HTTP) pass untouched.
+type holdListener struct {
+	net.Listener
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: c, l: l}, nil
+}
+
+// holdConn is one accepted connection. Only the goroutine serving it
+// writes, so upgraded needs no lock.
+type holdConn struct {
+	net.Conn
+	l        *holdListener
+	upgraded bool
+}
+
+func (c *holdConn) Write(p []byte) (int, error) {
+	if c.upgraded {
+		c.l.once.Do(func() {
+			close(c.l.held)
+			<-c.l.release
+		})
+	}
+	c.upgraded = c.upgraded || bytes.HasPrefix(p, []byte("HTTP/1.1 101 "))
+	return c.Conn.Write(p)
+}
+
+// TestWriterSelfClocks is the upstream writer's self-clocked group
+// commit: while frame 1 waits for its reply, three forwards queue at the
+// writer and ride frame 2 together. A lone forward afterwards flushes
+// at once with reason drain: nothing holds a flush open for company.
+// Nothing is timed: the replica holds frame 1's reply until all three
+// are queued.
+func TestWriterSelfClocks(t *testing.T) {
+	const n, cells, seed = 24, 3, 4
+	ln := &holdListener{held: make(chan struct{}), release: make(chan struct{})}
+	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}},
+		func(inner net.Listener) net.Listener {
+			ln.Listener = inner
+			return ln
+		}, nil)
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	bt := r.batchers[0]
+
+	const k = 10
+	ids := make([][]int64, 4)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	forward := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := r.Allocate(k)
+			if err == nil {
+				ids[i] = rep.IDs()
+			}
+			errs[i] = err
+		}()
+	}
+	forward(0)
+	<-ln.held
+	for i := 1; i < 4; i++ {
+		forward(i)
+	}
+	for len(bt.q) < 3 {
+		runtime.Gosched()
+	}
+	close(ln.release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("forward %d: %v", i, err)
+		}
+	}
+	if frames, subs, largest := bt.batchSize.Count(), bt.batchSize.Sum(), bt.batchSize.Max(); frames != 2 || subs != 4 || largest != 3 {
+		t.Fatalf("%d frames carried %d subs (largest %d); want frame 1 alone, then the 3 queued forwards in frame 2", frames, subs, largest)
+	}
+
+	rep, err := r.Allocate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, drain := bt.flushFull.Load(), bt.flushDrain.Load(); full != 0 || drain != 3 {
+		t.Fatalf("flushes by reason: full %d, drain %d; want 3 drain flushes (the lone forward flushed at once)", full, drain)
+	}
+
+	all := rep.IDs()
+	for _, got := range ids {
+		all = append(all, got...)
+	}
+	if got := r.Release(all); got != len(all) || got != 5*k {
+		t.Fatalf("released %d of %d granted (want %d)", got, len(all), 5*k)
 	}
 	if st, _ := r.StatsDoc(false).(Stats); st.Live != 0 {
 		t.Fatalf("%d balls live after releasing every granted ID", st.Live)

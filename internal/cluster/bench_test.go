@@ -202,9 +202,9 @@ func BenchmarkClusterThroughput(b *testing.B) {
 }
 
 // BenchmarkClusterGroupCommit is the group-commit grid: clients ×
-// replicas, same topology and batch size everywhere. With one client the
-// window never engages and frames carry one sub; with many clients the
-// writer coalesces concurrent submissions into multi-sub frames. Clients
+// replicas, same topology and batch size everywhere. With one client
+// frames carry one sub; with many clients the writer coalesces the
+// submissions queued during each round trip into multi-sub frames. Clients
 // are explicit goroutines sharing b.N through an atomic counter —
 // RunParallel would cap the client count at GOMAXPROCS, which is 1 on
 // small CI boxes.

@@ -35,6 +35,27 @@ func (f *failingAlloc) Allocate(k int) (*online.Report, error) {
 	return f.cellAllocator.Allocate(k)
 }
 
+// gatedAlloc wraps a cell's allocator and holds the cell's first epoch
+// open: it closes entered, then waits for release to close before
+// running the epoch. It records every epoch's arrival count, so a test
+// sees which requests shared an epoch. Only the cell's batcher calls
+// it; epochs is read after every request has replied.
+type gatedAlloc struct {
+	cellAllocator
+	entered chan struct{}
+	release chan struct{}
+	epochs  []int
+}
+
+func (g *gatedAlloc) Allocate(k int) (*online.Report, error) {
+	g.epochs = append(g.epochs, k)
+	if len(g.epochs) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return g.cellAllocator.Allocate(k)
+}
+
 // benchRW is a reusable in-memory ResponseWriter: header map and body
 // buffer persist across requests so driving the handler allocates
 // nothing on the recorder side.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/online"
@@ -147,18 +146,16 @@ func (s *Service) AllocateInto(k int, rep *Report) error {
 	// prove it is alone (the CAS) runs the epoch inline on its own
 	// goroutine instead of hopping through the batcher — the bare-
 	// allocator latency the seed benchmark measures. A CAS loser has just
-	// observed a concurrent contributor: it raises the coalescing EWMA and
-	// queues, and the EWMA gate keeps everyone on the batcher path until
-	// sequential traffic drags it back down (hysteresis, so two
-	// alternating callers do not ping-pong between modes).
+	// observed a concurrent contributor and queues, sharing the batcher's
+	// next epoch with whoever else queued meanwhile. An inline epoch may
+	// overlap a batcher epoch; the allocator's mutex orders the two.
 	if s.total == 1 {
 		c := s.cells[0]
-		if !c.win.Engaged() && c.inlineBusy.CompareAndSwap(0, 1) {
+		if c.inlineBusy.CompareAndSwap(0, 1) {
 			err := s.allocateInline(c, k, rep, start)
 			c.inlineBusy.Store(0)
 			return err
 		}
-		c.win.NoteSubs(2)
 	}
 
 	sc := s.allocPool.Get().(*allocScratch)
@@ -298,9 +295,6 @@ func (s *Service) allocateInline(c *cell, k int, rep *Report, start time.Time) e
 	epochStart := time.Now()
 	r, err := c.alloc.Allocate(k)
 	s.metrics.stageEpochRun.ObserveDuration(time.Since(epochStart))
-	// One contributor: fold 1 into the coalescing EWMA so a burst's
-	// elevated estimate decays back and reopens this path.
-	c.win.NoteSubs(1)
 	if err != nil {
 		s.metrics.stageAllocate.ObserveDuration(time.Since(start))
 		return fmt.Errorf("serve: cell %d: %w", c.index, err)
@@ -343,15 +337,13 @@ func (s *Service) runEpochs(sc *allocScratch, rep *Report, start time.Time) erro
 
 // enqueueEpochs fans the scratch's targeted (cell, count) work out to
 // the hosted cells' batchers without waiting for any reply. The enqueue
-// timestamp feeds both the batch_wait stage histogram and the per-cell
-// arrival-rate estimate driving the adaptive group-commit window
-// (cellLoop). Split from collectEpochs so a batched upstream frame can
-// enqueue every sub-request's work before collecting any of it — the
-// cell batchers then see all of the frame's sub-requests in one drain
-// and coalesce them into shared epochs.
+// timestamp feeds the batch_wait stage histogram. Split from
+// collectEpochs so a batched upstream frame can enqueue every
+// sub-request's work before collecting any of it — the cell batchers
+// then see all of the frame's sub-requests in one drain and coalesce
+// them into shared epochs.
 func (s *Service) enqueueEpochs(sc *allocScratch) {
 	now := time.Now()
-	nowNs := now.Sub(s.started).Nanoseconds()
 	for g, c := range s.byGlobal {
 		if !sc.target[g] {
 			continue
@@ -359,7 +351,6 @@ func (s *Service) enqueueEpochs(sc *allocScratch) {
 		sub := &sc.subs[g]
 		sub.count = int(sc.counts[g])
 		sub.enq = now
-		c.win.NoteArrival(nowNs)
 		c.queue <- sub
 	}
 }
@@ -438,37 +429,33 @@ func (s *Service) collectEpochs(sc *allocScratch, rep *Report, start time.Time) 
 	return firstErr
 }
 
-// maxCoalesce caps contributors per epoch so a wait window cannot grow a
-// batch without bound under sustained overload.
+// maxCoalesce caps contributors per epoch, so a queue that stays deep
+// under sustained overload cannot grow one epoch's batch without bound.
 const maxCoalesce = 128
 
-// cellLoop is cell c's batcher: it blocks for one sub-request, coalesces
-// everything else already queued into the same epoch — holding the batch
-// open for an adaptive, bounded wait window when the observed arrival
-// rate says more contributors are imminent — runs the cell's allocator
-// once over the combined batch, and slices the admitted ID range back
-// out to the contributors in arrival order.
+// cellLoop is cell c's batcher: it blocks for one sub-request, drains
+// everything else already queued into the same epoch, runs the cell's
+// allocator once over the combined batch, slices the admitted ID range
+// back out to the contributors in arrival order, and repeats.
 //
-// The window replaces the old unconditional runtime.Gosched: it opens
-// only when recent epochs merged more than one request (contributor
-// EWMA), and then spans a few observed inter-arrival gaps, so batch
-// formation follows the offered concurrency instead of taxing every
-// epoch with a yield. A lone sequential caller is blocked on its reply
-// here, so no window setting can change what an epoch contains under
-// sequential replay; timing only widens real concurrent batches.
+// The loop is self-clocked group commit: it runs one epoch at a time,
+// and requests that arrive while an epoch runs queue up and form the
+// next batch. Batch size therefore follows the offered concurrency with
+// no timer or wait, and each batch sees the loads the previous one left
+// (the batch shape of BCE+12). A lone sequential caller is blocked on
+// its reply while its epoch runs, so under sequential replay every epoch
+// has exactly one contributor.
 func (s *Service) cellLoop(c *cell) {
 	defer s.loops.Done()
 	defer close(c.done)
 	subs := make([]*subReq, 0, maxCoalesce)
 	for first := range c.queue {
 		subs = append(subs[:0], first)
-		open := true
 	drain:
 		for len(subs) < maxCoalesce {
 			select {
 			case more, ok := <-c.queue:
 				if !ok {
-					open = false
 					break drain
 				}
 				subs = append(subs, more)
@@ -476,30 +463,6 @@ func (s *Service) cellLoop(c *cell) {
 				break drain
 			}
 		}
-		if open && len(subs) < maxCoalesce {
-			if w := c.win.Duration(); w > 0 {
-				deadline := time.Now().Add(w)
-			wait:
-				for len(subs) < maxCoalesce {
-					select {
-					case more, ok := <-c.queue:
-						if !ok {
-							break wait
-						}
-						subs = append(subs, more)
-					default:
-						if !time.Now().Before(deadline) {
-							break wait
-						}
-						runtime.Gosched()
-					}
-				}
-			}
-		}
-		// Fold this epoch's contributor count into the coalescing EWMA; it
-		// decays back to 1 under sequential load.
-		c.win.NoteSubs(len(subs))
-
 		total := 0
 		epochStart := time.Now()
 		for _, sb := range subs {

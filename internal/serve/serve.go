@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/coalesce"
 	"repro/internal/online"
 	"repro/internal/rng"
 )
@@ -157,17 +156,15 @@ type cell struct {
 	binBase int // global index of the cell's first bin
 	n       int
 	alloc   cellAllocator
-	queue   chan *subReq
-	done    chan struct{} // closed when the cell's batcher loop exits
-
-	// win is the adaptive group-commit window (internal/coalesce), fed
-	// service-relative enqueue timestamps and contributors per epoch.
-	win coalesce.Window
+	// queue feeds the cell's batcher (cellLoop): everything queued while
+	// an epoch runs joins the next one.
+	queue chan *subReq
+	done  chan struct{} // closed when the cell's batcher loop exits
 
 	// inlineBusy is the single-shard fast path's mutual-exclusion flag: a
 	// request that wins the CAS runs its epoch inline on the calling
-	// goroutine; a loser has just observed a concurrent contributor and
-	// falls back to the batcher queue (router.go).
+	// goroutine; a loser has a concurrent contributor and queues for the
+	// batcher instead (router.go).
 	inlineBusy atomic.Int32
 }
 

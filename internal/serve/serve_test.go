@@ -2,10 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/online"
+	"repro/internal/wire"
 )
 
 // playTrace drives one fixed request sequence sequentially and returns
@@ -205,54 +209,123 @@ func TestShardedBalance(t *testing.T) {
 
 // TestConcurrentClients exercises the coalescing path: many goroutines
 // allocating and releasing concurrently must preserve ID uniqueness and
-// conservation (run under -race in CI).
+// conservation (run under -race in CI). At one shard, a request runs
+// inline only when no other holds the cell, so inline epochs race the
+// batcher's epochs on the one allocator.
 func TestConcurrentClients(t *testing.T) {
-	s, err := New(Config{N: 48, Shards: 4, Alg: "adaptive:2", Seed: 9, Workers: 1})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := New(Config{N: 48, Shards: shards, Alg: "adaptive:2", Seed: 9, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			const clients, rounds = 8, 10
+			var mu sync.Mutex
+			seen := make(map[int64]bool)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var live []int64
+					for r := 0; r < rounds; r++ {
+						if len(live) > 1 {
+							s.Release(live[:len(live)/2])
+							live = live[len(live)/2:]
+						}
+						rep, err := s.Allocate(100)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						ids := rep.IDs()
+						mu.Lock()
+						for _, id := range ids {
+							if seen[id] {
+								t.Errorf("id %d granted twice", id)
+							}
+							seen[id] = true
+						}
+						mu.Unlock()
+						live = append(live, ids...)
+					}
+				}()
+			}
+			wg.Wait()
+			checkConservation(t, s)
+			st := s.Stats()
+			if st.Arrived != clients*rounds*100 {
+				t.Fatalf("arrived %d, want %d", st.Arrived, clients*rounds*100)
+			}
+			if st.Requests != clients*rounds {
+				t.Fatalf("requests %d, want %d", st.Requests, clients*rounds)
+			}
+		})
+	}
+}
+
+// TestQueuedRequestsShareEpoch is the cell batcher's self-clocked group
+// commit: while one epoch runs, three requests queue behind it; the
+// batcher then runs them as one epoch with three contributors and slices
+// its admitted IDs out to them in arrival order. Nothing is timed: the
+// first epoch is held open until all three are queued.
+func TestQueuedRequestsShareEpoch(t *testing.T) {
+	s, err := New(Config{N: 32, Shards: 2, Alg: "aheavy", Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const clients, rounds = 8, 10
-	var mu sync.Mutex
-	seen := make(map[int64]bool)
+	c := s.cells[0]
+	g := &gatedAlloc{cellAllocator: c.alloc, entered: make(chan struct{}), release: make(chan struct{})}
+	c.alloc = g
+
+	counts := []int{10, 2, 3, 4}
+	reps := make([]Report, len(counts))
+	errs := make([]error, len(counts))
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	send := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var live []int64
-			for r := 0; r < rounds; r++ {
-				if len(live) > 1 {
-					s.Release(live[:len(live)/2])
-					live = live[len(live)/2:]
-				}
-				rep, err := s.Allocate(100)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ids := rep.IDs()
-				mu.Lock()
-				for _, id := range ids {
-					if seen[id] {
-						t.Errorf("id %d granted twice", id)
-					}
-					seen[id] = true
-				}
-				mu.Unlock()
-				live = append(live, ids...)
-			}
+			errs[i] = s.AllocateCellsInto([]wire.CellCount{{Cell: 0, Count: counts[i]}}, &reps[i])
 		}()
 	}
+	send(0)
+	<-g.entered
+	for i := 1; i < len(counts); i++ {
+		send(i)
+		// Queue one request at a time, so arrival order is index order.
+		for len(c.queue) < i {
+			runtime.Gosched()
+		}
+	}
+	close(g.release)
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+
+	if want := []int{10, 2 + 3 + 4}; !slices.Equal(g.epochs, want) {
+		t.Fatalf("epoch arrival counts %v, want %v (the three queued requests in one epoch)", g.epochs, want)
+	}
+	if waits, epochs := s.metrics.stageBatchWait.Count(), s.metrics.stageEpochRun.Count(); waits != 4 || epochs != 2 {
+		t.Fatalf("%d contributors over %d epochs, want 4 over 2", waits, epochs)
+	}
+	// The queued epoch's IDs follow the first epoch's, one contiguous
+	// slice per request in arrival order (cell 0 of 2: stride 2).
+	stride := int64(s.total)
+	next := int64(counts[0]) * stride
+	for i := 1; i < len(counts); i++ {
+		want := Span{Start: next, Stride: stride, Count: counts[i]}
+		if sp := reps[i].Spans; len(sp) != 1 || sp[0] != want {
+			t.Fatalf("request %d got spans %+v, want [%+v]", i, sp, want)
+		}
+		next += int64(counts[i]) * stride
+	}
 	checkConservation(t, s)
-	st := s.Stats()
-	if st.Arrived != clients*rounds*100 {
-		t.Fatalf("arrived %d, want %d", st.Arrived, clients*rounds*100)
-	}
-	if st.Requests != clients*rounds {
-		t.Fatalf("requests %d, want %d", st.Requests, clients*rounds)
-	}
 }
 
 // TestSnapshotRestoreContinue is the restart contract: run a prefix,
