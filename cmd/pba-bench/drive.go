@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +28,6 @@ type driveConfig struct {
 	Seed         uint64  // client churn streams derive from it
 	Proto        string  // data-plane encoding: "json" or "binary"
 	MigrateEvery int     // -check: migrate one cell every this many batches (0 = none)
-	MetricsOut   string  // optional path for the server-side stage summary JSON
 }
 
 // target is the base URL of whichever backend the mode drives.
@@ -134,7 +132,7 @@ func drive(cfg driveConfig) error {
 		v.Count, balls, elapsed.Round(time.Millisecond),
 		float64(v.Count)/elapsed.Seconds(), float64(balls)/elapsed.Seconds())
 	if before != nil {
-		if err := reportMetrics(client, base, cfg.MetricsOut, before); err != nil {
+		if err := reportMetrics(client, base, before); err != nil {
 			fmt.Printf("%s: /metrics delta unavailable: %v\n", mode, err)
 		}
 	}
@@ -378,41 +376,25 @@ func migrateNext(client *http.Client, base string, idx, cells int, upstreams []s
 }
 
 // reportMetrics scrapes the target's /metrics again and prints this run's
-// delta against before: where the server spent the run, stage by stage
-// (also written to metricsOut as JSON when set), and, when the scrape
-// carries a router's pba_upstream series, its group-commit telemetry per
-// upstream — frames flushed, subs carried (the batch-size histogram's
-// count and sum), mean subs per frame, and the flush-reason split.
-func reportMetrics(client *http.Client, base, metricsOut string, before *obs.Scrape) error {
+// delta against before: where the server spent the run, stage by stage,
+// and, when the scrape carries a router's pba_upstream series, its
+// group-commit telemetry per upstream — frames flushed, subs carried (the
+// batch-size histogram's count and sum), mean subs per frame, and the
+// flush-reason split.
+func reportMetrics(client *http.Client, base string, before *obs.Scrape) error {
 	after, err := scrapeMetrics(client, base)
 	if err != nil {
 		return err
 	}
-	summary := make(map[string]obs.StageStats, len(serve.StageNames))
 	fmt.Printf("server stages (this run, from /metrics):\n")
 	fmt.Printf("  %-11s %9s %12s %11s %11s %11s\n", "stage", "count", "total", "p50", "p95", "p99")
 	for _, stage := range serve.StageNames {
 		d, ok := obs.DeltaStage(after, before, serve.StageMetricName, `{stage="`+stage+`"}`)
-		if !ok {
-			continue
-		}
-		summary[stage] = d
-		if d.Count > 0 {
+		if ok && d.Count > 0 {
 			fmt.Printf("  %-11s %9d %12s %11s %11s %11s\n", stage, d.Count,
 				seconds(d.TotalSeconds), seconds(d.P50), seconds(d.P95), seconds(d.P99))
 		}
 	}
-	if metricsOut != "" {
-		data, err := json.MarshalIndent(summary, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(metricsOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("stage summary written to %s\n", metricsOut)
-	}
-
 	const prefix = `pba_upstream_frames_total{upstream="`
 	var hosts []string
 	for key := range after.Values {

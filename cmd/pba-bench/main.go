@@ -20,9 +20,9 @@
 // latency percentiles (p50/p95/p99), throughput (epochs/s, balls/s), the
 // target's /metrics delta and its final /stats. The delta is the
 // per-stage table of where the latency went inside the server (decode,
-// route, batch_wait, epoch_run, commit, encode; -metrics-out writes it as
-// JSON) and, from a router, the per-upstream group-commit table (frames,
-// mean subs per frame, flush reasons).
+// route, batch_wait, epoch_run, commit, encode) and, from a router, the
+// per-upstream group-commit table (frames, mean subs per frame, flush
+// reasons).
 //
 // -serve soaks the target; more clients exercise the server's per-cell
 // epoch coalescing and the router's multi-sub upstream frames.
@@ -63,15 +63,14 @@ func main() {
 		baseSeed = flag.Uint64("seed", 0, "base seed offset")
 		mode     = flag.String("mode", "", "engine for the Aheavy sweeps: mass (default) or agent")
 
-		serveURL   = flag.String("serve", "", "load driver: soak a running pba-serve or pba-router at this base URL (e.g. http://127.0.0.1:8380)")
-		checkURL   = flag.String("check", "", "load driver: check a fresh pba-serve or pba-router at this base URL against an in-process replay (grant IDs and fingerprint)")
-		migEvery   = flag.Int("migrate-every", 0, "-check against a router: live-migrate one cell every this many batches (0 = none)")
-		clients    = flag.Int("clients", 1, "load driver: concurrent clients, each playing its own churn trace (-check plays one)")
-		batches    = flag.Int("batches", 10, "load driver: allocate batches (epochs) per client")
-		batch      = flag.Int("batch", 1000, "load driver: jobs per batch")
-		churn      = flag.Float64("churn", 0.2, "load driver: fraction of live jobs released before each batch")
-		proto      = flag.String("proto", "json", "load driver: data-plane encoding, json or binary (the compact wire framing)")
-		metricsOut = flag.String("metrics-out", "", "load driver: write the server-side stage summary (from /metrics deltas) to this JSON file")
+		serveURL = flag.String("serve", "", "load driver: soak a running pba-serve or pba-router at this base URL (e.g. http://127.0.0.1:8380)")
+		checkURL = flag.String("check", "", "load driver: check a fresh pba-serve or pba-router at this base URL against an in-process replay (grant IDs and fingerprint)")
+		migEvery = flag.Int("migrate-every", 0, "-check against a router: live-migrate one cell every this many batches (0 = none)")
+		clients  = flag.Int("clients", 1, "load driver: concurrent clients, each playing its own churn trace (-check plays one)")
+		batches  = flag.Int("batches", 10, "load driver: allocate batches (epochs) per client")
+		batch    = flag.Int("batch", 1000, "load driver: jobs per batch")
+		churn    = flag.Float64("churn", 0.2, "load driver: fraction of live jobs released before each batch")
+		proto    = flag.String("proto", "json", "load driver: data-plane encoding, json or binary (the compact wire framing)")
 	)
 	flag.Parse()
 
@@ -79,7 +78,7 @@ func main() {
 		err := drive(driveConfig{
 			Serve: *serveURL, Check: *checkURL, Clients: *clients,
 			Batches: *batches, Batch: *batch, Churn: *churn, Seed: *baseSeed,
-			Proto: *proto, MigrateEvery: *migEvery, MetricsOut: *metricsOut,
+			Proto: *proto, MigrateEvery: *migEvery,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pba-bench: %v\n", err)

@@ -19,8 +19,8 @@ func TestSmoke(t *testing.T) {
 		t.Error("unknown experiment exited 0")
 	}
 
-	// Loadgen mode without a reachable server must fail loudly. The
-	// positive loadgen path is covered by the pba-serve smoke test.
+	// The load driver without a reachable server must fail loudly. Its
+	// positive path is covered by the pba-serve smoke test.
 	if _, _, code := cmdtest.Run(t, bin, "-serve", "http://127.0.0.1:1", "-batches", "1", "-batch", "1"); code == 0 {
 		t.Error("unreachable -serve exited 0")
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -276,39 +277,42 @@ func TestGracefulShutdownSnapshotRestore(t *testing.T) {
 }
 
 // TestLoadgenDrivesServer wires the two halves together: a multi-client
-// pba-bench -serve run against a sharded pba-serve, checking the
-// generator's throughput/percentile report and the server's final state.
+// pba-bench -serve run against a sharded pba-serve, checking the load
+// driver's throughput/percentile report, its server stage table and the
+// server's final state.
 func TestLoadgenDrivesServer(t *testing.T) {
 	serveBin := cmdtest.Build(t, "repro/cmd/pba-serve")
 	benchBin := cmdtest.Build(t, "repro/cmd/pba-bench")
 	_, base := startServer(t, serveBin, "-n", "32", "-shards", "4")
 
-	metricsOut := filepath.Join(t.TempDir(), "stages.json")
 	out := cmdtest.MustRun(t, benchBin, "-serve", base, "-clients", "3",
-		"-batches", "4", "-batch", "500", "-churn", "0.25", "-metrics-out", metricsOut)
+		"-batches", "4", "-batch", "500", "-churn", "0.25")
 	for _, want := range []string{"throughput:", "epochs/s", "balls/s", "p50", "p99",
 		"server stages", "epoch_run", "batch_wait", "final /stats", `"pending": 0`} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("loadgen output missing %q:\n%s", want, out)
+			t.Fatalf("load driver output missing %q:\n%s", want, out)
 		}
 	}
-	// The stage summary lands on disk with every pipeline stage counted.
-	data, err := os.ReadFile(metricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stages map[string]obs.StageStats
-	if err := json.Unmarshal(data, &stages); err != nil {
-		t.Fatalf("parsing %s: %v", metricsOut, err)
+	// The printed stage table has a row with samples for every pipeline
+	// stage; its second column is the stage's count over the run.
+	_, table, _ := strings.Cut(out, "server stages (this run, from /metrics):\n")
+	counts := map[string]int64{}
+	for _, line := range strings.Split(table, "\n") {
+		f := strings.Fields(line)
+		if !strings.HasPrefix(line, "  ") || len(f) < 2 {
+			break
+		}
+		if n, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+			counts[f[0]] = n
+		}
 	}
 	for _, stage := range serve.StageNames {
-		st, ok := stages[stage]
-		if !ok || st.Count == 0 {
-			t.Errorf("stage summary missing samples for %q: %+v", stage, st)
+		if counts[stage] == 0 {
+			t.Errorf("stage table has no samples for %q:\n%s", stage, table)
 		}
 	}
-	if stages["allocate"].Count != 3*4 {
-		t.Errorf("allocate stage count %d, want %d", stages["allocate"].Count, 3*4)
+	if counts["allocate"] != 3*4 {
+		t.Errorf("allocate stage count %d, want %d", counts["allocate"], 3*4)
 	}
 	var stats struct {
 		Arrived float64 `json:"arrived"`

@@ -63,17 +63,10 @@ func OneShot(p model.Problem, cfg Config) (*model.Result, error) {
 		Metrics: model.Metrics{
 			TotalMessages:  p.M,
 			BallRequests:   p.M,
-			MaxBallSent:    min64(1, p.M),
+			MaxBallSent:    min(1, p.M),
 			MaxBinReceived: maxRecv,
 		},
 	}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Greedy runs the sequential d-choice process: balls arrive one by one,

@@ -316,10 +316,3 @@ func E15Deterministic(cfg Config) (*Table, error) {
 	t.AddNote("excess is always 0 (max load exactly ⌈m/n⌉) and rounds never exceed n — the fallback covering n < loglog(m/n) in the success-probability note")
 	return t, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -11,13 +11,13 @@ import (
 	"repro/internal/wire"
 )
 
-// forwardPlanes builds the two measurement closures the allocation
-// split reads from, over one shared replica pair: the raw upstream
-// protocol (one-sub batch frames sent with conn.roundTrip on upgraded
-// connections this helper dials itself — the router's connection and
-// codec layer with none of its orchestration) and the router. Each closure plays one warm
-// allocate+release round; the router, connections and replicas are torn
-// down via tb.Cleanup.
+// forwardPlanes builds the two measurement closures that
+// TestRouterForwardAllocFree compares, over one shared replica pair: the
+// raw upstream protocol (one-sub batch frames sent with conn.roundTrip on
+// upgraded connections this helper dials itself — the router's connection
+// and codec layer with none of its orchestration) and the router. Each
+// closure plays one warm allocate+release round; the router, connections
+// and replicas are torn down via tb.Cleanup.
 func forwardPlanes(tb testing.TB) (baseline, routed func()) {
 	const n, cells, batch = 256, 4, 64
 	ups := make([]string, 2)
@@ -126,30 +126,6 @@ func TestRouterForwardAllocFree(t *testing.T) {
 	if delta := via - base; delta >= 1 {
 		t.Errorf("router forward path adds %.2f allocs/op (router %.2f, raw upstream %.2f); want 0",
 			delta, via, base)
-	}
-}
-
-// BenchmarkRouterAllocSplit pins the ClusterThroughput allocation story
-// as dedicated record columns: raw_allocs/op is what the upstream
-// protocol itself costs per round (conn.roundTrip over the upgraded
-// connection plus the in-process replicas' frame loops and services),
-// and batched_delta_allocs/op is the router's own addition over it, held
-// at zero. Counts come from testing.AllocsPerRun inside one
-// iteration, so ns/op is not meaningful here; read the custom columns.
-func BenchmarkRouterAllocSplit(b *testing.B) {
-	if raceEnabled {
-		b.Skip("race instrumentation allocates; counts are meaningless")
-	}
-	baseline, routed := forwardPlanes(b)
-	for i := 0; i < 50; i++ {
-		baseline()
-		routed()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := testing.AllocsPerRun(100, baseline)
-		b.ReportMetric(base, "raw_allocs/op")
-		b.ReportMetric(testing.AllocsPerRun(100, routed)-base, "batched_delta_allocs/op")
 	}
 }
 

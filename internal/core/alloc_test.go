@@ -10,11 +10,14 @@ import (
 // TestRunFreshMemoryPerBall fences a fresh Run's heap traffic. The agent
 // engine sizes every round buffer once, for its whole input, so a run
 // allocates the ball array plus one copy of each buffer — about 128 B per
-// ball — at any worker count. Buffers that grow by doubling, or per-worker
-// copies, push it past the bound.
+// ball — at any worker count. Buffers that grow by doubling push it past
+// the bound; per-worker copies push workers 2 and 4 past 1.01x the bytes
+// of workers 1.
 func TestRunFreshMemoryPerBall(t *testing.T) {
 	const maxBytesPerBall = 160
+	const maxWorkerGrowth = 1.01
 	p := model.Problem{M: 1 << 20, N: 256}
+	var oneWorker float64
 	for _, w := range []int{1, 2, 4} {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
@@ -31,6 +34,12 @@ func TestRunFreshMemoryPerBall(t *testing.T) {
 		t.Logf("workers=%d: %.1f B/ball", w, perBall)
 		if perBall > maxBytesPerBall {
 			t.Errorf("workers=%d: fresh Run allocated %.1f B/ball, want at most %d", w, perBall, maxBytesPerBall)
+		}
+		if w == 1 {
+			oneWorker = perBall
+		} else if perBall > maxWorkerGrowth*oneWorker {
+			t.Errorf("workers=%d: fresh Run allocated %.1f B/ball, want at most %.2fx the %.1f of workers=1",
+				w, perBall, maxWorkerGrowth, oneWorker)
 		}
 	}
 }

@@ -269,48 +269,77 @@ func BenchmarkChurnSmallEpoch(b *testing.B) {
 }
 
 // BenchmarkChurnStandingLive holds a standing population of 64k live
-// balls in 1024 bins and churns the oldest 512 per epoch (FIFO, the page
-// retirement pattern). Reports bytes of live allocator state per live
-// ball alongside throughput; methodology in EXPERIMENTS.md.
+// balls in 1024 bins and churns 512 per epoch. Reports bytes of live
+// allocator state per live ball alongside throughput; methodology in
+// EXPERIMENTS.md. release=fifo departs the oldest balls, the one pattern
+// that retires whole ID pages. release=random departs a seeded uniform
+// pick of the live balls, the way serve-heavy's clients do, which keeps a
+// page resident while any ball in it is live.
 func BenchmarkChurnStandingLive(b *testing.B) {
 	const n, standing, batch = 1024, 65536, 512
-	a, err := New(Config{N: n, Alg: "aheavy", Seed: 1, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
+	for _, order := range []string{"fifo", "random"} {
+		b.Run("release="+order, func(b *testing.B) {
+			a, err := New(Config{N: n, Alg: "aheavy", Seed: 1, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]int64, 0, batch)
+			var live []int64 // release=random: every live ID, unordered
+			fill := func(k int) {
+				rep, err := a.Allocate(k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if order == "random" {
+					live = rep.AppendIDs(live)
+				}
+			}
+			oldest := int64(0)
+			r := rng.New(1)
+			release := func() {
+				buf = buf[:0]
+				if order == "fifo" {
+					for i := int64(0); i < batch; i++ {
+						buf = append(buf, oldest+i)
+					}
+					oldest += batch
+				} else {
+					for i := 0; i < batch; i++ {
+						x := r.Intn(len(live))
+						buf = append(buf, live[x])
+						live[x] = live[len(live)-1]
+						live = live[:len(live)-1]
+					}
+				}
+				a.Release(buf)
+			}
+			fill(standing)
+			// Random release frees a 2^14-ID page only once its last ball
+			// goes, after about 128·ln 2^14 ≈ 1250 epochs; warm well past
+			// that so the page residency is steady.
+			warm := 10
+			if order == "random" {
+				warm = 5000
+			}
+			for i := 0; i < warm; i++ {
+				release()
+				fill(batch)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				release()
+				fill(batch)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "epochs/s")
+			st := a.StatsLite()
+			if st.Live != standing {
+				b.Fatalf("standing population drifted to %d", st.Live)
+			}
+			b.ReportMetric(float64(a.Footprint())/float64(st.Live), "state-B/ball")
+		})
 	}
-	oldest := int64(0)
-	buf := make([]int64, 0, batch)
-	fill := func(k int) {
-		if _, err := a.Allocate(k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fill(standing)
-	release := func() {
-		buf = buf[:0]
-		for i := int64(0); i < batch; i++ {
-			buf = append(buf, oldest+i)
-		}
-		oldest += batch
-		a.Release(buf)
-	}
-	for i := 0; i < 10; i++ { // warm
-		release()
-		fill(batch)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		release()
-		fill(batch)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "epochs/s")
-	st := a.StatsLite()
-	if st.Live != standing {
-		b.Fatalf("standing population drifted to %d", st.Live)
-	}
-	b.ReportMetric(float64(a.Footprint())/float64(st.Live), "state-B/ball")
 }
 
 // BenchmarkStats contrasts the O(live) full-state snapshot with the O(1)

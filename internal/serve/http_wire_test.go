@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -651,48 +652,103 @@ func TestProtocolEquivalence(t *testing.T) {
 
 // TestBinaryHandlerAllocFree: in steady state, the binary HTTP+codec
 // layer adds zero allocations per allocate/release round trip over what
-// the service core itself performs.
+// the service core itself performs, and never allocates more than the
+// JSON layer. Both hold sequentially at 1 shard (the inline path) and 4,
+// and binary <= JSON also holds from four concurrent clients at 4 shards.
 func TestBinaryHandlerAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	s, err := New(Config{N: 256, Shards: 4, Alg: "aheavy", Seed: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h := NewHandler(s, HandlerConfig{})
-	d := newProtoDriver(h, "binary")
 	const batch = 64
-	// Warm every pool and slice capacity on both paths.
-	rep := new(Report)
-	var scratch []int64
-	for i := 0; i < 50; i++ {
-		if err := d.step(batch); err != nil {
+	newHandler := func(t *testing.T, shards int) (*Service, http.Handler) {
+		s, err := New(Config{N: 256, Shards: shards, Alg: "aheavy", Seed: 2, Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AllocateInto(batch, rep); err != nil {
-			t.Fatal(err)
-		}
-		scratch = rep.AppendIDs(scratch[:0])
-		s.Release(scratch)
+		t.Cleanup(s.Close)
+		return s, NewHandler(s, HandlerConfig{})
 	}
-	direct := testing.AllocsPerRun(200, func() {
-		if err := s.AllocateInto(batch, rep); err != nil {
-			t.Fatal(err)
-		}
-		scratch = rep.AppendIDs(scratch[:0])
-		s.Release(scratch)
-	})
-	viaHTTP := testing.AllocsPerRun(200, func() {
-		if err := d.step(batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if delta := viaHTTP - direct; delta >= 1 {
-		t.Errorf("binary HTTP layer adds %.2f allocs/op (handler %.2f, service core %.2f); want 0",
-			delta, viaHTTP, direct)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, h := newHandler(t, shards)
+			rep := new(Report)
+			var scratch []int64
+			direct := func() {
+				if err := s.AllocateInto(batch, rep); err != nil {
+					t.Fatal(err)
+				}
+				scratch = rep.AppendIDs(scratch[:0])
+				s.Release(scratch)
+			}
+			step := func(d *protoDriver) func() {
+				return func() {
+					if err := d.step(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			viaBinary := step(newProtoDriver(h, "binary"))
+			viaJSON := step(newProtoDriver(h, "json"))
+			// Warm every pool and slice capacity on all three paths.
+			for i := 0; i < 50; i++ {
+				direct()
+				viaBinary()
+				viaJSON()
+			}
+			core := testing.AllocsPerRun(200, direct)
+			bin := testing.AllocsPerRun(200, viaBinary)
+			js := testing.AllocsPerRun(200, viaJSON)
+			t.Logf("allocs/op: service core %.2f, binary %.2f, JSON %.2f", core, bin, js)
+			if delta := bin - core; delta >= 1 {
+				t.Errorf("binary HTTP layer adds %.2f allocs/op (handler %.2f, service core %.2f); want 0",
+					delta, bin, core)
+			}
+			if bin > js {
+				t.Errorf("binary handler %.2f allocs/op > JSON handler %.2f", bin, js)
+			}
+		})
 	}
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so the concurrent shape
+	// counts the process's mallocs over a fixed number of warm steps, with
+	// one P per client.
+	t.Run("shards=4,clients=4", func(t *testing.T) {
+		const clients, warm, steps = 4, 50, 100
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(clients))
+		_, h := newHandler(t, 4)
+		perStep := func(proto string) float64 {
+			drivers := make([]*protoDriver, clients)
+			for c := range drivers {
+				drivers[c] = newProtoDriver(h, proto)
+			}
+			run := func(n int) {
+				var wg sync.WaitGroup
+				for _, d := range drivers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if err := d.step(batch); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			run(warm)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			run(steps)
+			runtime.ReadMemStats(&m1)
+			return float64(m1.Mallocs-m0.Mallocs) / (clients * steps)
+		}
+		bin, js := perStep("binary"), perStep("json")
+		t.Logf("mallocs/step over %d clients: binary %.2f, JSON %.2f", clients, bin, js)
+		if bin > js {
+			t.Errorf("binary handler %.2f mallocs/step > JSON handler %.2f from %d clients", bin, js, clients)
+		}
+	})
 }
 
 // TestFrameLoopAllocFree: in steady state, a batch round trip over an

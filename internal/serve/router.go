@@ -10,7 +10,7 @@ import (
 )
 
 // routerSalt separates the per-request split draws from every other seed
-// domain (cell seeds, epoch seeds, loadgen client streams).
+// domain (cell seeds, epoch seeds, load-driver client streams).
 const routerSalt = 0xD1B54A32D192ED03
 
 // Placement reports where one ball landed, in global coordinates.

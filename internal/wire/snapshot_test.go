@@ -334,7 +334,7 @@ func TestSnapshotBytesPerBall(t *testing.T) {
 
 // BenchmarkSnapshotEncode measures snapshot serialization for both
 // formats over the same 100k-ball churned cell, reporting bytes_per_ball
-// (the BENCH ratio binary_vs_json_snapshot_bytes divides these).
+// (TestSnapshotBytesPerBall asserts binary is at least 4x smaller).
 func BenchmarkSnapshotEncode(b *testing.B) {
 	s := churnedSnapshot(100000, 1024, 0.9, 5)
 	b.Run("proto=json", func(b *testing.B) {

@@ -99,7 +99,7 @@ const (
 )
 
 // flagTerse asks the server to drop per-ball placements from the reply,
-// keeping only the ID spans (the loadgen steady-state shape).
+// keeping only the ID spans (the load driver's steady-state shape).
 const flagTerse = 0x01
 
 // headerLen is the frame header: u32 length + u8 kind.
