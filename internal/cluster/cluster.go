@@ -22,6 +22,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -282,41 +283,13 @@ func (r *Router) bootstrap() error {
 				u = v
 			}
 		}
-		if err := r.attachFresh(u, g); err != nil {
-			return err
+		if _, err := r.post(u, "/cells/attach", cellBody(g)); err != nil {
+			return fmt.Errorf("cluster: attaching cell %d to %s: %w", g, r.ups[u].base, err)
 		}
 		r.table[g].Store(int32(u))
 		hosted[u]++
 	}
 	return nil
-}
-
-// attachFresh attaches an empty cell g to upstream u via the JSON attach
-// form, stamping the evacuation coordinate headers.
-func (r *Router) attachFresh(u, g int) error {
-	body := fmt.Sprintf(`{"cell":%d}`, g)
-	req, err := http.NewRequest(http.MethodPost, r.ups[u].base+"/cells/attach", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	r.stampEvacuation(req, u)
-	res, err := r.ctl.Do(req)
-	if err != nil {
-		return fmt.Errorf("cluster: attaching cell %d to %s: %w", g, r.ups[u].base, err)
-	}
-	defer func() { _, _ = io.Copy(io.Discard, res.Body); res.Body.Close() }()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: attaching cell %d to %s: %s", g, r.ups[u].base, readError(res.Body, res.Status))
-	}
-	return nil
-}
-
-func (r *Router) stampEvacuation(req *http.Request, u int) {
-	if r.cfg.SelfURL != "" {
-		req.Header.Set(serve.HeaderRouter, r.cfg.SelfURL)
-		req.Header.Set(serve.HeaderSelf, r.ups[u].base)
-	}
 }
 
 // N, Cells, Alg, Seed expose the verified topology.
@@ -580,19 +553,44 @@ func (r *Router) getJSON(base, path string, v any) error {
 	return json.NewDecoder(res.Body).Decode(v)
 }
 
-// postJSON posts a JSON body to base+path and decodes the reply into v
-// (v nil discards it).
-func (r *Router) postJSON(base, path string, body string, v any) error {
-	res, err := r.ctl.Post(base+path, "application/json", strings.NewReader(body))
+// post issues one control-plane POST to upstream u and returns the reply
+// body. A []byte body travels as a wire frame, a string as JSON. Every
+// call carries the evacuation coordinates, which the replica records on
+// attach and stage. A non-200 reply becomes an error carrying the
+// replica's own error text.
+func (r *Router) post(u int, path string, body any) ([]byte, error) {
+	ct, rd := "application/json", io.Reader(nil)
+	switch b := body.(type) {
+	case []byte:
+		ct, rd = wire.ContentType, bytes.NewReader(b)
+	case string:
+		rd = strings.NewReader(b)
+	}
+	req, err := http.NewRequest(http.MethodPost, r.ups[u].base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer func() { _, _ = io.Copy(io.Discard, res.Body); res.Body.Close() }()
+	req.Header.Set("Content-Type", ct)
+	if r.cfg.SelfURL != "" {
+		req.Header.Set(serve.HeaderRouter, r.cfg.SelfURL)
+		req.Header.Set(serve.HeaderSelf, r.ups[u].base)
+	}
+	res, err := r.ctl.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		return nil, err
+	}
 	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %s", path, readError(res.Body, res.Status))
+		return nil, fmt.Errorf("POST %s: %s", path, readError(bytes.NewReader(reply), res.Status))
 	}
-	if v == nil {
-		return nil
-	}
-	return json.NewDecoder(res.Body).Decode(v)
+	return reply, nil
+}
+
+// cellBody is the JSON body of the cell-addressed control verbs.
+func cellBody(g int) string {
+	return fmt.Sprintf(`{"cell":%d}`, g)
 }

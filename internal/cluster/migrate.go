@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/serve"
@@ -32,7 +29,8 @@ import (
 // snapshot+delta. The chain fingerprint travels with the cut and is
 // re-verified after replay and again at detach, so a move that would
 // lose or duplicate a ball fails loudly instead. Any failure before the
-// table flip aborts the move with the source still authoritative.
+// table flip aborts both ends (abortMove): the source keeps serving with
+// no armed log, and the destination keeps no staged copy.
 
 // Migrate moves global cell g to upstream dst (an index into the
 // configured upstream list). Migrating a cell onto its current host is a
@@ -62,13 +60,14 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 
 	// Phase 1: snapshot at the source and stage at the destination, both
 	// with the gate open — the cell serves throughout.
-	frame, err := r.migrateBegin(src, g)
+	frame, err := r.post(src, "/cells/migrate/begin", cellBody(g))
 	if err != nil {
-		return 0, err
+		r.abortMove(src, dst, g)
+		return 0, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
 	}
 	r.met.snapBytes.Add(uint64(len(frame)))
-	if err := r.shipFrame(dst, "/cells/stage", frame); err != nil {
-		r.abortSource(src, g)
+	if _, err := r.post(dst, "/cells/stage", frame); err != nil {
+		r.abortMove(src, dst, g)
 		return 0, fmt.Errorf("cluster: staging cell %d on %s: %w", g, r.ups[dst].base, err)
 	}
 
@@ -76,11 +75,16 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 	// staged copy, flip the table.
 	t0 := time.Now()
 	r.gates[g].Lock()
-	delta, commitErr := r.cutAndCommit(src, dst, g)
-	if commitErr != nil {
+	delta, err := r.post(src, "/cells/migrate/cut", cellBody(g))
+	if err != nil {
+		err = fmt.Errorf("cluster: cutting cell %d on %s: %w", g, r.ups[src].base, err)
+	} else if _, err = r.post(dst, "/cells/commit", delta); err != nil {
+		err = fmt.Errorf("cluster: committing cell %d on %s: %w", g, r.ups[dst].base, err)
+	}
+	if err != nil {
 		r.gates[g].Unlock()
-		r.discardStaged(dst, g)
-		return 0, commitErr
+		r.abortMove(src, dst, g)
+		return 0, err
 	}
 	r.table[g].Store(int32(dst))
 	r.gates[g].Unlock()
@@ -102,7 +106,11 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 	var det struct {
 		Chain string `json:"chain"`
 	}
-	if err := r.postJSON(r.ups[src].base, "/cells/detach", fmt.Sprintf(`{"cell":%d}`, g), &det); err != nil {
+	reply, err := r.post(src, "/cells/detach", cellBody(g))
+	if err == nil {
+		err = json.Unmarshal(reply, &det)
+	}
+	if err != nil {
 		return pause, fmt.Errorf("cluster: detaching cell %d from %s (cell live on %s): %w", g, r.ups[src].base, r.ups[dst].base, err)
 	}
 	if want := hex.EncodeToString(chain); det.Chain != want {
@@ -111,80 +119,14 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 	return pause, nil
 }
 
-// migrateBegin posts phase 1's begin to the source and returns the
-// snapshot frame.
-func (r *Router) migrateBegin(src, g int) ([]byte, error) {
-	res, err := r.ctl.Post(r.ups[src].base+"/cells/migrate/begin", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"cell":%d}`, g)))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	frame, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: snapshotting cell %d on %s: %s", g, r.ups[src].base, readError(bytes.NewReader(frame), res.Status))
-	}
-	return frame, nil
-}
-
-// shipFrame posts a binary frame to base+path with the evacuation
-// coordinates stamped.
-func (r *Router) shipFrame(u int, path string, frame []byte) error {
-	req, err := http.NewRequest(http.MethodPost, r.ups[u].base+path, bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	r.stampEvacuation(req, u)
-	res, err := r.ctl.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _, _ = io.Copy(io.Discard, res.Body); res.Body.Close() }()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %s", path, readError(res.Body, res.Status))
-	}
-	return nil
-}
-
-// cutAndCommit runs the paused window's two calls: cut the source's
-// delta log and commit it onto the destination's staged cell. The
-// returned frame is the delta (for the chain check and byte accounting).
-func (r *Router) cutAndCommit(src, dst, g int) ([]byte, error) {
-	res, err := r.ctl.Post(r.ups[src].base+"/cells/migrate/cut", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"cell":%d}`, g)))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: cutting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	delta, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: cutting cell %d on %s: %w", g, r.ups[src].base, err)
-	}
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: cutting cell %d on %s: %s", g, r.ups[src].base, readError(bytes.NewReader(delta), res.Status))
-	}
-	if err := r.shipFrame(dst, "/cells/commit", delta); err != nil {
-		return nil, fmt.Errorf("cluster: committing cell %d on %s: %w", g, r.ups[dst].base, err)
-	}
-	return delta, nil
-}
-
-// abortSource best-effort drops the source's delta log after a failed
-// phase 1; the cell was serving the whole time, so nothing is lost.
-func (r *Router) abortSource(src, g int) {
-	_ = r.postJSON(r.ups[src].base, "/cells/migrate/abort", fmt.Sprintf(`{"cell":%d}`, g), nil)
-}
-
-// discardStaged best-effort drops the destination's staged copy after a
-// failed phase 2 (the commit path discards it itself on replay or chain
-// failure; this covers transport failures where the staged copy may
-// still be parked).
-func (r *Router) discardStaged(dst, g int) {
-	_ = r.postJSON(r.ups[dst].base, "/cells/migrate/abort", fmt.Sprintf(`{"cell":%d,"staged":true}`, g), nil)
+// abortMove is the failure rule of a move that has not flipped the table:
+// drop the source's delta log and the destination's staged copy, best
+// effort. The source served the cell throughout, so nothing is lost, and
+// either call is a no-op when its end holds nothing (a log already cut,
+// a copy never staged).
+func (r *Router) abortMove(src, dst, g int) {
+	_, _ = r.post(src, "/cells/migrate/abort", cellBody(g))
+	_, _ = r.post(dst, "/cells/migrate/abort", fmt.Sprintf(`{"cell":%d,"staged":true}`, g))
 }
 
 // UpstreamIndex resolves an upstream base URL (as configured, or as

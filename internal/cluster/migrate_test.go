@@ -3,6 +3,7 @@ package cluster
 import (
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve"
@@ -11,8 +12,8 @@ import (
 // TestTwoPhaseMigrateOverHTTP drives the router's bounded-pause
 // migration against real replicas: an idle move (empty delta) leaves
 // the cluster fingerprint untouched, moves with concurrent traffic ship
-// the in-flight balls as the delta and lose none, and a source that
-// refuses the begin call fails the move with the cell left in place.
+// the in-flight balls as the delta and lose none, and a move that fails
+// at any phase leaves the cell in place and the next move free to run.
 func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 	const n, cells, seed = 40, 4, 9
 	ups := make([]string, 2)
@@ -112,50 +113,91 @@ func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 		t.Fatalf("pba_migrations_total = %d after five migrations", got)
 	}
 
-	// A source without the begin endpoint (404) fails the move loudly,
-	// naming the upstream; the cell stays put and keeps serving.
-	noBegin := func(h http.Handler) http.Handler {
+	// A move whose begin, stage, cut or commit call fails once (404 before
+	// the replica runs it) fails loudly, naming the upstream that refused.
+	// The cell stays on the source and keeps serving, the census holds,
+	// and neither end is left with an armed log or a staged copy: a second
+	// move of the same cell succeeds.
+	for _, tc := range []struct {
+		path   string
+		srcEnd bool // the source answers this call, else the destination
+	}{
+		{"/cells/migrate/begin", true},
+		{"/cells/stage", false},
+		{"/cells/migrate/cut", true},
+		{"/cells/commit", false},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/cells/"), func(t *testing.T) {
+			cfg := serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}
+			var srcWrap, dstWrap func(http.Handler) http.Handler
+			if tc.srcEnd {
+				srcWrap = failOnce(tc.path)
+			} else {
+				dstWrap = failOnce(tc.path)
+			}
+			_, src := startWrappedReplica(t, cfg, nil, srcWrap)
+			_, dst := startWrappedReplica(t, cfg, nil, dstWrap)
+			rs, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{src, dst}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if _, err := rs.Allocate(200); err != nil {
+				t.Fatal(err)
+			}
+			g := -1
+			for cell, base := range rs.Table() {
+				if base == src {
+					g = cell
+					break
+				}
+			}
+			if g < 0 {
+				t.Fatal("bootstrap placed no cell on the source replica")
+			}
+			refused := dst
+			if tc.srcEnd {
+				refused = src
+			}
+			if _, err := rs.MigrateTimed(g, 1); err == nil || !strings.Contains(err.Error(), refused) {
+				t.Fatalf("migration with a failing %s: err %v, want one naming %s", tc.path, err, refused)
+			}
+			if got := rs.Table()[g]; got != src {
+				t.Fatalf("cell %d on %s after a failed migration, want %s", g, got, src)
+			}
+			if got := rs.met.migTotal.Load(); got != 0 {
+				t.Fatalf("pba_migrations_total = %d after a failed migration", got)
+			}
+			if rep, err := rs.Allocate(200); err != nil || rep.Admitted != 200 {
+				t.Fatalf("allocate after a failed migration: %+v, %v", rep, err)
+			}
+			if st, _ := rs.StatsDoc(false).(Stats); st.Live != 400 {
+				t.Fatalf("cluster live %d after a failed migration, want 400", st.Live)
+			}
+			if _, err := rs.MigrateTimed(g, 1); err != nil {
+				t.Fatalf("second move after a failing %s: %v", tc.path, err)
+			}
+			if got := rs.Table()[g]; got != dst {
+				t.Fatalf("cell %d on %s after the second move, want %s", g, got, dst)
+			}
+			if st, _ := rs.StatsDoc(false).(Stats); st.Live != 400 {
+				t.Fatalf("cluster live %d after the second move, want 400", st.Live)
+			}
+		})
+	}
+}
+
+// failOnce wraps a replica handler so that the first POST to path is
+// answered 404 before the replica sees it; every later call passes.
+func failOnce(path string) func(http.Handler) http.Handler {
+	var failed atomic.Bool
+	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Path == "/cells/migrate/begin" {
+			if req.URL.Path == path && failed.CompareAndSwap(false, true) {
 				http.NotFound(w, req)
 				return
 			}
 			h.ServeHTTP(w, req)
 		})
-	}
-	_, stub := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}}, nil, noBegin)
-	_, peer := emptyReplica(t, n, cells, seed)
-	rs, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{stub, peer}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if _, err := rs.Allocate(200); err != nil {
-		t.Fatal(err)
-	}
-	g := -1
-	for cell, base := range rs.Table() {
-		if base == stub {
-			g = cell
-			break
-		}
-	}
-	if g < 0 {
-		t.Fatal("bootstrap placed no cell on the stub replica")
-	}
-	if _, err := rs.MigrateTimed(g, 1); err == nil || !strings.Contains(err.Error(), stub) {
-		t.Fatalf("migration off a 404 source: err %v, want one naming %s", err, stub)
-	}
-	if got := rs.Table()[g]; got != stub {
-		t.Fatalf("cell %d on %s after a failed migration, want %s", g, got, stub)
-	}
-	if got := rs.met.migTotal.Load(); got != 0 {
-		t.Fatalf("pba_migrations_total = %d after a failed migration", got)
-	}
-	if rep, err := rs.Allocate(200); err != nil || rep.Admitted != 200 {
-		t.Fatalf("allocate after a failed migration: %+v, %v", rep, err)
-	}
-	if st, _ := rs.StatsDoc(false).(Stats); st.Live != 400 {
-		t.Fatalf("cluster live %d after a failed migration, want 400", st.Live)
 	}
 }

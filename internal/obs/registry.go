@@ -49,7 +49,6 @@ type series struct {
 	labels string // pre-rendered {k="v",...} or ""
 	c      *Counter
 	g      *Gauge
-	fn     func() float64
 	h      *Histogram
 	scale  float64 // histogram value -> rendered float (1e-9 for ns -> s)
 }
@@ -77,12 +76,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{}
 	r.register(name, help, "gauge", &series{labels: renderLabels(labels), g: g})
 	return g
-}
-
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-// fn must be safe for concurrent calls.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, "gauge", &series{labels: renderLabels(labels), fn: fn})
 }
 
 // DurationHistogram registers and returns a histogram that records
@@ -209,8 +202,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Load())
 			case s.g != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Load())
-			case s.fn != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
 			case s.h != nil:
 				writeHistogram(bw, f.name, s)
 			}

@@ -33,9 +33,11 @@
 // The package is split by concern: allocator.go holds the live state
 // machine, table.go the paged ID table and load histogram, registry.go
 // the inner-algorithm registry and epoch runners, report.go the
-// epoch/stats vocabulary, and snapshot.go the versioned snapshot/restore
-// format that lets a serving process restart without losing placements
-// (see also internal/serve, which shards allocators).
+// epoch/stats vocabulary, snapshot.go the versioned snapshot/restore
+// format that lets a serving process restart without losing placements,
+// and deltalog.go the epoch-delta log that replays a snapshot forward to
+// a live cell's chain digest for migration (see also internal/serve,
+// which shards allocators).
 package online
 
 import (
@@ -144,35 +146,10 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	idBase := a.nextID
-	ids := append(a.idsBuf[:0], a.pending...)
-	for i := 0; i < k; i++ {
-		ids = append(ids, a.nextID)
-		a.table.admit(a.nextID)
-		a.nextID++
-	}
-	a.idsBuf = ids
-	a.arrived += int64(k)
-
-	rep := &Report{Epoch: a.epoch, IDBase: idBase, Admitted: k}
-	a.epoch++
+	ids, rep := a.beginEpoch(k)
 	if len(ids) == 0 {
-		a.chainAllocate(rep)
-		if a.dlog != nil {
-			a.dlog.logAllocate(rep, model.Metrics{}, nil)
-		}
-		rep.MaxLoad = a.hist.max
-		rep.Excess = rep.MaxLoad - a.ceilAvg()
-		if a.cfg.Ins != nil {
-			a.cfg.Ins.Epochs.Inc()
-			a.syncGauges()
-		}
-		return rep, nil
+		return rep, a.commitEpoch(ids, rep, &model.Result{})
 	}
-	// The pending balls are carried in a.pending until the run succeeds, so
-	// a failed epoch loses nothing: every admitted ball stays pending.
-	a.pending = ids
-
 	seed := rng.Mix64(a.cfg.Seed ^ uint64(rep.Epoch)*0x9E3779B97F4A7C15)
 	runStart := time.Now()
 	res, err := a.run(model.Problem{M: int64(len(ids)), N: a.cfg.N}, a.loads, runOpts{
@@ -183,32 +160,61 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 	if err != nil {
 		return nil, a.epochFailed(fmt.Errorf("online: epoch %d: %w", rep.Epoch, err))
 	}
-	if res.Placements == nil {
-		return nil, a.epochFailed(fmt.Errorf("online: epoch %d: runner %s recorded no placements", rep.Epoch, a.alg))
+	if err := a.commitEpoch(ids, rep, res); err != nil {
+		return nil, err
 	}
-	// Validate before mutating, so a misbehaving runner cannot corrupt the
-	// live state. This replaces the historical CheckPartial call with an
-	// O(batch) pass: the allocator's state is built purely from the
-	// placement vector, so bin ranges and the unallocated count are the
-	// invariants that matter here (the engines' own load/placement
-	// consistency is covered by their package tests, and VerifyFingerprint
-	// re-derives the full histogram as the slow-path audit).
-	if int64(len(res.Placements)) != int64(len(ids)) {
-		return nil, a.epochFailed(fmt.Errorf("online: epoch %d: runner %s returned %d placements for %d balls",
-			rep.Epoch, a.alg, len(res.Placements), len(ids)))
+	if a.cfg.Ins != nil {
+		a.cfg.Ins.EpochRun.ObserveDuration(runDur)
+	}
+	return rep, nil
+}
+
+// beginEpoch admits k fresh balls under consecutive IDs and opens the next
+// epoch. The working set it returns is the pending balls in admission
+// order followed by the fresh IDs. Allocate and the delta log's 'A'
+// replay both start an epoch here.
+func (a *Allocator) beginEpoch(k int) (ids []int64, rep *Report) {
+	rep = &Report{Epoch: a.epoch, IDBase: a.nextID, Admitted: k}
+	ids = append(a.idsBuf[:0], a.pending...)
+	for i := 0; i < k; i++ {
+		ids = append(ids, a.nextID)
+		a.table.admit(a.nextID)
+		a.nextID++
+	}
+	a.idsBuf = ids
+	a.arrived += int64(k)
+	a.epoch++
+	// The working set stays the pending list until the epoch commits, so
+	// a failed epoch loses nothing: every admitted ball stays pending.
+	a.pending = ids
+	return ids, rep
+}
+
+// commitEpoch commits an epoch's outcome: res.Placements holds one bin per
+// working-set ball (negative leaves it pending), alongside the epoch's
+// rounds, metrics and trace. It validates the placement count, the bin
+// range and the unplaced count before it mutates anything, so neither a
+// misbehaving runner nor a corrupt delta record can corrupt the live state
+// (a failure poisons an active delta log). Then it places the balls, folds
+// the chain, logs the record and instruments. Allocate commits what its
+// runner returned; the delta log's 'A' replay commits what the record
+// carries.
+func (a *Allocator) commitEpoch(ids []int64, rep *Report, res *model.Result) error {
+	if len(res.Placements) != len(ids) {
+		return a.epochFailed(fmt.Errorf("online: epoch %d: %d placements for %d balls",
+			rep.Epoch, len(res.Placements), len(ids)))
 	}
 	var unplaced int64
 	for _, bin := range res.Placements {
 		if bin < 0 {
 			unplaced++
 		} else if int(bin) >= a.cfg.N {
-			return nil, a.epochFailed(fmt.Errorf("online: epoch %d: runner %s placed a ball in nonexistent bin %d",
-				rep.Epoch, a.alg, bin))
+			return a.epochFailed(fmt.Errorf("online: epoch %d: ball placed in nonexistent bin %d", rep.Epoch, bin))
 		}
 	}
 	if unplaced != res.Unallocated {
-		return nil, a.epochFailed(fmt.Errorf("online: epoch %d: runner %s reports %d unallocated but left %d unplaced",
-			rep.Epoch, a.alg, res.Unallocated, unplaced))
+		return a.epochFailed(fmt.Errorf("online: epoch %d: %d balls left unplaced but %d reported unallocated",
+			rep.Epoch, unplaced, res.Unallocated))
 	}
 
 	still := a.pendBuf[:0]
@@ -219,9 +225,7 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 			still = append(still, id)
 			continue
 		}
-		a.table.place(id, bin)
-		a.loads[bin]++
-		a.hist.inc(a.loads[bin] - 1)
+		a.place(id, bin)
 		rep.Placements = append(rep.Placements, Placement{ID: id, Bin: bin})
 	}
 	// a.pending aliased the epoch working set (idsBuf) for failure safety;
@@ -244,12 +248,20 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 	}
 	if ins := a.cfg.Ins; ins != nil {
 		ins.Epochs.Inc()
-		ins.EpochRun.ObserveDuration(runDur)
-		ins.Admitted.Add(uint64(k))
+		ins.Admitted.Add(uint64(rep.Admitted))
 		ins.Placed.Add(uint64(len(rep.Placements)))
 		a.syncGauges()
 	}
-	return rep, nil
+	return nil
+}
+
+// place puts pending ball id into bin: the table entry, the bin's load and
+// the load histogram move together. Every placement — an epoch commit or
+// a snapshot restore — goes through here.
+func (a *Allocator) place(id int64, bin int32) {
+	a.table.place(id, bin)
+	a.loads[bin]++
+	a.hist.inc(a.loads[bin] - 1)
 }
 
 // Release departs the given balls, crediting capacity back to their bins.
@@ -258,6 +270,13 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 func (a *Allocator) Release(ids []int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.release(ids)
+}
+
+// release departs the live balls among ids, folds the departures into the
+// chain and an active delta log, and returns how many departed. Release
+// and the delta log's 'R' replay both run it.
+func (a *Allocator) release(ids []int64) int {
 	released, pendingReleased := 0, 0
 	buf := a.chainStart('R')
 	if a.dlog != nil {

@@ -13,11 +13,14 @@ import (
 // (committed Allocate epochs and Releases) as compact varint records;
 // CutDeltaLog stops recording and hands the accumulated records plus the
 // source's epoch-chain digest to the caller; ApplyDeltaLog replays the
-// records on an allocator restored from the snapshot, driving the
-// *identical* chain folds, so the destination lands on the identical chain
-// digest — the O(1) proof that snapshot + delta reproduced the source's
-// event history exactly. The pause window of a migration is then the cut
-// and the delta transfer, O(events since snapshot), never O(live balls).
+// records on an allocator restored from the snapshot. Replay does not
+// re-run the inner protocol: an 'A' record carries the epoch's placements,
+// metrics and trace, and replay commits them through the very transitions
+// Allocate and Release use (beginEpoch, commitEpoch, release), so the
+// destination folds the same chain and lands on the identical digest —
+// the O(1) proof that snapshot + delta reproduced the source's event
+// history exactly. The pause window of a migration is then the cut and
+// the delta transfer, O(events since snapshot), never O(live balls).
 //
 // Record encodings (all integers are unsigned varints unless noted):
 //
@@ -166,13 +169,16 @@ func readLogVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// ApplyDeltaLog replays a cut delta log, mutating the allocator through
-// the same state transitions (and the same chain folds) the source ran
-// after its snapshot. It is strict: record epochs and ID watermarks must
-// be continuous with the allocator's state, placements must name working-
-// set balls in order, and releases must name live balls. On error the
-// allocator is partially mutated and must be discarded — callers stage the
-// restore and only swap it in after the chain digest verifies.
+// ApplyDeltaLog replays a cut delta log through the transitions the source
+// ran after its snapshot: each 'A' record opens an epoch with beginEpoch
+// and commits its recorded placements with commitEpoch, and each 'R'
+// record departs its balls with release — the same code, and so the same
+// chain folds, as Allocate and Release. It is strict: record epochs and
+// ID watermarks must continue the allocator's state, placements must name
+// working-set balls in working-set order, and releases must name live
+// balls. On error the allocator is partially mutated and must be
+// discarded — callers stage the restore and only swap it in after the
+// chain digest verifies.
 func (a *Allocator) ApplyDeltaLog(log []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -185,9 +191,9 @@ func (a *Allocator) ApplyDeltaLog(log []byte) error {
 		var err error
 		switch tag {
 		case 'A':
-			rest, err = a.applyAllocateRecord(rest[1:])
+			rest, err = a.replayAllocate(rest[1:])
 		case 'R':
-			rest, err = a.applyReleaseRecord(rest[1:])
+			rest, err = a.replayRelease(rest[1:])
 		default:
 			return fmt.Errorf("online: delta log: unknown record tag 0x%02x", tag)
 		}
@@ -195,132 +201,85 @@ func (a *Allocator) ApplyDeltaLog(log []byte) error {
 			return err
 		}
 	}
-	if a.cfg.Ins != nil {
-		a.syncGauges()
-	}
 	return nil
 }
 
-func (a *Allocator) applyAllocateRecord(rest []byte) ([]byte, error) {
-	var epoch, idBase, admitted, rounds, nplaced uint64
+// replayAllocate replays one 'A' record: it checks that the record
+// continues the allocator's epoch and ID watermark, opens the epoch,
+// decodes the placements into a bin vector aligned with the working set,
+// and commits it.
+func (a *Allocator) replayAllocate(rest []byte) ([]byte, error) {
+	var hdr [10]uint64 // epoch idBase admitted rounds, six metrics
 	var err error
-	if epoch, rest, err = readLogUvarint(rest); err != nil {
-		return nil, err
-	}
-	if idBase, rest, err = readLogUvarint(rest); err != nil {
-		return nil, err
-	}
-	if admitted, rest, err = readLogUvarint(rest); err != nil {
-		return nil, err
-	}
-	if rounds, rest, err = readLogUvarint(rest); err != nil {
-		return nil, err
-	}
-	var met model.Metrics
-	for _, p := range [...]*int64{
-		&met.TotalMessages, &met.BallRequests, &met.BinReplies,
-		&met.MaxBallSent, &met.MaxBinReceived, &met.CommitMessages,
-	} {
-		var v uint64
-		if v, rest, err = readLogUvarint(rest); err != nil {
+	for i := range hdr {
+		if hdr[i], rest, err = readLogUvarint(rest); err != nil {
 			return nil, err
 		}
-		*p = int64(v)
 	}
-	if int(epoch) != a.epoch {
+	epoch, idBase, admitted := hdr[0], hdr[1], hdr[2]
+	if epoch != uint64(a.epoch) {
 		return nil, fmt.Errorf("online: delta log epoch %d does not continue state at epoch %d", epoch, a.epoch)
 	}
-	if int64(idBase) != a.nextID {
+	if idBase != uint64(a.nextID) {
 		return nil, fmt.Errorf("online: delta log ID base %d does not continue watermark %d", idBase, a.nextID)
 	}
-	if admitted > uint64(maxDeltaLogBytes) {
+	if admitted > maxDeltaLogBytes {
 		return nil, fmt.Errorf("online: delta log admits %d balls in one epoch", admitted)
 	}
-
-	// Rebuild the epoch working set exactly as Allocate did: surviving
-	// pending balls (ascending) plus the freshly admitted ID range.
-	ids := append(a.idsBuf[:0], a.pending...)
-	for i := uint64(0); i < admitted; i++ {
-		ids = append(ids, a.nextID)
-		a.table.admit(a.nextID)
-		a.nextID++
+	res := &model.Result{
+		Rounds: int(hdr[3]),
+		Metrics: model.Metrics{
+			TotalMessages: int64(hdr[4]), BallRequests: int64(hdr[5]), BinReplies: int64(hdr[6]),
+			MaxBallSent: int64(hdr[7]), MaxBinReceived: int64(hdr[8]), CommitMessages: int64(hdr[9]),
+		},
 	}
-	a.idsBuf = ids
-	a.arrived += int64(admitted)
+	ids, rep := a.beginEpoch(int(admitted))
 
-	rep := &Report{Epoch: a.epoch, IDBase: int64(idBase), Admitted: int(admitted)}
-	a.epoch++
-
+	var nplaced uint64
 	if nplaced, rest, err = readLogUvarint(rest); err != nil {
 		return nil, err
 	}
 	if nplaced > uint64(len(ids)) {
 		return nil, fmt.Errorf("online: delta log places %d balls in an epoch of %d", nplaced, len(ids))
 	}
-	rep.Placements = make([]Placement, 0, len(ids))
-	still := a.pendBuf[:0]
-	var nextPID int64
-	var nextBin uint64
-	prev := int64(0)
-	havePl := false
-	readPl := func() error {
-		var d, b uint64
-		if d, rest, err = readLogUvarint(rest); err != nil {
-			return err
-		}
-		if b, rest, err = readLogUvarint(rest); err != nil {
-			return err
-		}
-		nextPID = prev + int64(d)
-		prev = nextPID
-		nextBin = b
-		havePl = true
-		return nil
+	bins := make([]int32, len(ids))
+	for i := range bins {
+		bins[i] = -1
 	}
-	consumed := uint64(0)
-	if nplaced > 0 {
-		if err := readPl(); err != nil {
+	// The record lists its placements in working-set order, so one cursor
+	// aligns them.
+	at, id := 0, int64(0)
+	for i := uint64(0); i < nplaced; i++ {
+		var d, bin uint64
+		if d, rest, err = readLogUvarint(rest); err != nil {
 			return nil, err
 		}
-	}
-	for _, id := range ids {
-		if havePl && nextPID == id {
-			if nextBin >= uint64(a.cfg.N) {
-				return nil, fmt.Errorf("online: delta log places ball %d in nonexistent bin %d", id, nextBin)
-			}
-			bin := int32(nextBin)
-			a.table.place(id, bin)
-			a.loads[bin]++
-			a.hist.inc(a.loads[bin] - 1)
-			rep.Placements = append(rep.Placements, Placement{ID: id, Bin: bin})
-			consumed++
-			havePl = false
-			if consumed < nplaced {
-				if err := readPl(); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			still = append(still, id)
+		if bin, rest, err = readLogUvarint(rest); err != nil {
+			return nil, err
 		}
+		id += int64(d)
+		for at < len(ids) && ids[at] != id {
+			at++
+		}
+		if at == len(ids) {
+			return nil, fmt.Errorf("online: delta log placement %d is not in the epoch working set", id)
+		}
+		// Clamp rather than let the cast wrap an oversized bin negative
+		// (unplaced); commitEpoch rejects the clamped value.
+		bins[at] = int32(min(bin, uint64(a.cfg.N)))
+		at++
 	}
-	if consumed != nplaced {
-		return nil, fmt.Errorf("online: delta log placement %d is not in the epoch working set", nextPID)
-	}
-	a.pendBuf = still
-	a.pending = still
+	res.Placements = bins
 
-	var wantPending, ntrace uint64
-	if wantPending, rest, err = readLogUvarint(rest); err != nil {
+	var pending, ntrace uint64
+	if pending, rest, err = readLogUvarint(rest); err != nil {
 		return nil, err
 	}
-	if int(wantPending) != len(still) {
-		return nil, fmt.Errorf("online: delta log epoch leaves %d pending, record says %d", len(still), wantPending)
-	}
+	res.Unallocated = int64(pending)
 	if ntrace, rest, err = readLogUvarint(rest); err != nil {
 		return nil, err
 	}
-	if ntrace > uint64(len(rest))+1 {
+	if ntrace > uint64(len(rest)) {
 		return nil, fmt.Errorf("online: delta log declares %d trace entries but carries %d bytes", ntrace, len(rest))
 	}
 	for i := uint64(0); i < ntrace; i++ {
@@ -328,25 +287,15 @@ func (a *Allocator) applyAllocateRecord(rest []byte) ([]byte, error) {
 		if v, rest, err = readLogVarint(rest); err != nil {
 			return nil, err
 		}
-		a.trace = append(a.trace, v)
+		res.TraceRemaining = append(res.TraceRemaining, v)
 	}
-
-	a.rounds += int(rounds)
-	a.metrics.Add(met)
-	rep.Pending = len(still)
-	rep.Rounds = int(rounds)
-	rep.MaxLoad = a.hist.max
-	rep.Excess = rep.MaxLoad - a.ceilAvg()
-	a.chainAllocate(rep)
-	if ins := a.cfg.Ins; ins != nil {
-		ins.Epochs.Inc()
-		ins.Admitted.Add(admitted)
-		ins.Placed.Add(uint64(len(rep.Placements)))
-	}
-	return rest, nil
+	return rest, a.commitEpoch(ids, rep, res)
 }
 
-func (a *Allocator) applyReleaseRecord(rest []byte) ([]byte, error) {
+// replayRelease replays one 'R' record through release. A valid record
+// names only balls that were live when the source released them, so every
+// one must depart.
+func (a *Allocator) replayRelease(rest []byte) ([]byte, error) {
 	var n uint64
 	var err error
 	if n, rest, err = readLogUvarint(rest); err != nil {
@@ -355,43 +304,19 @@ func (a *Allocator) applyReleaseRecord(rest []byte) ([]byte, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("online: delta log carries an empty release record")
 	}
-	if n > uint64(len(rest))+1 {
+	if n > uint64(len(rest)) {
 		return nil, fmt.Errorf("online: delta log declares %d released balls but carries %d bytes", n, len(rest))
 	}
-	buf := a.chainStart('R')
-	pendingReleased := 0
-	for i := uint64(0); i < n; i++ {
+	ids := make([]int64, n)
+	for i := range ids {
 		var v uint64
 		if v, rest, err = readLogUvarint(rest); err != nil {
 			return nil, err
 		}
-		id := int64(v)
-		prev, wasLive := a.table.release(id)
-		if !wasLive {
-			return nil, fmt.Errorf("online: delta log releases ball %d, which is not live", id)
-		}
-		a.departed++
-		buf = appendI64(buf, id)
-		buf = appendI64(buf, int64(prev))
-		if prev >= 0 {
-			a.loads[prev]--
-			a.hist.dec(a.loads[prev] + 1)
-		} else {
-			pendingReleased++
-		}
+		ids[i] = int64(v)
 	}
-	if pendingReleased > 0 {
-		kept := a.pending[:0]
-		for _, pid := range a.pending {
-			if a.table.get(pid) == slotPending {
-				kept = append(kept, pid)
-			}
-		}
-		a.pending = kept
-	}
-	a.chainCommit(buf)
-	if ins := a.cfg.Ins; ins != nil {
-		ins.Released.Add(n)
+	if got := a.release(ids); uint64(got) != n {
+		return nil, fmt.Errorf("online: delta log releases %d balls that are not live", n-uint64(got))
 	}
 	return rest, nil
 }

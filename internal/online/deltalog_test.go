@@ -213,3 +213,50 @@ func TestDeltaLogApplyRejects(t *testing.T) {
 		t.Error("apply during recording accepted")
 	}
 }
+
+// FuzzApplyDeltaLog feeds arbitrary bytes to ApplyDeltaLog on an allocator
+// restored from a real snapshot. Every input must either apply or return
+// an error, never panic, and a log that applies must leave a state that
+// passes the slow-path audit. The seeds are a real cut log and the
+// corruptions TestDeltaLogApplyRejects checks.
+func FuzzApplyDeltaLog(f *testing.F) {
+	src, err := New(Config{N: 8, Alg: "aheavy", Seed: 4, Trace: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, err := src.Allocate(100)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap, err := src.SnapshotAndLog()
+	if err != nil {
+		f.Fatal(err)
+	}
+	src.Release(rep.IDs()[:30])
+	if _, err := src.Allocate(50); err != nil {
+		f.Fatal(err)
+	}
+	log, _, err := src.CutDeltaLog()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ghost deltaLog
+	ghost.logRelease([]int64{1 << 30})
+	f.Add(log)
+	f.Add(log[:len(log)-1])
+	f.Add(append([]byte{'X'}, log...))
+	f.Add(append(append([]byte(nil), log...), log...))
+	f.Add(ghost.buf)
+	f.Fuzz(func(t *testing.T, log []byte) {
+		dst, err := snap.Restore(Config{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst.ApplyDeltaLog(log) != nil {
+			return
+		}
+		if _, err := dst.VerifyFingerprint(); err != nil {
+			t.Fatalf("applied log left an inconsistent state: %v", err)
+		}
+	})
+}

@@ -175,6 +175,9 @@ func TestResolveAlgRoundTrip(t *testing.T) {
 		{"", "aheavy"},
 		{"aheavy", "aheavy"},
 		{"AHEAVY:0.5", "aheavy:0.5"},
+		{"aheavy:0", "aheavy"},
+		{"aheavy:0.0", "aheavy"},
+		{"aheavy:0!mass", "aheavy!mass"},
 		{"adaptive", "adaptive:2"},
 		{"adaptive:7", "adaptive:7"},
 		{"greedy", "greedy:2"},
@@ -223,23 +226,35 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // FuzzAllocatorChurn interprets fuzz bytes as an arrival/departure event
 // trace and checks the conservation invariants after every step: no ball
-// lost, none double-placed, no bin driven negative.
+// lost, none double-placed, no bin driven negative. It also checks replay
+// against the live path: arm picks the step before which SnapshotAndLog
+// arms (len(ops) arms after the last one), and after the trace the cut log
+// applied to the restored snapshot must land on the live allocator's
+// chain, fingerprint and stats.
 func FuzzAllocatorChurn(f *testing.F) {
-	f.Add(uint64(1), uint8(7), []byte{10, 3, 200, 5, 0, 255, 9})
-	f.Add(uint64(42), uint8(2), []byte{1, 1, 1, 1})
-	f.Add(uint64(9), uint8(31), []byte{250, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add(uint64(1), uint8(7), []byte{10, 3, 200, 5, 0, 255, 9}, uint8(0))
+	f.Add(uint64(42), uint8(2), []byte{1, 1, 1, 1}, uint8(3))
+	f.Add(uint64(9), uint8(31), []byte{250, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(8))
+	f.Add(uint64(5), uint8(12), []byte{120, 7, 0, 99, 251, 60}, uint8(6))
 	algs := []string{"greedy:2", "oneshot", "adaptive:1"}
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, ops []byte) {
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, ops []byte, armRaw uint8) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
 		n := int(nRaw%16) + 1
-		a, err := New(Config{N: n, Alg: algs[int(seed%uint64(len(algs)))], Seed: seed})
+		a, err := New(Config{N: n, Alg: algs[int(seed%uint64(len(algs)))], Seed: seed, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		arm := int(armRaw) % (len(ops) + 1)
+		var snap *Snapshot
 		var live []int64
-		for _, op := range ops {
+		for i, op := range ops {
+			if i == arm {
+				if snap, err = a.SnapshotAndLog(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if op%4 == 3 && len(live) > 0 { // depart a prefix
 				k := int(op>>2)%len(live) + 1
 				if k > len(live) {
@@ -268,6 +283,31 @@ func FuzzAllocatorChurn(f *testing.F) {
 			if sum != st.Placed {
 				t.Fatalf("loads sum %d != placed %d", sum, st.Placed)
 			}
+		}
+		if snap == nil {
+			if snap, err = a.SnapshotAndLog(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log, chainHex, err := a.CutDeltaLog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := snap.Restore(Config{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.ApplyDeltaLog(log); err != nil {
+			t.Fatalf("replaying the cut log: %v", err)
+		}
+		if got := b.ChainFingerprint(); got != chainHex || got != a.ChainFingerprint() {
+			t.Fatalf("replayed chain %s, cut at %s", got, chainHex)
+		}
+		if got, want := b.Fingerprint(), a.Fingerprint(); got != want {
+			t.Fatalf("replayed fingerprint %s != live %s", got, want)
+		}
+		if got, want := b.Stats(), a.Stats(); got != want {
+			t.Fatalf("replayed stats diverge:\n live   %+v\n replay %+v", want, got)
 		}
 	})
 }

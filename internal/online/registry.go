@@ -136,15 +136,19 @@ func resolveAlg(name string) (string, epochRunner, error) {
 		if len(args) > 1 {
 			return "", nil, badArity(1)
 		}
+		// beta 0 selects the paper's 2/3 and canonicalizes to plain aheavy,
+		// as in the sweep registry.
 		beta := 0.0
 		canon := "aheavy"
 		if len(args) == 1 {
 			v, err := strconv.ParseFloat(args[0], 64)
-			if err != nil || !(v > 0 && v < 1) { // positive form rejects NaN
-				return "", nil, fmt.Errorf("online: aheavy needs beta in (0,1), got %q", args[0])
+			if err != nil || !(v >= 0 && v < 1) { // positive form rejects NaN
+				return "", nil, fmt.Errorf("online: aheavy needs beta in [0, 1) (0 = paper's 2/3), got %q", args[0])
 			}
 			beta = v
-			canon = "aheavy:" + strconv.FormatFloat(v, 'g', -1, 64)
+			if v > 0 {
+				canon = "aheavy:" + strconv.FormatFloat(v, 'g', -1, 64)
+			}
 		}
 		if mass {
 			return canon + massSuffix, massEpoch(func(p model.Problem, base []int64, opt runOpts) (*model.Result, error) {

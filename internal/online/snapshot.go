@@ -135,9 +135,7 @@ func (s *Snapshot) Restore(cfg Config) (*Allocator, error) {
 		if !a.table.admit(p.ID) {
 			return nil, fmt.Errorf("online: snapshot places ball %d twice", p.ID)
 		}
-		a.table.place(p.ID, p.Bin)
-		a.loads[p.Bin]++
-		a.hist.inc(a.loads[p.Bin] - 1)
+		a.place(p.ID, p.Bin)
 	}
 	for _, id := range s.Pending {
 		if id < 0 || id >= s.NextID {

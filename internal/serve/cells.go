@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"repro/internal/online"
-)
+import "fmt"
 
 // Cell-level topology operations: the seam the cluster tier
 // (internal/cluster) drives. A cell is self-contained — its seed, bin
@@ -55,34 +51,34 @@ func (s *Service) Cells(fingerprints bool) []CellInfo {
 func (s *Service) AttachCell(g int) error {
 	s.topo.Lock()
 	defer s.topo.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("serve: service closed")
+	if err := s.hostable(g); err != nil {
+		return err
 	}
-	if !s.clustered {
-		return fmt.Errorf("serve: not a cluster replica; cells are fixed")
-	}
-	if g < 0 || g >= s.total {
-		return fmt.Errorf("serve: cell %d out of range [0, %d)", g, s.total)
-	}
-	if s.byGlobal[g] != nil {
-		return fmt.Errorf("serve: cell %d already hosted here", g)
-	}
-	binBase, cellN := cellBins(s.cfg.N, s.total, g)
-	alloc, err := online.New(online.Config{
-		N: cellN, Alg: s.cfg.Alg, Seed: cellSeed(s.cfg.Seed, g, s.total),
-		Workers: s.cfg.Workers, Ins: s.metrics.cellInstrumentation(g),
-	})
+	alloc, err := s.freshCell(g)
 	if err != nil {
 		return fmt.Errorf("serve: attaching cell %d: %w", g, err)
 	}
-	c := s.newCell(g, binBase, cellN, alloc)
-	s.byGlobal[g] = c
-	s.rebuildHosted()
-	s.startCell(c)
+	s.hostCell(g, alloc)
 	s.metrics.attaches.Inc()
+	return nil
+}
+
+// hostable reports why global cell g cannot join this replica's topology,
+// or nil if it can. Callers hold either side of the topology lock.
+func (s *Service) hostable(g int) error {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	switch {
+	case closed:
+		return fmt.Errorf("serve: service closed")
+	case !s.clustered:
+		return fmt.Errorf("serve: not a cluster replica; cells are fixed")
+	case g < 0 || g >= s.total:
+		return fmt.Errorf("serve: cell %d out of range [0, %d)", g, s.total)
+	case s.byGlobal[g] != nil:
+		return fmt.Errorf("serve: cell %d already hosted here", g)
+	}
 	return nil
 }
 

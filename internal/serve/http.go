@@ -340,164 +340,133 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		}{s.N(), s.Shards(), s.Alg(), s.Seed(), s.Cells(r.URL.Query().Get("fingerprint") == "1")}
 		writeJSON(w, nil, doc)
 	})
-	mux.HandleFunc("/cells/attach", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
+	mux.HandleFunc("/cells/attach", cellVerb(MaxBody, func(r *http.Request, body []byte) (any, error) {
 		s.SetEvacuation(r.Header.Get(HeaderRouter), r.Header.Get(HeaderSelf))
-		var req struct {
-			Cell int `json:"cell"`
+		req, err := decodeCell(body)
+		if err == nil {
+			err = s.AttachCell(req.Cell)
 		}
-		if err := readBody(w, r, &req); err != nil {
-			bodyError(w, err)
-			return
+		return map[string]any{"cell": req.Cell, "attached": true}, err
+	}))
+	mux.HandleFunc("/cells/detach", cellVerb(MaxBody, func(_ *http.Request, body []byte) (any, error) {
+		req, err := decodeCell(body)
+		var chain string
+		if err == nil {
+			chain, err = s.DetachCellLite(req.Cell)
 		}
-		if err := s.AttachCell(req.Cell); err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, nil, map[string]any{"cell": req.Cell, "attached": true})
-	})
-	mux.HandleFunc("/cells/detach", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req struct {
-			Cell int `json:"cell"`
-		}
-		if err := readBody(w, r, &req); err != nil {
-			bodyError(w, err)
-			return
-		}
-		chain, err := s.DetachCellLite(req.Cell)
+		return map[string]any{"cell": req.Cell, "chain": chain}, err
+	}))
+	mux.HandleFunc("/cells/migrate/begin", cellVerb(MaxBody, func(_ *http.Request, body []byte) (any, error) {
+		req, err := decodeCell(body)
 		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, nil, map[string]any{"cell": req.Cell, "chain": chain})
-	})
-	mux.HandleFunc("/cells/migrate/begin", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req struct {
-			Cell int `json:"cell"`
-		}
-		if err := readBody(w, r, &req); err != nil {
-			bodyError(w, err)
-			return
+			return nil, err
 		}
 		snap, err := s.BeginCellMigration(req.Cell)
 		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
+			return nil, err
 		}
 		frame := wire.AppendCellSnapshotBinary(nil, req.Cell, snap)
 		s.metrics.snapshotBytes.Add(uint64(len(frame)))
-		w.Header()["Content-Type"] = wireCTValue
-		_, _ = w.Write(frame)
-	})
-	mux.HandleFunc("/cells/migrate/cut", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req struct {
-			Cell int `json:"cell"`
-		}
-		if err := readBody(w, r, &req); err != nil {
-			bodyError(w, err)
-			return
+		return frame, nil
+	}))
+	mux.HandleFunc("/cells/migrate/cut", cellVerb(MaxBody, func(_ *http.Request, body []byte) (any, error) {
+		req, err := decodeCell(body)
+		if err != nil {
+			return nil, err
 		}
 		deltaLog, chainHex, err := s.CutCellMigration(req.Cell)
 		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
+			return nil, err
 		}
 		chain, err := hex.DecodeString(chainHex)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "chain fingerprint %q is not hex: %v", chainHex, err)
-			return
+			return nil, fmt.Errorf("serve: cell %d chain fingerprint %q is not hex: %w", req.Cell, chainHex, err)
 		}
 		frame := wire.AppendCellDelta(nil, req.Cell, chain, deltaLog)
 		s.metrics.snapshotBytes.Add(uint64(len(frame)))
-		w.Header()["Content-Type"] = wireCTValue
-		_, _ = w.Write(frame)
-	})
-	mux.HandleFunc("/cells/migrate/abort", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req struct {
-			Cell   int  `json:"cell"`
-			Staged bool `json:"staged"`
-		}
-		if err := readBody(w, r, &req); err != nil {
-			bodyError(w, err)
-			return
-		}
-		var err error
-		if req.Staged {
+		return frame, nil
+	}))
+	mux.HandleFunc("/cells/migrate/abort", cellVerb(MaxBody, func(_ *http.Request, body []byte) (any, error) {
+		req, err := decodeCell(body)
+		switch {
+		case err != nil:
+		case req.Staged:
 			err = s.DiscardStagedCell(req.Cell)
-		} else {
+		default:
 			err = s.AbortCellMigration(req.Cell)
 		}
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, nil, map[string]any{"cell": req.Cell, "aborted": true})
-	})
-	mux.HandleFunc("/cells/stage", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
+		return map[string]any{"cell": req.Cell, "aborted": true}, err
+	}))
+	mux.HandleFunc("/cells/stage", cellVerb(MaxSnapshotBody, func(r *http.Request, body []byte) (any, error) {
 		s.SetEvacuation(r.Header.Get(HeaderRouter), r.Header.Get(HeaderSelf))
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
-		if err != nil {
-			bodyError(w, err)
-			return
-		}
 		cell, cs, err := wire.ParseCellSnapshotBinary(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad frame: %v", err)
-			return
+			return nil, badRequest{fmt.Errorf("bad frame: %w", err)}
 		}
 		s.metrics.snapshotBytes.Add(uint64(len(body)))
-		if err := s.StageCell(cell, cs); err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
+		return map[string]any{"cell": cell, "staged": true}, s.StageCell(cell, cs)
+	}))
+	mux.HandleFunc("/cells/commit", cellVerb(MaxSnapshotBody, func(_ *http.Request, body []byte) (any, error) {
+		cell, chain, deltaLog, err := wire.ParseCellDelta(body)
+		if err != nil {
+			return nil, badRequest{fmt.Errorf("bad frame: %w", err)}
 		}
-		writeJSON(w, nil, map[string]any{"cell": cell, "staged": true})
-	})
-	mux.HandleFunc("/cells/commit", func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.snapshotBytes.Add(uint64(len(body)))
+		return map[string]any{"cell": cell, "committed": true}, s.CommitStagedCell(cell, deltaLog, hex.EncodeToString(chain))
+	}))
+	return mux
+}
+
+// cellReq is the JSON body of the cell-addressed /cells verbs.
+type cellReq struct {
+	Cell   int  `json:"cell"`
+	Staged bool `json:"staged"`
+}
+
+// badRequest marks a /cells verb's error as a malformed body or frame
+// (400) rather than a topology conflict (409).
+type badRequest struct{ error }
+
+// decodeCell parses a /cells verb's JSON body.
+func decodeCell(body []byte) (req cellReq, err error) {
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, badRequest{fmt.Errorf("bad JSON: %w", err)}
+	}
+	return req, nil
+}
+
+// cellVerb adapts one POST /cells verb to HTTP. It reads the body whole,
+// up to max bytes (413 past the cap), and hands it to run. A wrong method
+// is 405, a badRequest error 400, and any other error 409, a topology
+// conflict. A []byte reply goes out as a wire frame, anything else as
+// JSON.
+func cellVerb(max int64, run func(r *http.Request, body []byte) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
 		if err != nil {
 			bodyError(w, err)
 			return
 		}
-		cell, chain, deltaLog, err := wire.ParseCellDelta(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad frame: %v", err)
-			return
-		}
-		s.metrics.snapshotBytes.Add(uint64(len(body)))
-		if err := s.CommitStagedCell(cell, deltaLog, hex.EncodeToString(chain)); err != nil {
+		reply, err := run(r, body)
+		var bad badRequest
+		switch {
+		case errors.As(err, &bad):
+			httpError(w, http.StatusBadRequest, "%v", err)
+		case err != nil:
 			httpError(w, http.StatusConflict, "%v", err)
-			return
+		default:
+			if frame, ok := reply.([]byte); ok {
+				w.Header()["Content-Type"] = wireCTValue
+				_, _ = w.Write(frame)
+				return
+			}
+			writeJSON(w, nil, reply)
 		}
-		writeJSON(w, nil, map[string]any{"cell": cell, "committed": true})
-	})
-	return mux
+	}
 }
 
 // backendMux builds the shared data-plane mux over a Backend.

@@ -82,36 +82,11 @@ func (s *Service) AbortCellMigration(g int) error {
 // so the replica serves its hosted cells at full speed while the migrated
 // state rebuilds.
 func (s *Service) StageCell(g int, snap *online.Snapshot) error {
-	if snap == nil {
-		return fmt.Errorf("serve: staging cell %d: no snapshot", g)
-	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("serve: service closed")
-	}
-	if !s.clustered {
-		return fmt.Errorf("serve: not a cluster replica; cells are fixed")
-	}
-	if g < 0 || g >= s.total {
-		return fmt.Errorf("serve: cell %d out of range [0, %d)", g, s.total)
-	}
 	s.topo.RLock()
-	hosted := s.byGlobal[g] != nil
+	err := s.hostable(g)
 	s.topo.RUnlock()
-	if hosted {
-		return fmt.Errorf("serve: cell %d already hosted here", g)
-	}
-	_, cellN := cellBins(s.cfg.N, s.total, g)
-	if snap.N != cellN {
-		return fmt.Errorf("serve: cell %d snapshot has %d bins, topology expects %d", g, snap.N, cellN)
-	}
-	if snap.Alg != s.cfg.Alg {
-		return fmt.Errorf("serve: cell %d snapshot ran %s, service runs %s", g, snap.Alg, s.cfg.Alg)
-	}
-	if wantSeed := cellSeed(s.cfg.Seed, g, s.total); snap.Seed != wantSeed {
-		return fmt.Errorf("serve: cell %d snapshot seed %d does not derive from service seed %d", g, snap.Seed, s.cfg.Seed)
+	if err != nil {
+		return err
 	}
 	s.stagedMu.Lock()
 	busy := s.staged[g] != nil
@@ -119,9 +94,9 @@ func (s *Service) StageCell(g int, snap *online.Snapshot) error {
 	if busy {
 		return fmt.Errorf("serve: cell %d already staged", g)
 	}
-	alloc, err := snap.Restore(online.Config{Workers: s.cfg.Workers, Ins: s.metrics.cellInstrumentation(g)})
+	alloc, err := s.restoreCell(g, snap)
 	if err != nil {
-		return fmt.Errorf("serve: staging cell %d: %w", g, err)
+		return err
 	}
 	s.stagedMu.Lock()
 	defer s.stagedMu.Unlock()
@@ -147,33 +122,22 @@ func (s *Service) CommitStagedCell(g int, log []byte, wantChainHex string) error
 	if alloc == nil {
 		return fmt.Errorf("serve: cell %d is not staged", g)
 	}
-	if err := alloc.ApplyDeltaLog(log); err != nil {
-		s.zeroCellGauges(g)
-		return fmt.Errorf("serve: cell %d delta replay: %w", g, err)
-	}
-	if got := alloc.ChainFingerprint(); wantChainHex != "" && got != wantChainHex {
-		s.zeroCellGauges(g)
-		return fmt.Errorf("serve: cell %d chain fingerprint diverged after delta replay: replayed %s, source cut at %s", g, got, wantChainHex)
-	}
-	s.topo.Lock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	err := alloc.ApplyDeltaLog(log)
+	if err != nil {
+		err = fmt.Errorf("serve: cell %d delta replay: %w", g, err)
+	} else if got := alloc.ChainFingerprint(); wantChainHex != "" && got != wantChainHex {
+		err = fmt.Errorf("serve: cell %d chain fingerprint diverged after delta replay: replayed %s, source cut at %s", g, got, wantChainHex)
+	} else {
+		s.topo.Lock()
+		if err = s.hostable(g); err == nil {
+			s.hostCell(g, alloc)
+		}
 		s.topo.Unlock()
-		return fmt.Errorf("serve: service closed")
 	}
-	if s.byGlobal[g] != nil {
-		s.topo.Unlock()
+	if err != nil {
 		s.zeroCellGauges(g)
-		return fmt.Errorf("serve: cell %d already hosted here", g)
+		return err
 	}
-	binBase, cellN := cellBins(s.cfg.N, s.total, g)
-	c := s.newCell(g, binBase, cellN, alloc)
-	s.byGlobal[g] = c
-	s.rebuildHosted()
-	s.startCell(c)
-	s.topo.Unlock()
 	s.metrics.attaches.Inc()
 	s.metrics.migrations.Inc()
 	return nil

@@ -186,13 +186,6 @@ func cellBins(n, cells, g int) (binBase, cellN int) {
 	return binBase, cellN
 }
 
-// CellRange reports global cell g's bin range in an n-bin, cells-cell
-// topology: the global index of its first bin and its bin count. It is
-// the one spelling of the bin partition, shared with the cluster router.
-func CellRange(n, cells, g int) (binBase, count int) {
-	return cellBins(n, cells, g)
-}
-
 // CellWeights returns the router split weights — the cell sizes — for an
 // n-bin, cells-cell topology.
 func CellWeights(n, cells int) []float64 {
@@ -238,18 +231,13 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	cfg.Alg = canon
-	return build(cfg, func(i, cellN int, ins *online.Instrumentation) (*online.Allocator, error) {
-		return online.New(online.Config{
-			N: cellN, Alg: canon, Seed: cellSeed(cfg.Seed, i, cfg.Shards), Workers: cfg.Workers,
-			Ins: ins,
-		})
-	})
+	return build(cfg, (*Service).freshCell)
 }
 
-// build assembles the cell topology, obtaining each hosted cell's
-// allocator from mk (a fresh allocator for New, a restored one for
+// build assembles the cell topology and hosts each listed cell with the
+// allocator mk returns for it (freshCell for New, restoreCell for
 // Restore).
-func build(cfg Config, mk func(i, cellN int, ins *online.Instrumentation) (*online.Allocator, error)) (*Service, error) {
+func build(cfg Config, mk func(s *Service, g int) (*online.Allocator, error)) (*Service, error) {
 	host := cfg.Host
 	if host == nil {
 		host = make([]int, cfg.Shards)
@@ -288,8 +276,7 @@ func build(cfg Config, mk func(i, cellN int, ins *online.Instrumentation) (*onli
 	errs := make([]error, len(host))
 	if len(host) <= 1 {
 		for hi, g := range host {
-			_, cellN := cellBins(cfg.N, s.total, g)
-			allocs[hi], errs[hi] = mk(g, cellN, s.metrics.cellInstrumentation(g))
+			allocs[hi], errs[hi] = mk(s, g)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -297,8 +284,7 @@ func build(cfg Config, mk func(i, cellN int, ins *online.Instrumentation) (*onli
 			wg.Add(1)
 			go func(hi, g int) {
 				defer wg.Done()
-				_, cellN := cellBins(cfg.N, s.total, g)
-				allocs[hi], errs[hi] = mk(g, cellN, s.metrics.cellInstrumentation(g))
+				allocs[hi], errs[hi] = mk(s, g)
 			}(hi, g)
 		}
 		wg.Wait()
@@ -309,28 +295,56 @@ func build(cfg Config, mk func(i, cellN int, ins *online.Instrumentation) (*onli
 		}
 	}
 	for hi, g := range host {
-		binBase, cellN := cellBins(cfg.N, s.total, g)
-		s.byGlobal[g] = s.newCell(g, binBase, cellN, allocs[hi])
-	}
-	s.rebuildHosted()
-	for _, c := range s.cells {
-		s.startCell(c)
+		s.hostCell(g, allocs[hi])
 	}
 	return s, nil
 }
 
-// newCell builds one hosted cell's bookkeeping; startCell launches its
-// batcher. Split so AttachCell can insert the cell into the topology
-// before its loop runs.
-func (s *Service) newCell(g, binBase, cellN int, alloc cellAllocator) *cell {
-	return &cell{
+// freshCell builds global cell g's empty allocator: the cell's bin count,
+// its seed derived from the service seed, and its instruments.
+func (s *Service) freshCell(g int) (*online.Allocator, error) {
+	_, cellN := cellBins(s.cfg.N, s.total, g)
+	return online.New(online.Config{
+		N: cellN, Alg: s.cfg.Alg, Seed: cellSeed(s.cfg.Seed, g, s.total),
+		Workers: s.cfg.Workers, Ins: s.metrics.cellInstrumentation(g),
+	})
+}
+
+// restoreCell rebuilds global cell g's allocator from its snapshot, after
+// checking that the snapshot belongs to g in this topology: its bin
+// count, algorithm and seed must be the ones freshCell would give g.
+func (s *Service) restoreCell(g int, cs *online.Snapshot) (*online.Allocator, error) {
+	if cs == nil {
+		return nil, fmt.Errorf("serve: cell %d: no snapshot", g)
+	}
+	if _, cellN := cellBins(s.cfg.N, s.total, g); cs.N != cellN {
+		return nil, fmt.Errorf("serve: cell %d snapshot has %d bins, topology expects %d", g, cs.N, cellN)
+	}
+	if cs.Alg != s.cfg.Alg {
+		return nil, fmt.Errorf("serve: cell %d snapshot ran %s, service runs %s", g, cs.Alg, s.cfg.Alg)
+	}
+	if want := cellSeed(s.cfg.Seed, g, s.total); cs.Seed != want {
+		return nil, fmt.Errorf("serve: cell %d snapshot seed %d does not derive from service seed %d", g, cs.Seed, s.cfg.Seed)
+	}
+	a, err := cs.Restore(online.Config{Workers: s.cfg.Workers, Ins: s.metrics.cellInstrumentation(g)})
+	if err != nil {
+		return nil, fmt.Errorf("serve: cell %d: %w", g, err)
+	}
+	return a, nil
+}
+
+// hostCell makes alloc the allocator of hosted global cell g: it builds
+// the cell, enters it into the topology and starts its batcher. Callers
+// hold the topology write side (or are still building).
+func (s *Service) hostCell(g int, alloc cellAllocator) {
+	binBase, cellN := cellBins(s.cfg.N, s.total, g)
+	c := &cell{
 		index: g, binBase: binBase, n: cellN, alloc: alloc,
 		queue: make(chan *subReq, queueDepth),
 		done:  make(chan struct{}),
 	}
-}
-
-func (s *Service) startCell(c *cell) {
+	s.byGlobal[g] = c
+	s.rebuildHosted()
 	s.loops.Add(1)
 	go s.cellLoop(c)
 }

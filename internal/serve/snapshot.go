@@ -128,22 +128,8 @@ func Restore(snap *Snapshot, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("serve: snapshot declares %d shards but carries %d cells", snap.Shards, len(snap.Cells))
 	}
 	restored := Config{N: snap.N, Shards: snap.Shards, Alg: canon, Seed: snap.Seed, Workers: cfg.Workers}
-	svc, err := build(restored, func(i, cellN int, ins *online.Instrumentation) (*online.Allocator, error) {
-		cs := snap.Cells[i]
-		if cs.N != cellN {
-			return nil, fmt.Errorf("serve: cell %d snapshot has %d bins, topology expects %d", i, cs.N, cellN)
-		}
-		if cs.Alg != canon {
-			return nil, fmt.Errorf("serve: cell %d snapshot ran %s, service declares %s", i, cs.Alg, canon)
-		}
-		if want := cellSeed(snap.Seed, i, snap.Shards); cs.Seed != want {
-			return nil, fmt.Errorf("serve: cell %d snapshot seed %d does not derive from service seed %d", i, cs.Seed, snap.Seed)
-		}
-		a, err := cs.Restore(online.Config{Workers: cfg.Workers, Ins: ins})
-		if err != nil {
-			return nil, fmt.Errorf("serve: cell %d: %w", i, err)
-		}
-		return a, nil
+	svc, err := build(restored, func(s *Service, g int) (*online.Allocator, error) {
+		return s.restoreCell(g, snap.Cells[g])
 	})
 	if err != nil {
 		return nil, err
@@ -295,16 +281,11 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// SaveSnapshot atomically writes the service snapshot to path as JSON
-// (write-to-temp then rename, so a crash mid-write never truncates a
-// good snapshot). SaveSnapshotProto selects the format.
-func (s *Service) SaveSnapshot(path string) error {
-	return s.SaveSnapshotProto(path, "json")
-}
-
 // SaveSnapshotProto atomically writes the service snapshot in the given
 // format: "json" (readable, diffable) or "binary" (the "PBAB" columnar
 // format, ~4x smaller and encoded in parallel). LoadSnapshot reads either.
+// It writes to a temporary file and renames it, so a crash mid-write never
+// truncates a good snapshot.
 func (s *Service) SaveSnapshotProto(path, proto string) error {
 	var data []byte
 	var err error

@@ -46,6 +46,7 @@ func TestResolveCanonicalNames(t *testing.T) {
 		{"online:adaptive:4:0.5", "online:adaptive:4:0.5:8"},
 		{"online:oneshot:0.25:12", "online:oneshot:0.25:12"},
 		{"online:aheavy:0.5:0.1", "online:aheavy:0.5:0.1:8"}, // beta 0.5, churn 0.1
+		{"online:aheavy:0:0.2", "online:aheavy:0.2:8"},       // beta 0 is the paper's 2/3
 	}
 	for _, tc := range cases {
 		a, err := Resolve(tc.in)
