@@ -129,6 +129,11 @@ func run(rc routerConfig) error {
 		return err
 	}
 	defer r.Close()
+	// Signals are caught before the banner announces the address, so a
+	// caller that signals as soon as it has seen the banner always gets
+	// the graceful drain below, never the default kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("pba-router: listening on %s (n=%d cells=%d alg=%s seed=%d upstreams=%d)\n",
 		ln.Addr(), r.N(), r.Cells(), r.Alg(), r.Seed(), len(strings.Split(rc.upstreams, ",")))
 
@@ -159,8 +164,6 @@ func run(rc routerConfig) error {
 		}()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		close(stopReb)

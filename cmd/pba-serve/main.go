@@ -116,6 +116,11 @@ func run(addr string, n, shards int, alg string, seed uint64, workers int, snapP
 	if err != nil {
 		return err
 	}
+	// Signals are caught before the banner announces the address, so a
+	// caller that signals as soon as it has seen the banner always gets
+	// the graceful drain below, never the default kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address goes to stdout first so scripts (and the smoke
 	// test) can scrape the port when -addr uses :0.
 	fmt.Printf("pba-serve: listening on %s (n=%d shards=%d alg=%s seed=%d%s)\n",
@@ -139,8 +144,6 @@ func run(addr string, n, shards int, alg string, seed uint64, workers int, snapP
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

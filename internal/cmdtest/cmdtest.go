@@ -74,15 +74,24 @@ type Proc struct {
 // line matches banner, returning the process handle and the banner's
 // first submatch (the whole match when banner has no groups). Servers use
 // this to hand tests their resolved listen address.
+//
+// The test owns the read end of the stdout pipe, so it reads every line
+// up to EOF whenever the child exits. cmd.StdoutPipe would hand the pipe
+// to cmd.Wait, which closes it as soon as the child exits and loses any
+// line the test has not read yet (a final "check: OK", say).
 func StartProc(t *testing.T, bin string, banner *regexp.Regexp, args ...string) (*Proc, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cmd.Stdout = w
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	err = cmd.Start()
+	w.Close() // the child holds its own copy; EOF follows its exit
+	if err != nil {
+		stdout.Close()
 		t.Fatal(err)
 	}
 	p := &Proc{t: t, cmd: cmd, out: bufio.NewReader(stdout), wait: make(chan error, 1)}
@@ -90,6 +99,7 @@ func StartProc(t *testing.T, bin string, banner *regexp.Regexp, args ...string) 
 	t.Cleanup(func() {
 		_ = cmd.Process.Kill()
 		<-p.wait
+		stdout.Close()
 	})
 	line := p.ExpectLine(banner)
 	m := banner.FindStringSubmatch(line)

@@ -16,8 +16,9 @@
 // the next epoch automatically.
 //
 // The steady-state churn epoch is allocation-free and O(batch + Δbins):
-// ball IDs are consecutive grants, so placements live in a paged dense
-// id→bin table (table.go) instead of a hash map; the load extremes are
+// ball IDs are consecutive grants, so placements live in a paged id→bin
+// table (table.go) instead of a hash map, each page dense or, once its
+// range is fully issued and mostly departed, sparse; the load extremes are
 // maintained incrementally by a bin-count-per-load histogram instead of
 // O(n) rescans; the epoch runners draw every buffer from per-allocator
 // scratch (the sim/core/threshold arena plumbing); and the state
@@ -93,9 +94,8 @@ type Allocator struct {
 	run     epochRunner
 	loads   []int64  // live load per bin
 	hist    loadHist // bins-per-load histogram: O(1) extremes
-	table   idTable  // dense id -> bin (placed) / pending marker
+	table   idTable  // id -> bin (placed) / pending marker; owns nextID
 	pending []int64  // live but unplaced ball IDs, admission order
-	nextID  int64
 	epoch   int
 
 	arrived, departed int64
@@ -174,13 +174,8 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 // order followed by the fresh IDs. Allocate and the delta log's 'A'
 // replay both start an epoch here.
 func (a *Allocator) beginEpoch(k int) (ids []int64, rep *Report) {
-	rep = &Report{Epoch: a.epoch, IDBase: a.nextID, Admitted: k}
-	ids = append(a.idsBuf[:0], a.pending...)
-	for i := 0; i < k; i++ {
-		ids = append(ids, a.nextID)
-		a.table.admit(a.nextID)
-		a.nextID++
-	}
+	rep = &Report{Epoch: a.epoch, IDBase: a.table.nextID, Admitted: k}
+	ids = a.table.issue(append(a.idsBuf[:0], a.pending...), k)
 	a.idsBuf = ids
 	a.arrived += int64(k)
 	a.epoch++
@@ -277,7 +272,12 @@ func (a *Allocator) Release(ids []int64) int {
 // chain and an active delta log, and returns how many departed. Release
 // and the delta log's 'R' replay both run it.
 func (a *Allocator) release(ids []int64) int {
-	released, pendingReleased := 0, 0
+	// Gather pass: read every entry before the loop below changes any, so
+	// the cache misses overlap instead of each waiting behind the previous
+	// release. It also tells whether a pending ball departs: an ID's first
+	// occurrence below sees the entry read here.
+	pendingHit := a.table.gather(ids)
+	released := 0
 	buf := a.chainStart('R')
 	if a.dlog != nil {
 		a.dlog.relIDs = a.dlog.relIDs[:0]
@@ -297,11 +297,9 @@ func (a *Allocator) release(ids []int64) int {
 		if prev >= 0 {
 			a.loads[prev]--
 			a.hist.dec(a.loads[prev] + 1)
-		} else {
-			pendingReleased++
 		}
 	}
-	if pendingReleased > 0 {
+	if pendingHit {
 		// One compaction pass keeps bulk releases linear even when the
 		// protocol has parked many balls in pending: survivors are the ids
 		// still marked pending in the table.
@@ -397,8 +395,10 @@ func (a *Allocator) Result() *model.Result {
 }
 
 // Footprint returns the approximate resident bytes of the live state: the
-// paged ID table, the load vector and histogram, and the pending list.
-// Used by the churn benchmarks' bytes-per-live-ball accounting.
+// paged ID table (its running byte count: resident pages in either form,
+// the spare caches and the directory, as the pba_cell_table_bytes gauge
+// reports), the load vector and histogram, and the pending list. Used by
+// the churn benchmarks' bytes-per-live-ball accounting.
 func (a *Allocator) Footprint() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -467,11 +467,18 @@ func (a *Allocator) ChainFingerprint() string {
 // bin) pair, sort by ID, hash — and cross-checks the incremental
 // structures against it: the paged table's ID-ordered iteration must
 // produce the identical hash, the load vector must equal the placement
-// histogram, and the histogram extremes must match a full scan. It returns
-// the verified fingerprint, or an error naming the first inconsistency.
+// histogram, and the histogram extremes must match a full scan. The table
+// itself must pass its audit: page counts recounted from the entries,
+// sparse indexes consistent, every page in the form its state calls for,
+// and the running byte count equal to a recount. It returns the verified
+// fingerprint, or an error naming the first inconsistency.
 func (a *Allocator) VerifyFingerprint() (string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+
+	if err := a.table.audit(); err != nil {
+		return "", err
+	}
 
 	// Reference hash: sorted-pair slow path, exactly the pre-paged-table
 	// spelling (sort.Slice over the collected pairs).

@@ -220,8 +220,8 @@ func (a *Allocator) replayAllocate(rest []byte) ([]byte, error) {
 	if epoch != uint64(a.epoch) {
 		return nil, fmt.Errorf("online: delta log epoch %d does not continue state at epoch %d", epoch, a.epoch)
 	}
-	if idBase != uint64(a.nextID) {
-		return nil, fmt.Errorf("online: delta log ID base %d does not continue watermark %d", idBase, a.nextID)
+	if idBase != uint64(a.table.nextID) {
+		return nil, fmt.Errorf("online: delta log ID base %d does not continue watermark %d", idBase, a.table.nextID)
 	}
 	if admitted > maxDeltaLogBytes {
 		return nil, fmt.Errorf("online: delta log admits %d balls in one epoch", admitted)

@@ -268,13 +268,57 @@ func BenchmarkChurnSmallEpoch(b *testing.B) {
 	benchChurn(b, "aheavy", 1024, 64)
 }
 
+// TestStandingRandomFootprint gates the ID table's sparse form in
+// BenchmarkChurnStandingLive's release=random shape: a standing population
+// of 64k balls, each epoch departing a seeded uniform pick of 512 and
+// admitting 512 fresh ones, warmed well past page turnover. A dense-only
+// table keeps every page with any live ball at 64 KiB and reads about 54
+// bytes of allocator state per live ball here; sparse drained pages bring
+// it to about 23.
+func TestStandingRandomFootprint(t *testing.T) {
+	const standing, batch, maxBytesPerBall = 1 << 16, 512, 30
+	a, err := New(Config{N: 256, Alg: "oneshot", Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Allocate(standing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := rep.AppendIDs(nil)
+	buf := make([]int64, 0, batch)
+	r := rng.New(1)
+	// A page's last ball departs after about 128·ln 2^14 ≈ 1250 epochs.
+	for e := 0; e < 3000; e++ {
+		buf = buf[:0]
+		for i := 0; i < batch; i++ {
+			x := r.Intn(len(live))
+			buf = append(buf, live[x])
+			live[x] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		a.Release(buf)
+		if rep, err = a.Allocate(batch); err != nil {
+			t.Fatal(err)
+		}
+		live = rep.AppendIDs(live)
+	}
+	perBall := float64(a.Footprint()) / standing
+	t.Logf("%.1f state-B/ball", perBall)
+	if perBall > maxBytesPerBall {
+		t.Fatalf("%.1f bytes of allocator state per live ball, want at most %d: drained ID pages are not going sparse",
+			perBall, maxBytesPerBall)
+	}
+}
+
 // BenchmarkChurnStandingLive holds a standing population of 64k live
 // balls in 1024 bins and churns 512 per epoch. Reports bytes of live
 // allocator state per live ball alongside throughput; methodology in
 // EXPERIMENTS.md. release=fifo departs the oldest balls, the one pattern
 // that retires whole ID pages. release=random departs a seeded uniform
-// pick of the live balls, the way serve-heavy's clients do, which keeps a
-// page resident while any ball in it is live.
+// pick of the live balls, the way serve-heavy's clients do: a page then
+// drains slowly, staying dense until an eighth of it is live and sparse
+// after that, until its last ball departs.
 func BenchmarkChurnStandingLive(b *testing.B) {
 	const n, standing, batch = 1024, 65536, 512
 	for _, order := range []string{"fifo", "random"} {

@@ -24,6 +24,10 @@ type Instrumentation struct {
 	Pending  *obs.Gauge     // live but unplaced balls
 	MaxLoad  *obs.Gauge     // current maximum bin load
 	MinLoad  *obs.Gauge     // current minimum bin load
+	// TableBytes is the ID table's running byte count (Footprint's table
+	// share): resident pages in either form, the spare caches and the
+	// directory.
+	TableBytes *obs.Gauge
 }
 
 // NewInstrumentation registers a full allocator instrument set on r. The
@@ -40,6 +44,8 @@ func NewInstrumentation(r *obs.Registry, labels ...obs.Label) *Instrumentation {
 		Pending:  r.Gauge("pba_cell_pending", "Live but unplaced balls in the cell.", labels...),
 		MaxLoad:  r.Gauge("pba_cell_max_load", "Current maximum bin load in the cell.", labels...),
 		MinLoad:  r.Gauge("pba_cell_min_load", "Current minimum bin load in the cell.", labels...),
+		TableBytes: r.Gauge("pba_cell_table_bytes",
+			"Bytes held by the cell's ID table: resident pages in either form, spare pages and the directory.", labels...),
 	}
 }
 
@@ -51,4 +57,5 @@ func (a *Allocator) syncGauges() {
 	ins.Pending.Set(int64(len(a.pending)))
 	ins.MaxLoad.Set(a.hist.max)
 	ins.MinLoad.Set(a.hist.min)
+	ins.TableBytes.Set(a.table.footprint())
 }

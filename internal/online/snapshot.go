@@ -71,7 +71,7 @@ func (a *Allocator) snapshotLocked() *Snapshot {
 		Alg:         a.alg,
 		Seed:        a.cfg.Seed,
 		Epoch:       a.epoch,
-		NextID:      a.nextID,
+		NextID:      a.table.nextID,
 		Arrived:     a.arrived,
 		Departed:    a.departed,
 		Rounds:      a.rounds,
@@ -92,7 +92,9 @@ func (a *Allocator) snapshotLocked() *Snapshot {
 // (Workers, TieBreak, Trace), and its N/Alg/Seed fields, when non-zero,
 // must agree with the snapshot — a service restarted with conflicting
 // flags fails loudly instead of continuing a different stream. The decoded
-// state's recomputed fingerprint must match Snapshot.Fingerprint.
+// state's recomputed fingerprint must match Snapshot.Fingerprint. The ID
+// table's pages take the forms the live path gives the same state, so a
+// migrated cell keeps its sparse pages.
 func (s *Snapshot) Restore(cfg Config) (*Allocator, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("online: snapshot version %d, this build reads %d", s.Version, SnapshotVersion)
@@ -120,31 +122,44 @@ func (s *Snapshot) Restore(cfg Config) (*Allocator, error) {
 		return nil, err
 	}
 	a.epoch = s.Epoch
-	a.nextID = s.NextID
+	a.table.nextID = s.NextID
 	a.arrived = s.Arrived
 	a.departed = s.Departed
 	a.rounds = s.Rounds
 	a.metrics = s.Metrics
-	for _, p := range s.Placed {
+	// Pending balls go in first, so every page is complete once the
+	// ascending placements move past it and settles then: a restore never
+	// holds a cell's drained ID range dense.
+	for _, id := range s.Pending {
+		if id < 0 || id >= s.NextID {
+			return nil, fmt.Errorf("online: snapshot pends ball %d outside the issued ID range [0, %d)", id, s.NextID)
+		}
+		if !a.table.admit(id) {
+			return nil, fmt.Errorf("online: snapshot pends ball %d twice", id)
+		}
+	}
+	for i, p := range s.Placed {
 		if p.ID < 0 || p.ID >= s.NextID {
 			return nil, fmt.Errorf("online: snapshot places ball %d outside the issued ID range [0, %d)", p.ID, s.NextID)
 		}
 		if int(p.Bin) < 0 || int(p.Bin) >= s.N {
 			return nil, fmt.Errorf("online: snapshot places ball %d in nonexistent bin %d", p.ID, p.Bin)
 		}
+		if i > 0 {
+			prev := s.Placed[i-1].ID
+			if p.ID <= prev {
+				return nil, fmt.Errorf("online: snapshot places ball %d after ball %d, not in ascending order", p.ID, prev)
+			}
+			if p.ID>>pageBits != prev>>pageBits {
+				a.table.settle(prev)
+			}
+		}
 		if !a.table.admit(p.ID) {
-			return nil, fmt.Errorf("online: snapshot places ball %d twice", p.ID)
+			return nil, fmt.Errorf("online: snapshot has ball %d both placed and pending", p.ID)
 		}
 		a.place(p.ID, p.Bin)
 	}
-	for _, id := range s.Pending {
-		if id < 0 || id >= s.NextID {
-			return nil, fmt.Errorf("online: snapshot pends ball %d outside the issued ID range [0, %d)", id, s.NextID)
-		}
-		if !a.table.admit(id) {
-			return nil, fmt.Errorf("online: snapshot has ball %d both placed and pending (or pending twice)", id)
-		}
-	}
+	a.table.settleAll()
 	a.pending = append([]int64(nil), s.Pending...)
 	a.trace = append([]int64(nil), s.Trace...)
 	if s.Chain != "" {

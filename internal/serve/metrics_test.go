@@ -95,6 +95,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("missing pba_cell_placed_total{cell=%q}", cell)
 		}
 		placed += v
+		// Every cell holds live balls, so at least one dense 64 KiB page.
+		if b, ok := sc.Value(`pba_cell_table_bytes{cell="` + cell + `"}`); !ok || b < 1<<16 {
+			t.Errorf("pba_cell_table_bytes{cell=%q} = %v, %v; want at least one dense page", cell, b, ok)
+		}
 	}
 	if st := s.StatsLite(); placed < float64(st.Placed) || placed > float64(st.Arrived) {
 		t.Errorf("cell placed counters sum to %v; want within [%d, %d]", placed, st.Placed, st.Arrived)

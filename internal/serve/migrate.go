@@ -197,4 +197,5 @@ func (s *Service) zeroCellGauges(g int) {
 	ins.Pending.Set(0)
 	ins.MaxLoad.Set(0)
 	ins.MinLoad.Set(0)
+	ins.TableBytes.Set(0)
 }
