@@ -36,12 +36,37 @@ type Faults struct {
 	// probability (lossy network). Must be in [0, 1).
 	DropProbability float64
 	// CrashedBins stop accepting from CrashFromRound onward (fail-stop;
-	// they keep the load already placed).
+	// they keep the load already placed). Each must be a distinct bin in
+	// [0, N), and at least one bin must survive.
 	CrashedBins    []int
 	CrashFromRound int
 	// ThrottlePerRound caps every bin's accepts per round (slow bins);
-	// 0 means unthrottled.
+	// 0 means unthrottled. Must not be negative.
 	ThrottlePerRound int64
+}
+
+// validate reports the first fault that cannot describe a run on n bins.
+func (f Faults) validate(n int) error {
+	if !(f.DropProbability >= 0 && f.DropProbability < 1) {
+		return fmt.Errorf("pba: drop probability %v outside [0, 1)", f.DropProbability)
+	}
+	if f.ThrottlePerRound < 0 {
+		return fmt.Errorf("pba: negative throttle %d per round", f.ThrottlePerRound)
+	}
+	crashed := make(map[int]bool, len(f.CrashedBins))
+	for _, b := range f.CrashedBins {
+		if b < 0 || b >= n {
+			return fmt.Errorf("pba: crashed bin %d outside [0, %d)", b, n)
+		}
+		if crashed[b] {
+			return fmt.Errorf("pba: crashed bin %d listed twice", b)
+		}
+		crashed[b] = true
+	}
+	if len(crashed) == n {
+		return fmt.Errorf("pba: all %d bins crashed", n)
+	}
+	return nil
 }
 
 // AdaptiveThreshold allocates with the state-adaptive threshold algorithm
@@ -57,14 +82,14 @@ type Faults struct {
 // with insufficient slack the run exhausts its round budget and returns
 // sim's round-limit error with the partial allocation.
 func AdaptiveThreshold(p Problem, slack int64, f Faults, o Options) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if slack < 0 {
 		return nil, fmt.Errorf("pba: negative slack %d", slack)
 	}
-	if len(f.CrashedBins) > 0 {
-		surviving := p.N - len(f.CrashedBins)
-		if surviving <= 0 {
-			return nil, fmt.Errorf("pba: all %d bins crashed", p.N)
-		}
+	if err := f.validate(p.N); err != nil {
+		return nil, err
 	}
 	alg := threshold.Algorithm{Degree: 1, PhaseLen: 1, Policy: threshold.Greedy(slack)}
 	proto, err := alg.Protocol(p.N)

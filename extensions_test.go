@@ -1,6 +1,7 @@
 package pba
 
 import (
+	"math"
 	"testing"
 )
 
@@ -53,13 +54,34 @@ func TestAdaptiveThresholdUnderFaults(t *testing.T) {
 	}
 }
 
+// TestAdaptiveThresholdValidation: every input that cannot describe a run
+// is an error, never a panic or a silent default.
 func TestAdaptiveThresholdValidation(t *testing.T) {
-	p := Problem{M: 10, N: 2}
-	if _, err := AdaptiveThreshold(p, -1, Faults{}, Options{}); err == nil {
-		t.Fatal("negative slack accepted")
-	}
-	if _, err := AdaptiveThreshold(p, 1, Faults{CrashedBins: []int{0, 1}}, Options{}); err == nil {
-		t.Fatal("all-bins crash accepted")
+	p := Problem{M: 100, N: 10}
+	for _, c := range []struct {
+		name  string
+		p     Problem
+		slack int64
+		f     Faults
+	}{
+		{"negative slack", p, -1, Faults{}},
+		{"negative ball count", Problem{M: -1, N: 10}, 2, Faults{}},
+		{"no bins", Problem{M: 1, N: 0}, 2, Faults{}},
+		{"drop probability 1", p, 2, Faults{DropProbability: 1}},
+		{"negative drop probability", p, 2, Faults{DropProbability: -0.5}},
+		{"NaN drop probability", p, 2, Faults{DropProbability: math.NaN()}},
+		{"every bin crashed", p, 2, Faults{CrashedBins: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}},
+		{"crashed bin past N", p, 2, Faults{CrashedBins: []int{10}}},
+		{"negative crashed bin", p, 2, Faults{CrashedBins: []int{-1}}},
+		{"only nonexistent bins crashed", p, 2, Faults{CrashedBins: []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}}},
+		{"duplicated crashed bin", p, 2, Faults{CrashedBins: []int{3, 3}}},
+		{"negative throttle", p, 2, Faults{ThrottlePerRound: -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := AdaptiveThreshold(c.p, c.slack, c.f, Options{Seed: 1}); err == nil {
+				t.Fatalf("problem %+v, slack %d, faults %+v accepted", c.p, c.slack, c.f)
+			}
+		})
 	}
 }
 

@@ -63,8 +63,8 @@ func New(seed uint64) *Rand {
 }
 
 // Seed reinitializes r in place, exactly as New(seed) constructs it, but
-// without allocating. It lets callers embed Rand by value and derive the
-// stream lazily (e.g. the simulator's per-ball streams).
+// without allocating. It lets callers embed Rand by value (e.g. the
+// simulator's per-ball streams).
 func (r *Rand) Seed(seed uint64) {
 	sm := SplitMix64{state: seed}
 	r.s0, r.s1, r.s2, r.s3 = sm.Next(), sm.Next(), sm.Next(), sm.Next()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -9,29 +10,21 @@ import (
 	"repro/internal/rng"
 )
 
-// Ball is the per-agent state of one ball. Protocols may use State freely
-// (the engine records placements in its own array, never in the Ball);
-// Rand() is the ball's private randomness.
+// Ball is the per-agent state of one ball: 48 bytes, most of them its
+// randomness stream. Protocols may use State freely (the engine records
+// placements in its own array, never in the Ball); Rand() is the ball's
+// private randomness.
 type Ball struct {
 	ID    int64
 	State int64
-
-	seed   uint64 // stream seed; the rand state is derived on first use
-	rand   rng.Rand
-	seeded bool
+	rand  rng.Rand
 }
 
-// Rand returns the ball's private randomness stream, derived lazily from
-// the run seed and the ball index on first use. The stream lives inside
-// the Ball itself — no per-ball heap object — and depends only on (run
-// seed, ball index), so results are identical at any worker count.
-func (b *Ball) Rand() *rng.Rand {
-	if !b.seeded {
-		b.rand.Seed(b.seed)
-		b.seeded = true
-	}
-	return &b.rand
-}
+// Rand returns the ball's private randomness stream. The engine seeds it
+// when it initializes the ball, before Config.InitState runs, from the run
+// seed and the ball index alone, so results are identical at any worker
+// count. The stream lives inside the Ball itself — no per-ball heap object.
+func (b *Ball) Rand() *rng.Rand { return &b.rand }
 
 // Accept is an accept message delivered to a ball: bin From accepted the
 // ball's request and attached Payload (used by the asymmetric algorithm to
@@ -138,15 +131,17 @@ type agentRun struct {
 	placed      []bool // placed[i]: ball i has committed
 	loads       []int64
 	binReceived []int64
-	ballSent    []int64
+	ballSent    []int32
 	placements  []int32
 
-	round int
+	ballSeed uint64 // the run's ball-stream domain
+	round    int
 
 	// step-2 inputs (set by the round loop before the process shards run)
 	byBin   []int32
 	offsets []int32
 
+	initFn    func(wi, lo, hi int)
 	gatherFn  func(wi, lo, hi int)
 	processFn func(wi, lo, hi int)
 }
@@ -165,20 +160,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		arena = &Arena{}
 	}
 
-	// Ball streams are derived from a domain of the config seed disjoint
-	// from the (historical) worker-stream domain, so that results are
-	// identical for any worker count.
-	ballSeed := rng.Mix64(e.cfg.Seed ^ 0x5A5A5A5A5A5A5A5A)
-
-	arena.balls = grow(arena.balls, int(m))
-	balls := arena.balls
-	for i := range balls {
-		balls[i] = Ball{ID: int64(i), seed: rng.Mix64(ballSeed + uint64(i)*0x9E3779B97F4A7C15)}
-		if e.cfg.InitState != nil {
-			e.cfg.InitState(&balls[i])
-		}
-	}
-
 	ar := &arena.run
 	ar.e = e
 	if ar.scr == nil || ar.scr.workers != e.cfg.Workers {
@@ -186,12 +167,32 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	} else {
 		ar.scr.ensureBins(n)
 	}
+	// Bind the shard bodies once per arena; the receiver &arena.run is
+	// stable across runs, so the method-value closures are reusable.
+	if ar.gatherFn == nil {
+		ar.initFn = ar.initShard
+		ar.gatherFn = ar.gatherShard
+		ar.processFn = ar.processShard
+	}
+
+	// Ball streams are derived from a domain of the config seed disjoint
+	// from the (historical) worker-stream domain, so that results are
+	// identical for any worker count.
+	ar.ballSeed = rng.Mix64(e.cfg.Seed ^ 0x5A5A5A5A5A5A5A5A)
+	arena.balls = grow(arena.balls, int(m))
+	ar.balls = arena.balls
+	shard(int(m), ar.scr.forkWorkers(int(m)), ar.initFn)
+	if e.cfg.InitState != nil {
+		for i := range ar.balls {
+			e.cfg.InitState(&ar.balls[i])
+		}
+	}
+
 	arena.loads = growZero(arena.loads, n)
 	arena.binReceived = growZero(arena.binReceived, n)
 	arena.ballSent = growZero(arena.ballSent, int(m))
 	arena.placed = growZero(arena.placed, int(m))
 	arena.active = grow(arena.active, int(m))
-	ar.balls = balls
 	ar.placed = arena.placed
 	ar.loads = arena.loads
 	ar.binReceived = arena.binReceived
@@ -208,13 +209,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			ar.placements[i] = -1
 		}
 	}
-	// Bind the shard bodies once per arena; the receiver &arena.run is
-	// stable across runs, so the method-value closures are reusable.
-	if ar.gatherFn == nil {
-		ar.gatherFn = ar.gatherShard
-		ar.processFn = ar.processShard
-	}
-
 	held := arena.held[:0] // requests collected during Hold rounds
 	var maxLoad int64      // running maximum, updated at commit time
 	var metrics model.Metrics
@@ -244,35 +238,39 @@ func (e *Engine) runAgent() (*model.Result, error) {
 
 		// Step 1: active balls emit requests (ball shards; parallel from
 		// forkMin balls up).
-		reqs, perBall := ar.gatherRequests()
-		sentThisRound := int64(len(reqs))
+		reqs, sentThisRound, perBall := ar.gatherRequests()
 		metrics.BallRequests += sentThisRound
 		metrics.TotalMessages += sentThisRound
 
 		if e.proto.Hold(round) {
-			held = append(held, reqs...)
+			// Grow once for the whole round, not once per shard.
+			held = slices.Grow(held, int(sentThisRound))
+			for _, part := range reqs {
+				held = append(held, part...)
+			}
 			e.emitRound(round, remaining, sentThisRound, 0, maxLoad)
 			continue
 		}
+		total := sentThisRound
 		if len(held) > 0 {
-			reqs = join(ar.scr.flush, held, reqs)
-			ar.scr.flush = reqs
+			total += int64(len(held))
+			reqs = ar.scr.joinFlush(held, reqs)
 			held = held[:0]
 			// Flushed rounds can repeat a ball across collection rounds, so
 			// the sort-free commit grouping does not apply.
 			perBall = 2
 		}
-		if len(reqs) == 0 {
+		if total == 0 {
 			e.emitRound(round, remaining, sentThisRound, 0, maxLoad)
 			continue
 		}
 
 		// Step 2: bins process requests (bin shards; parallel from forkMin
 		// requests up).
-		accepts := ar.processRequests(reqs)
+		accepts := ar.processRequests(reqs, int(total))
 		// Every request is answered (accept or reject).
-		metrics.BinReplies += int64(len(reqs))
-		metrics.TotalMessages += int64(len(reqs))
+		metrics.BinReplies += total
+		metrics.TotalMessages += total
 
 		// Step 3: balls with accepts commit (on this goroutine).
 		commits, roundMax := ar.commitBalls(accepts, &metrics, perBall <= 1)
@@ -305,6 +303,16 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	return res, nil
 }
 
+// initShard is the ball-initialization worker body: balls [lo, hi) get
+// their index as ID and their seeded stream.
+func (r *agentRun) initShard(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b := &r.balls[i]
+		*b = Ball{ID: int64(i)}
+		b.rand.Seed(rng.Mix64(r.ballSeed + uint64(i)*0x9E3779B97F4A7C15))
+	}
+}
+
 // gatherShard is the step-1 worker body: balls active[lo:hi] emit their
 // requests into the worker's shard buffer, sized for one request per ball.
 func (r *agentRun) gatherShard(wi, lo, hi int) {
@@ -315,7 +323,11 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 	for _, bi := range r.active[lo:hi] {
 		b := &r.balls[bi]
 		buf = r.e.proto.Targets(r.round, b, r.e.p.N, buf[:0])
-		r.ballSent[bi] += int64(len(buf))
+		sent := int64(r.ballSent[bi]) + int64(len(buf))
+		if sent > math.MaxInt32 {
+			panic(fmt.Sprintf("sim: ball %d sent more than %d requests", bi, math.MaxInt32))
+		}
+		r.ballSent[bi] = int32(sent)
 		if len(buf) > perBall {
 			perBall = len(buf)
 		}
@@ -328,16 +340,18 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr.gatherMax[wi] = perBall
 }
 
-// gatherRequests runs step 1 and returns the concatenated request list in
-// deterministic (worker-shard) order, plus the maximum number of requests
-// any single ball sent (1 for degree-1 rounds — the precondition for the
-// sort-free commit grouping). All buffers come from the scratch arena; the
-// returned slice is valid until the next call.
-func (r *agentRun) gatherRequests() ([]request, int) {
+// gatherRequests runs step 1 and returns the round's requests as the
+// worker shards themselves, in deterministic (worker-shard) order, with
+// their total and the maximum number of requests any single ball sent (1
+// for degree-1 rounds — the precondition for the sort-free commit
+// grouping). The shards are valid until the next call.
+func (r *agentRun) gatherRequests() (shards [][]request, sent int64, perBall int) {
 	scr := r.scr
-	shards := shard(len(r.active), scr.forkWorkers(len(r.active)), r.gatherFn)
-	scr.reqs = join(scr.reqs, scr.reqShards[:shards]...)
-	return scr.reqs, slices.Max(scr.gatherMax[:shards])
+	shards = scr.reqShards[:shard(len(r.active), scr.forkWorkers(len(r.active)), r.gatherFn)]
+	for _, part := range shards {
+		sent += int64(len(part))
+	}
+	return shards, sent, slices.Max(scr.gatherMax[:len(shards)])
 }
 
 // processShard is the step-2 worker body: bins [lo, hi) answer their
@@ -376,34 +390,37 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 // quadratic, so only genuinely small request sets qualify.
 const smallRoundMax = 256
 
-// processRequests runs step 2, returning all accepts in ascending-bin
-// order (scratch-backed, valid until next call). Rounds counting-sort the
-// requests and answer contiguous bin ranges, across workers from forkMin
-// requests up; small rounds (the serving/churn regime: a handful of
-// requests into many bins) instead sort the requests by bin and walk only
-// the touched bins, avoiding the counting sort's O(n) per-round passes.
-// Both paths produce bit-identical accept sequences.
-func (r *agentRun) processRequests(reqs []request) []acceptRec {
+// processRequests runs step 2 over the round's total requests, given as
+// parts in arrival order, and returns the accepts as shards whose
+// concatenation is in ascending-bin order (scratch-backed, valid until the
+// next call). Rounds counting-sort the requests and answer contiguous bin
+// ranges, across workers from forkMin requests up; small rounds (the
+// serving/churn regime: a handful of requests into many bins) instead sort
+// the requests by bin and walk only the touched bins, avoiding the
+// counting sort's O(n) per-round passes. Both paths produce bit-identical
+// accept sequences.
+func (r *agentRun) processRequests(parts [][]request, total int) [][]acceptRec {
 	n := r.e.p.N
-	if len(reqs) <= smallRoundMax && len(reqs)*8 < n {
-		return r.processSmall(reqs)
-	}
 	scr := r.scr
-	r.byBin, r.offsets = scr.groupByBin(reqs, n)
-	shards := shard(n, scr.forkWorkers(len(reqs)), r.processFn)
-	scr.accepts = join(scr.accepts, scr.accShards[:shards]...)
-	return scr.accepts
+	if total <= smallRoundMax && total*8 < n {
+		// A small round spans several gather shards only when most of
+		// many active balls stayed silent; join those.
+		return r.processSmall(flatten(&scr.flush, parts))
+	}
+	r.byBin, r.offsets = scr.groupByBin(parts, n)
+	return scr.accShards[:shard(n, scr.forkWorkers(total), r.processFn)]
 }
 
 // processSmall is the small-round step 2: requests are stable-sorted by
 // destination bin (preserving arrival order within a bin — exactly the
 // grouping the counting sort produces) and the touched bins are answered
-// inline, O(k log k + k·d) for k requests instead of O(n). Sequential by
-// design: rounds this small gain nothing from bin sharding.
-func (r *agentRun) processSmall(reqs []request) []acceptRec {
+// inline, O(k log k + k·d) for k requests instead of O(n), into the first
+// accept shard. Sequential by design: rounds this small gain nothing from
+// bin sharding.
+func (r *agentRun) processSmall(reqs []request) [][]acceptRec {
 	sortRequestsByBin(reqs)
 	scr := r.scr
-	accepts := scr.accepts[:0]
+	accepts := scr.accShards[0][:0]
 	buf := scr.runBuf[:0]
 	for i := 0; i < len(reqs); {
 		bin := int(reqs[i].bin)
@@ -435,8 +452,8 @@ func (r *agentRun) processSmall(reqs []request) []acceptRec {
 		i = j
 	}
 	scr.runBuf = buf
-	scr.accepts = accepts
-	return accepts
+	scr.accShards[0] = accepts
+	return scr.accShards[:1]
 }
 
 // sortRequestsByBin stable-insertion-sorts reqs by destination bin,
@@ -542,24 +559,36 @@ func siftDownMin(s []int32, i int) {
 	}
 }
 
-// commitBalls runs step 3 on the calling goroutine: group accepts by ball,
-// let each ball choose, and apply placements. Returns the number of balls
-// allocated this round and the maximal load among the bins committed to.
+// commitBalls runs step 3 on the calling goroutine: group the accept
+// shards by ball, let each ball choose, and apply placements. Returns the
+// number of balls allocated this round and the maximal load among the bins
+// committed to.
 //
 // singleReq asserts that every ball sent at most one request this round
 // (every degree-1 round without a held-request flush — the paper's main
 // algorithm, and the whole churn hot path). Then every ball has at most
-// one accept, groups are singletons whatever the order, and the by-ball
-// sort — the dominant per-round cost for small epochs — is skipped.
-// Commit outcomes are per-ball and order-independent, so results are
-// bit-identical with and without the sort.
-func (r *agentRun) commitBalls(accepts []acceptRec, metrics *model.Metrics, singleReq bool) (int, int64) {
-	// Accept lists are tiny (degree <= O(log n)), so sorting the accept
-	// slice by ball index (in-place heapsort) dominates — hence the
-	// singleReq fast path above.
+// one accept, groups are singletons whatever the order, and commit walks
+// the shards in place, in bin order. Otherwise a ball's accepts must be
+// adjacent: the shards are joined and sorted by ball (in-place heapsort,
+// the dominant per-round cost for small epochs). Commit outcomes are
+// per-ball and order-independent, so results are bit-identical either way.
+func (r *agentRun) commitBalls(shards [][]acceptRec, metrics *model.Metrics, singleReq bool) (commits int, roundMax int64) {
 	if !singleReq {
+		accepts := flatten(&r.scr.accepts, shards)
 		sortAcceptsByBall(accepts)
+		return r.commit(accepts, metrics)
 	}
+	for _, accepts := range shards {
+		c, m := r.commit(accepts, metrics)
+		commits += c
+		roundMax = max(roundMax, m)
+	}
+	return commits, roundMax
+}
+
+// commit commits every ball of accepts, in which each ball's accepts are
+// adjacent.
+func (r *agentRun) commit(accepts []acceptRec, metrics *model.Metrics) (int, int64) {
 	buf := r.scr.accBuf
 	var commits int
 	var msgs, roundMax int64

@@ -31,7 +31,7 @@ type Arena struct {
 	placed      []bool
 	loads       []int64
 	binReceived []int64
-	ballSent    []int64
+	ballSent    []int32
 	placements  []int32
 	trace       []int64
 	held        []request
@@ -85,16 +85,26 @@ func growZero[T any](buf []T, n int) []T {
 	return buf
 }
 
-// join concatenates parts into dst's storage, growing it at most once, to
-// exactly their summed length.
-func join[T any](dst []T, parts ...[]T) []T {
-	total := 0
+// join concatenates head and parts into dst's storage, growing it at most
+// once, to exactly their summed length.
+func join[T any](dst, head []T, parts [][]T) []T {
+	total := len(head)
 	for _, p := range parts {
 		total += len(p)
 	}
-	dst = grow(dst, total)[:0]
+	dst = append(grow(dst, total)[:0], head...)
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
 	return dst
+}
+
+// flatten returns parts as one slice: the only part itself, or all of them
+// joined into *buf's storage.
+func flatten[T any](buf *[]T, parts [][]T) []T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	*buf = join(*buf, nil, parts)
+	return *buf
 }

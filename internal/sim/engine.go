@@ -9,15 +9,17 @@
 // The package is a two-mode simulation substrate:
 //
 //   - Agent mode (Engine.Run, agent.go): every ball is an explicit agent
-//     with its own lazily-derived randomness stream, so per-ball and
-//     per-bin message statistics are measured rather than estimated and
-//     arbitrary protocols (multi-target, payloads, per-ball state) are
-//     expressible. Rounds draw every buffer from reusable scratch arenas
-//     (scratch.go), sized once per round. Steps of at least forkMin balls
-//     or requests gather and answer requests in parallel over per-worker
-//     shards; smaller steps, and every commit, run on the engine's
-//     goroutine, so small rounds allocate nothing. Placement marks live
-//     in the arena, never in the Ball. Capped at 2^31-2 balls.
+//     with its own randomness stream, seeded when the ball is
+//     initialized, so per-ball and per-bin message statistics are
+//     measured rather than estimated and arbitrary protocols
+//     (multi-target, payloads, per-ball state) are expressible. Rounds
+//     draw every buffer from reusable scratch arenas (scratch.go), sized
+//     once per round, and read the per-worker shards in place. Steps of at
+//     least forkMin balls or requests (ball initialization included)
+//     run in parallel over per-worker shards; smaller steps, and every
+//     commit, run on the engine's goroutine, so small rounds allocate
+//     nothing. Placement marks live in the arena, never in the Ball.
+//     Capped at 2^31-2 balls.
 //
 //   - Mass mode (RunMass, mass.go): balls are exchangeable counts. A
 //     round evolves a per-bin ball-count vector via exact multinomial
@@ -166,11 +168,9 @@ func (e *Engine) emitRound(round int, remaining, sent, accepted, maxLoad int64) 
 	})
 }
 
-func finishMetrics(m model.Metrics, ballSent, binReceived []int64) model.Metrics {
+func finishMetrics(m model.Metrics, ballSent []int32, binReceived []int64) model.Metrics {
 	for _, v := range ballSent {
-		if v > m.MaxBallSent {
-			m.MaxBallSent = v
-		}
+		m.MaxBallSent = max(m.MaxBallSent, int64(v))
 	}
 	for _, v := range binReceived {
 		if v > m.MaxBinReceived {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/asym"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/light"
 	"repro/internal/model"
@@ -149,6 +150,15 @@ var goldenCases = []goldenCase{
 			return core.Run(model.Problem{M: 2000, N: n}, cfg)
 		},
 		want: "08b19e2aa70484a4be186e79",
+	},
+	{
+		// Config.InitState: every ball draws its probe offset from its own
+		// stream before round 0, and rounds fork (2^14 balls).
+		name: "det",
+		run: func(w int) (*model.Result, error) {
+			return baseline.Deterministic(model.Problem{M: 1 << 14, N: 1 << 7}, baseline.Config{Seed: 21, Workers: w, Trace: true})
+		},
+		want: "21b9ed0a1bc008779dd3f4ff",
 	},
 }
 

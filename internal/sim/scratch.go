@@ -3,22 +3,25 @@ package sim
 // scratch is the per-run arena of the agent engine: every slice a round
 // needs is allocated once, grown to the high-water mark, and reused, so
 // the steady state allocates (almost) nothing per round. One arena serves
-// one run; workers index into disjoint per-worker sub-buffers. Buffers
-// are sized before a step writes them — a gather shard for one request
-// per ball, an accept shard for every request in its bin range, a
-// concatenation for the sum of its shards — so a degree-1 round grows no
-// buffer by doubling.
+// one run; workers index into disjoint per-worker sub-buffers. Rounds read
+// the worker shards in place: the counting sort reads the gather shards,
+// and a single-request round commits straight from the accept shards.
+// Only flush rounds (held plus fresh requests), small rounds that span
+// several gather shards, and rounds in which a ball may hold several
+// accepts join their shards, into buffers sized to exactly their sum.
+// Buffers are sized before a step writes them — a gather shard for one
+// request per ball, an accept shard for every request in its bin range —
+// so a degree-1 round grows no buffer by doubling.
 type scratch struct {
 	workers   int
 	targetBuf [][]int       // per-worker Protocol.Targets buffer
 	reqShards [][]request   // per-worker step-1 output
-	reqs      []request     // this round's fresh requests, concatenated
-	flush     []request     // held+fresh working set on flush rounds
-	counts    []int32       // n+1 counting-sort offsets
-	cursor    []int32       // n scatter cursors
+	flush     []request     // held+fresh working set on flush rounds; joined small rounds
+	flushPart [1][]request  // flush as the round's only part
+	counts    []int32       // n+2 counting-sort offsets and scatter cursors
 	byBin     []int32       // request ball indices scattered by bin
 	accShards [][]acceptRec // per-worker step-2 output
-	accepts   []acceptRec   // concatenated accepts
+	accepts   []acceptRec   // accepts joined for the by-ball sort
 	accBuf    []Accept      // step-3 Choose buffer
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
@@ -29,8 +32,7 @@ func newScratch(workers, n int) *scratch {
 		workers:   workers,
 		targetBuf: make([][]int, workers),
 		reqShards: make([][]request, workers),
-		counts:    make([]int32, n+1),
-		cursor:    make([]int32, n),
+		counts:    make([]int32, n+2),
 		accShards: make([][]acceptRec, workers),
 		accBuf:    make([]Accept, 0, 8),
 		gatherMax: make([]int, workers),
@@ -44,35 +46,45 @@ func newScratch(workers, n int) *scratch {
 // ensureBins grows the bin-indexed buffers to cover n bins, so one scratch
 // (reused across arena runs) can serve engines of varying bin counts.
 func (s *scratch) ensureBins(n int) {
-	if len(s.counts) < n+1 {
-		s.counts = make([]int32, n+1)
-		s.cursor = make([]int32, n)
+	if len(s.counts) < n+2 {
+		s.counts = make([]int32, n+2)
 	}
 }
 
-// groupByBin counting-sorts requests by destination bin into the arena's
-// reusable buffers. It returns the scattered ball indices and per-bin
-// offsets such that bin b's requests are byBin[offsets[b]:offsets[b+1]];
-// both slices are valid until the next call.
-func (s *scratch) groupByBin(reqs []request, n int) (byBin []int32, offsets []int32) {
-	counts := s.counts[:n+1]
-	for i := range counts {
-		counts[i] = 0
+// joinFlush joins held and the fresh request shards into s.flush and
+// returns it as the round's only part, valid until the next call.
+func (s *scratch) joinFlush(held []request, fresh [][]request) [][]request {
+	s.flush = join(s.flush, held, fresh)
+	s.flushPart[0] = s.flush
+	return s.flushPart[:]
+}
+
+// groupByBin counting-sorts requests, given as parts in arrival order, by
+// destination bin into the arena's reusable buffers. It returns the
+// scattered ball indices and per-bin offsets such that bin b's requests
+// are byBin[offsets[b]:offsets[b+1]], in arrival order; both slices are
+// valid until the next call. The offsets array doubles as the scatter
+// cursors: counts[b+1] starts at bin b's first slot and ends at bin b+1's.
+func (s *scratch) groupByBin(parts [][]request, n int) (byBin []int32, offsets []int32) {
+	counts := s.counts[:n+2]
+	clear(counts)
+	total := 0
+	for _, reqs := range parts {
+		total += len(reqs)
+		for _, r := range reqs {
+			counts[r.bin+2]++
+		}
 	}
-	for _, r := range reqs {
-		counts[r.bin+1]++
+	for i := 2; i <= n; i++ {
+		counts[i] += counts[i-1]
 	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
-	}
-	offsets = counts
-	s.byBin = grow(s.byBin, len(reqs))
+	s.byBin = grow(s.byBin, total)
 	byBin = s.byBin
-	cursor := s.cursor[:n]
-	copy(cursor, offsets[:n])
-	for _, r := range reqs {
-		byBin[cursor[r.bin]] = r.ball
-		cursor[r.bin]++
+	for _, reqs := range parts {
+		for _, r := range reqs {
+			byBin[counts[r.bin+1]] = r.ball
+			counts[r.bin+1]++
+		}
 	}
-	return byBin, offsets
+	return byBin, counts[:n+1]
 }

@@ -330,7 +330,7 @@ func TestPayloadRedirection(t *testing.T) {
 
 func TestGroupByBin(t *testing.T) {
 	reqs := []request{{ball: 0, bin: 2}, {ball: 1, bin: 0}, {ball: 2, bin: 2}, {ball: 3, bin: 1}}
-	byBin, offsets := newScratch(1, 3).groupByBin(reqs, 3)
+	byBin, offsets := newScratch(1, 3).groupByBin([][]request{reqs}, 3)
 	if offsets[0] != 0 || offsets[1] != 1 || offsets[2] != 2 || offsets[3] != 4 {
 		t.Fatalf("offsets = %v", offsets)
 	}
@@ -356,7 +356,7 @@ func TestGroupByBinProperty(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = request{ball: int32(i), bin: int32(r.Intn(n))}
 		}
-		byBin, offsets := newScratch(1, n).groupByBin(reqs, n)
+		byBin, offsets := newScratch(1, n).groupByBin([][]request{reqs}, n)
 		if len(byBin) != m || int(offsets[n]) != m {
 			return false
 		}
@@ -373,7 +373,20 @@ func TestGroupByBinProperty(t *testing.T) {
 				}
 			}
 		}
-		return true
+		// The same requests split into 1-4 parts at random cuts (empty
+		// parts included), as the gather shards hand them over, group
+		// exactly as one part does.
+		cuts := []int{0, m}
+		for k := r.Intn(4); k > 0; k-- {
+			cuts = append(cuts, r.Intn(m+1))
+		}
+		slices.Sort(cuts)
+		var parts [][]request
+		for i := 1; i < len(cuts); i++ {
+			parts = append(parts, reqs[cuts[i-1]:cuts[i]])
+		}
+		splitByBin, splitOffsets := newScratch(1, n).groupByBin(parts, n)
+		return slices.Equal(splitByBin, byBin) && slices.Equal(splitOffsets, offsets)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

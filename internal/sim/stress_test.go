@@ -5,6 +5,7 @@ package sim
 // patterns. Protocols here are generated from quick-check seeds.
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,15 +15,19 @@ import (
 
 // fuzzProto is a randomized but well-formed protocol: per-round degree in
 // [1,3], per-round-per-bin capacities drawn from a seeded table, optional
-// hold pattern, uniform targets.
+// hold pattern, optionally mostly-silent balls, uniform targets.
 type fuzzProto struct {
 	seed    uint64
 	degree  int
 	holdMod int // hold rounds where round%holdMod != holdMod-1 (0 = never hold)
 	capBase int64
+	quiet   int // a ball speaks only in rounds where (ID+round)%quiet == 0 (0 = always)
 }
 
 func (f *fuzzProto) Targets(round int, b *Ball, n int, buf []int) []int {
+	if f.quiet > 1 && (b.ID+int64(round))%int64(f.quiet) != 0 {
+		return buf
+	}
 	for i := 0; i < f.degree; i++ {
 		buf = append(buf, b.Rand().Intn(n))
 	}
@@ -90,6 +95,57 @@ func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzAgentEngine runs fuzzProto at 1, 2 and 4 workers over instances
+// that straddle forkMin, so rounds fork or run inline, read one or several
+// gather and accept shards, commit in place or through the by-ball sort,
+// and flush held requests. Every run must pass Check, and the three
+// Results must be equal. A large quiet leaves most of many active balls
+// silent: rounds too small for the counting sort then span several gather
+// shards.
+func FuzzAgentEngine(f *testing.F) {
+	// seed, m-1, n-1, degree-1, holdMod, tie-break, quiet
+	f.Add(uint64(1), uint16(forkMin), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(6), uint16(forkMin+100), uint16(15), uint8(0), uint8(0), uint8(2), uint8(0))
+	f.Add(uint64(2), uint16(forkMin+3), uint16(31), uint8(0), uint8(3), uint8(1), uint8(0))
+	f.Add(uint64(3), uint16(forkMin+40), uint16(127), uint8(2), uint8(2), uint8(2), uint8(0))
+	f.Add(uint64(4), uint16(2*forkMin), uint16(4095), uint8(0), uint8(0), uint8(0), uint8(64))
+	f.Add(uint64(5), uint16(300), uint16(4095), uint8(1), uint8(3), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, mRaw, nRaw uint16, degRaw, holdRaw, tieRaw, quietRaw uint8) {
+		m := int64(mRaw)%(3*forkMin) + 1
+		n := int(nRaw)%4096 + 1
+		proto := &fuzzProto{
+			seed:    seed,
+			degree:  int(degRaw%3) + 1,
+			holdMod: int(holdRaw % 4), // 0,1 = never hold; 2,3 = collecting
+			capBase: m/int64(n) + 2,   // total capacity >= m + 2n
+			quiet:   int(quietRaw % 65),
+		}
+		tie := TieBreak(tieRaw % 3)
+		var want *model.Result
+		for _, w := range []int{1, 2, 4} {
+			res, err := New(model.Problem{M: m, N: n}, proto, Config{
+				Seed:             seed,
+				Workers:          w,
+				MaxRounds:        5000,
+				TieBreak:         tie,
+				RecordPlacements: true,
+				Trace:            true,
+			}).Run()
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if err := res.Check(); err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if want == nil {
+				want = res
+			} else if !reflect.DeepEqual(res, want) {
+				t.Fatalf("workers=%d: result differs from workers=1", w)
+			}
+		}
+	})
 }
 
 func TestEngineTieBreaksUnderRandomProtocols(t *testing.T) {
