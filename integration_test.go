@@ -15,17 +15,16 @@ import (
 	"repro/internal/trace"
 )
 
-// TestAgentVsFastKS draws max-load samples from both Aheavy
-// implementations and checks the two-sample KS statistic at the 0.1%
-// level — the distributions must be indistinguishable.
+// TestAgentVsFastKS draws max-load and round-count samples from both
+// Aheavy implementations and checks the two-sample KS statistic at the
+// 0.1% level — the distributions must be indistinguishable.
 func TestAgentVsFastKS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical cross-validation is slow")
 	}
 	p := Problem{M: 100000, N: 200}
 	const samples = 40
-	agent := make([]float64, 0, samples)
-	fast := make([]float64, 0, samples)
+	var agentLoad, fastLoad, agentRounds, fastRounds []float64
 	for s := 0; s < samples; s++ {
 		a, err := AheavyAgent(p, Options{Seed: uint64(s) + 1})
 		if err != nil {
@@ -35,12 +34,17 @@ func TestAgentVsFastKS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent = append(agent, float64(a.MaxLoad()))
-		fast = append(fast, float64(f.MaxLoad()))
+		agentLoad = append(agentLoad, float64(a.MaxLoad()))
+		fastLoad = append(fastLoad, float64(f.MaxLoad()))
+		agentRounds = append(agentRounds, float64(a.Rounds))
+		fastRounds = append(fastRounds, float64(f.Rounds))
 	}
-	d := dist.KSDistance(agent, fast)
-	if thr := dist.KSThreshold(samples, samples, 0.001); d > thr {
-		t.Fatalf("KS distance %.3f above %.3f: implementations diverge", d, thr)
+	thr := dist.KSThreshold(samples, samples, 0.001)
+	if d := dist.KSDistance(agentLoad, fastLoad); d > thr {
+		t.Errorf("max load: KS distance %.3f above %.3f: implementations diverge", d, thr)
+	}
+	if d := dist.KSDistance(agentRounds, fastRounds); d > thr {
+		t.Errorf("rounds: KS distance %.3f above %.3f: implementations diverge", d, thr)
 	}
 }
 

@@ -44,3 +44,44 @@ func TestRunFreshMemoryPerBall(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFastMemoryPerBin fences a fresh RunFast's heap traffic per real
+// bin. Phase 1's mass engine holds four int64 vectors over the n bins, and
+// phase 2 (light.RunMass) a byte per virtual bin plus an agent-engine run
+// over round 0's survivors only: about 128 B per bin at g = 4 virtual bins
+// per bin. Building agents for every phase-2 ball (about 290 B per bin)
+// fails the bound; per-worker copies push workers 2 past 1.01x the bytes
+// of workers 1.
+func TestRunFastMemoryPerBin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates allocations")
+	}
+	const maxBytesPerBin = 160
+	const maxWorkerGrowth = 1.01
+	p := model.Problem{M: 10_000_000_000, N: 100_000}
+	var oneWorker float64
+	for _, w := range []int{1, 2} {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		res, err := RunFast(p, Config{Seed: 1, Workers: w})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if res.Unallocated != 0 {
+			t.Fatalf("workers=%d: %d balls unallocated", w, res.Unallocated)
+		}
+		perBin := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(p.N)
+		t.Logf("workers=%d: %.1f B/bin", w, perBin)
+		if perBin > maxBytesPerBin {
+			t.Errorf("workers=%d: fresh RunFast allocated %.1f B/bin, want at most %d", w, perBin, maxBytesPerBin)
+		}
+		if w == 1 {
+			oneWorker = perBin
+		} else if perBin > maxWorkerGrowth*oneWorker {
+			t.Errorf("workers=%d: fresh RunFast allocated %.1f B/bin, want at most %.2fx the %.1f of workers=1",
+				w, perBin, maxWorkerGrowth, oneWorker)
+		}
+	}
+}

@@ -21,10 +21,12 @@
 //
 // Two interchangeable implementations are provided: Run (agent-based, exact
 // message accounting, executed on the sim engine's agent mode) and RunFast
-// (count-based; phase 1 runs on the sim engine's mass mode, exploiting ball
-// exchangeability to scale to ~10^12 balls). Both produce distributionally
+// (count-based, exploiting ball exchangeability to scale to ~10^12 balls:
+// phase 1 runs on the sim engine's mass mode, and phase 2 on
+// light.RunMass, which throws Alight's degree-1 first round count-based
+// and builds agents only for its survivors). Both produce distributionally
 // identical allocations; tests cross-validate them. Run routes oversized
-// degree-1 instances to the mass engine automatically.
+// degree-1 instances to the mass engine automatically, both phases.
 package core
 
 import (
@@ -49,7 +51,8 @@ type Params struct {
 	// phase-1 round; the paper's algorithm uses 1 (experiment E14 ablates
 	// it). Only Run honours Degree; RunFast requires Degree == 1.
 	Degree int
-	// LightCap is the per-virtual-bin load cap of phase 2 (2 in LW16).
+	// LightCap is the per-virtual-bin load cap of phase 2 (2 in LW16), at
+	// most 255.
 	LightCap int64
 }
 
@@ -79,8 +82,10 @@ func (p Params) validate() error {
 	if p.Degree < 1 {
 		return fmt.Errorf("core: Degree must be >= 1, got %d", p.Degree)
 	}
-	if p.LightCap < 1 {
-		return fmt.Errorf("core: LightCap must be >= 1, got %d", p.LightCap)
+	// The count-based phase 2 (light.RunMass) keeps a virtual bin's
+	// round-0 load in one byte.
+	if p.LightCap < 1 || p.LightCap > math.MaxUint8 {
+		return fmt.Errorf("core: LightCap must be in [1, %d], got %d", math.MaxUint8, p.LightCap)
 	}
 	return nil
 }
@@ -321,7 +326,11 @@ func Run(p model.Problem, cfg Config) (*model.Result, error) {
 		}
 	}
 
-	return finish(p, res, params, cfg)
+	// Engine.Run routed phase 1 to the mass engine exactly when a degree-1
+	// instance exceeds the agent limit; phase 2 then stays count-based too,
+	// so the auto-routed Run is RunFast.
+	mass := len(thresholds) > 0 && params.Degree == 1 && p.M > sim.MaxAgentBalls
+	return finish(p, res, params, cfg, mass)
 }
 
 // scheduleThresholds computes the phase-1 schedule, reusing the scratch's
@@ -336,16 +345,19 @@ func scheduleThresholds(p model.Problem, baseTotal int64, params Params, scr *Sc
 }
 
 // finish dispatches phase 2: the Alight substrate for the batch case, the
-// base-aware adaptive cleanup when residual loads are in play.
-func finish(p model.Problem, phase1Res *model.Result, params Params, cfg Config) (*model.Result, error) {
+// base-aware adaptive cleanup when residual loads are in play. mass says
+// phase 1 ran on the mass engine.
+func finish(p model.Problem, phase1Res *model.Result, params Params, cfg Config, mass bool) (*model.Result, error) {
 	if cfg.BaseLoads != nil {
 		return finishWithCleanup(p, phase1Res, cfg)
 	}
-	return finishWithLight(p, phase1Res, params, cfg)
+	return finishWithLight(p, phase1Res, params, cfg, mass)
 }
 
 // finishWithLight runs phase 2 on the leftover balls and merges results.
-func finishWithLight(p model.Problem, phase1Res *model.Result, params Params, cfg Config) (*model.Result, error) {
+// After a count-based phase 1 it runs light.RunMass, which builds agents
+// only for the balls that survive Alight's degree-1 first round.
+func finishWithLight(p model.Problem, phase1Res *model.Result, params Params, cfg Config, mass bool) (*model.Result, error) {
 	leftover := phase1Res.Unallocated
 	if leftover == 0 {
 		return phase1Res, nil
@@ -354,7 +366,11 @@ func finishWithLight(p model.Problem, phase1Res *model.Result, params Params, cf
 	// leftover/n ratio (and the ratio is O(1) w.h.p. by Claim 4).
 	g := virtualFactor(leftover, p.N, params.LightCap)
 	nv := g * p.N
-	lightRes, err := light.Run(model.Problem{M: leftover, N: nv}, light.Config{
+	runLight := light.Run
+	if mass {
+		runLight = light.RunMass
+	}
+	lightRes, err := runLight(model.Problem{M: leftover, N: nv}, light.Config{
 		Cap:              params.LightCap,
 		Seed:             rng.Mix64(cfg.Seed ^ 0xD1B54A32D192ED03),
 		Workers:          cfg.Workers,
@@ -412,7 +428,10 @@ func virtualFactor(leftover int64, n int, cap int64) int {
 // per-round evolution depends only on the multinomial request counts per
 // bin; phase 1 runs on the shared mass engine (sim.RunMass), which samples
 // those counts exactly and is bit-identical for a fixed seed at any worker
-// count. Phase 2 (with only O(n) balls) runs agent-based, identical to Run.
+// count. Phase 2 (with only O(n) balls) is light.RunMass: Alight's
+// degree-1 first round thrown count-based, then its later rounds on the
+// agent engine over that round's survivors only. It draws a different
+// stream from Run's phase 2 with the same distribution.
 func RunFast(p model.Problem, cfg Config) (*model.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -462,7 +481,7 @@ func RunFast(p model.Problem, cfg Config) (*model.Result, error) {
 	} else {
 		res = &model.Result{Problem: p, Loads: make([]int64, p.N), Unallocated: p.M}
 	}
-	return finish(p, res, params, cfg)
+	return finish(p, res, params, cfg, true)
 }
 
 // cleanup is the phase-2 protocol for the residual-load case: a

@@ -245,6 +245,7 @@ func TestRunInvalidParams(t *testing.T) {
 		"stop below one": {StopFactor: 0.5},
 		"bad degree":     {Degree: -1},
 		"bad cap":        {LightCap: -2},
+		"cap above byte": {LightCap: 256},
 	} {
 		if _, err := Run(p, Config{Params: params}); err == nil {
 			t.Errorf("%s accepted", name)

@@ -169,7 +169,7 @@ func (s *Service) frameReply(sc *frameScratch, hc HandlerConfig) ([]byte, error)
 		}
 		sc.meta = append(sc.meta, meta)
 	}
-	s.metrics.stageDecode.ObserveDuration(time.Since(start))
+	s.metrics.http.stageDecode.ObserveDuration(time.Since(start))
 
 	// Sub-slices are taken only now that every append into sc.pairs and
 	// sc.ids is done — mid-parse views could alias a stale backing array.
@@ -221,7 +221,7 @@ func (s *Service) frameReply(sc *frameScratch, hc HandlerConfig) ([]byte, error)
 		}
 	}
 	sc.out = wire.FinishBatch(out, 0, len(sc.subs))
-	s.metrics.stageEncode.ObserveDuration(time.Since(start))
+	s.metrics.http.stageEncode.ObserveDuration(time.Since(start))
 	return sc.out, nil
 }
 

@@ -199,9 +199,9 @@ func writePartialFailure(w http.ResponseWriter, err error, spans []Span) {
 }
 
 // handlerMetrics is the instrument subset the HTTP layer itself records
-// (the backend records the pipeline stages past decode). The Service
-// hands the handler a view over its own registry; a non-Service backend
-// (the cluster router) registers a fresh set on its registry.
+// (the backend records the pipeline stages past decode). The Service's
+// set is part of its own instrument set (metrics.http); a non-Service
+// backend (the cluster router) registers one on its registry.
 type handlerMetrics struct {
 	reqAllocate *obs.Counter
 	reqRelease  *obs.Counter
@@ -213,22 +213,8 @@ type handlerMetrics struct {
 	stageEncode *obs.Histogram
 }
 
-func (m *metrics) handlerMetrics() *handlerMetrics {
-	return &handlerMetrics{
-		reqAllocate: m.httpAllocate, reqRelease: m.httpRelease,
-		reqStats: m.httpStats, reqSnapshot: m.httpSnapshot,
-		reqHealthz: m.httpHealthz, reqMetrics: m.httpMetrics,
-		stageDecode: m.stageDecode, stageEncode: m.stageEncode,
-	}
-}
-
-// newHandlerMetrics registers the HTTP layer's instrument set on reg,
-// for backends without a serve registry of their own.
+// newHandlerMetrics registers the HTTP layer's instrument set on reg.
 func newHandlerMetrics(reg *obs.Registry) *handlerMetrics {
-	stage := func(name string) *obs.Histogram {
-		return reg.DurationHistogram(StageMetricName,
-			"Serving-pipeline stage durations; see serve.StageNames.", obs.L("stage", name))
-	}
 	httpReq := func(path string) *obs.Counter {
 		return reg.Counter("pba_http_requests_total", "HTTP requests by path.", obs.L("path", path))
 	}
@@ -236,7 +222,7 @@ func newHandlerMetrics(reg *obs.Registry) *handlerMetrics {
 		reqAllocate: httpReq("/allocate"), reqRelease: httpReq("/release"),
 		reqStats: httpReq("/stats"), reqSnapshot: httpReq("/snapshot"),
 		reqHealthz: httpReq("/healthz"), reqMetrics: httpReq("/metrics"),
-		stageDecode: stage("decode"), stageEncode: stage("encode"),
+		stageDecode: stage(reg, "decode"), stageEncode: stage(reg, "encode"),
 	}
 }
 
@@ -309,13 +295,13 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 // 426 (GET /frames without the upgrade), or 500 (allocator failure;
 // carries the granted spans, see writePartialFailure).
 func NewHandler(s *Service, hc HandlerConfig) http.Handler {
-	mux := backendMux(s, s.metrics.handlerMetrics(), s.metrics.reg, hc)
-	m := s.metrics
+	mux := backendMux(s, s.metrics.http, s.metrics.reg, hc)
+	m := s.metrics.http
 	mux.HandleFunc("/frames", func(w http.ResponseWriter, r *http.Request) {
 		s.serveFrames(hc, w, r)
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		m.httpSnapshot.Inc()
+		m.reqSnapshot.Inc()
 		if r.Method != http.MethodGet {
 			httpError(w, http.StatusMethodNotAllowed, "GET only")
 			return
@@ -324,7 +310,7 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusConflict, "cluster replicas snapshot per cell (POST /cells/migrate/begin)")
 			return
 		}
-		writeJSON(w, m.handlerMetrics(), s.Snapshot())
+		writeJSON(w, m, s.Snapshot())
 	})
 	mux.HandleFunc("/cells", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

@@ -38,21 +38,16 @@ const StageMetricName = "pba_stage_duration_seconds"
 type metrics struct {
 	reg *obs.Registry
 
-	stageDecode    *obs.Histogram
+	// http is the HTTP layer's set: path counters and the decode and
+	// encode stages.
+	http *handlerMetrics
+
 	stageRoute     *obs.Histogram
 	stageBatchWait *obs.Histogram
 	stageEpochRun  *obs.Histogram
 	stageCommit    *obs.Histogram
-	stageEncode    *obs.Histogram
 	stageAllocate  *obs.Histogram
 	stageRelease   *obs.Histogram
-
-	httpAllocate *obs.Counter
-	httpRelease  *obs.Counter
-	httpStats    *obs.Counter
-	httpSnapshot *obs.Counter
-	httpHealthz  *obs.Counter
-	httpMetrics  *obs.Counter
 
 	requests     *obs.Counter // allocate requests admitted by the sequencer
 	released     *obs.Counter // balls released through Service.Release
@@ -73,29 +68,15 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	reg := obs.NewRegistry()
-	stage := func(name string) *obs.Histogram {
-		return reg.DurationHistogram(StageMetricName,
-			"Serving-pipeline stage durations; see serve.StageNames.", obs.L("stage", name))
-	}
-	httpReq := func(path string) *obs.Counter {
-		return reg.Counter("pba_http_requests_total", "HTTP requests by path.", obs.L("path", path))
-	}
 	m := &metrics{
 		reg:            reg,
-		stageDecode:    stage("decode"),
-		stageRoute:     stage("route"),
-		stageBatchWait: stage("batch_wait"),
-		stageEpochRun:  stage("epoch_run"),
-		stageCommit:    stage("commit"),
-		stageEncode:    stage("encode"),
-		stageAllocate:  stage("allocate"),
-		stageRelease:   stage("release"),
-		httpAllocate:   httpReq("/allocate"),
-		httpRelease:    httpReq("/release"),
-		httpStats:      httpReq("/stats"),
-		httpSnapshot:   httpReq("/snapshot"),
-		httpHealthz:    httpReq("/healthz"),
-		httpMetrics:    httpReq("/metrics"),
+		http:           newHandlerMetrics(reg),
+		stageRoute:     stage(reg, "route"),
+		stageBatchWait: stage(reg, "batch_wait"),
+		stageEpochRun:  stage(reg, "epoch_run"),
+		stageCommit:    stage(reg, "commit"),
+		stageAllocate:  stage(reg, "allocate"),
+		stageRelease:   stage(reg, "release"),
 		requests:       reg.Counter("pba_allocate_requests_total", "Allocate requests admitted by the router."),
 		released:       reg.Counter("pba_released_balls_total", "Balls released through the service."),
 		inlineEpochs:   reg.Counter("pba_inline_epochs_total", "Epochs run inline on the single-shard fast path, bypassing the batcher."),
@@ -108,6 +89,12 @@ func newMetrics() *metrics {
 	}
 	obs.RegisterRuntime(reg)
 	return m
+}
+
+// stage registers one serving-pipeline stage's histogram on reg.
+func stage(reg *obs.Registry, name string) *obs.Histogram {
+	return reg.DurationHistogram(StageMetricName,
+		"Serving-pipeline stage durations; see serve.StageNames.", obs.L("stage", name))
 }
 
 // cellInstrumentation returns cell i's allocator instrument set, labeled

@@ -140,6 +140,7 @@ type agentRun struct {
 	// step-2 inputs (set by the round loop before the process shards run)
 	byBin   []int32
 	offsets []int32
+	windows bool // shards are windows of scr.acc (multi-request rounds)
 
 	initFn    func(wi, lo, hi int)
 	gatherFn  func(wi, lo, hi int)
@@ -267,7 +268,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 
 		// Step 2: bins process requests (bin shards; parallel from forkMin
 		// requests up).
-		accepts := ar.processRequests(reqs, int(total))
+		accepts := ar.processRequests(reqs, int(total), perBall <= 1)
 		// Every request is answered (accept or reject).
 		metrics.BinReplies += total
 		metrics.TotalMessages += total
@@ -356,10 +357,17 @@ func (r *agentRun) gatherRequests() (shards [][]request, sent int64, perBall int
 
 // processShard is the step-2 worker body: bins [lo, hi) answer their
 // requests into the worker's accept shard, sized for every request in the
-// range.
+// range: the worker's own buffer, which it grows itself so that workers
+// fault fresh memory in parallel, or in a multi-request round the range's
+// window of scr.acc.
 func (r *agentRun) processShard(wi, lo, hi int) {
 	scr := r.scr
-	out := grow(scr.accShards[wi], int(r.offsets[hi]-r.offsets[lo]))[:0]
+	var out []acceptRec
+	if r.windows {
+		out = scr.acc[r.offsets[lo]:r.offsets[lo]:r.offsets[hi]]
+	} else {
+		out = grow(scr.accShards[wi], int(r.offsets[hi]-r.offsets[lo]))[:0]
+	}
 	for bin := lo; bin < hi; bin++ {
 		reqs := r.byBin[r.offsets[bin]:r.offsets[bin+1]]
 		if len(reqs) == 0 {
@@ -383,7 +391,11 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 			})
 		}
 	}
-	scr.accShards[wi] = out
+	if r.windows {
+		scr.accWin[wi] = out
+	} else {
+		scr.accShards[wi] = out
+	}
 }
 
 // smallRoundMax bounds the sort-based small-round path: insertion sort is
@@ -393,13 +405,16 @@ const smallRoundMax = 256
 // processRequests runs step 2 over the round's total requests, given as
 // parts in arrival order, and returns the accepts as shards whose
 // concatenation is in ascending-bin order (scratch-backed, valid until the
-// next call). Rounds counting-sort the requests and answer contiguous bin
+// next call). In a round where a ball may hold several accepts
+// (!singleReq), the shards are ascending windows of scr.acc, sized for
+// the round's requests, so commit can join them in place. Rounds
+// counting-sort the requests and answer contiguous bin
 // ranges, across workers from forkMin requests up; small rounds (the
 // serving/churn regime: a handful of requests into many bins) instead sort
 // the requests by bin and walk only the touched bins, avoiding the
 // counting sort's O(n) per-round passes. Both paths produce bit-identical
 // accept sequences.
-func (r *agentRun) processRequests(parts [][]request, total int) [][]acceptRec {
+func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool) [][]acceptRec {
 	n := r.e.p.N
 	scr := r.scr
 	if total <= smallRoundMax && total*8 < n {
@@ -408,7 +423,12 @@ func (r *agentRun) processRequests(parts [][]request, total int) [][]acceptRec {
 		return r.processSmall(flatten(&scr.flush, parts))
 	}
 	r.byBin, r.offsets = scr.groupByBin(parts, n)
-	return scr.accShards[:shard(n, scr.forkWorkers(total), r.processFn)]
+	shards := scr.accShards
+	if r.windows = !singleReq; r.windows {
+		scr.acc = grow(scr.acc, total)
+		shards = scr.accWin
+	}
+	return shards[:shard(n, scr.forkWorkers(total), r.processFn)]
 }
 
 // processSmall is the small-round step 2: requests are stable-sorted by
@@ -574,7 +594,15 @@ func siftDownMin(s []int32, i int) {
 // per-ball and order-independent, so results are bit-identical either way.
 func (r *agentRun) commitBalls(shards [][]acceptRec, metrics *model.Metrics, singleReq bool) (commits int, roundMax int64) {
 	if !singleReq {
-		accepts := flatten(&r.scr.accepts, shards)
+		accepts := shards[0]
+		if len(shards) > 1 {
+			// Several shards are ascending windows of scr.acc, so joining
+			// them moves each down behind the one before, in place.
+			accepts = r.scr.acc[:0]
+			for _, part := range shards {
+				accepts = append(accepts, part...)
+			}
+		}
 		sortAcceptsByBall(accepts)
 		return r.commit(accepts, metrics)
 	}

@@ -6,12 +6,15 @@ package sim
 // one run; workers index into disjoint per-worker sub-buffers. Rounds read
 // the worker shards in place: the counting sort reads the gather shards,
 // and a single-request round commits straight from the accept shards.
-// Only flush rounds (held plus fresh requests), small rounds that span
-// several gather shards, and rounds in which a ball may hold several
-// accepts join their shards, into buffers sized to exactly their sum.
-// Buffers are sized before a step writes them — a gather shard for one
-// request per ball, an accept shard for every request in its bin range —
-// so a degree-1 round grows no buffer by doubling.
+// Only flush rounds (held plus fresh requests) and small rounds that span
+// several gather shards join their request shards, into buffers sized to
+// exactly their sum. A round in which a ball may hold several accepts
+// answers into ascending windows of one buffer instead of the per-worker
+// accept shards, so commit joins them in place and such a round holds the
+// same bytes at any worker count. Buffers are sized before a step writes
+// them — a gather shard for one request per ball, an accept shard or
+// window for every request in its bin range — so a degree-1 round grows
+// no buffer by doubling.
 type scratch struct {
 	workers   int
 	targetBuf [][]int       // per-worker Protocol.Targets buffer
@@ -21,7 +24,8 @@ type scratch struct {
 	counts    []int32       // n+2 counting-sort offsets and scatter cursors
 	byBin     []int32       // request ball indices scattered by bin
 	accShards [][]acceptRec // per-worker step-2 output
-	accepts   []acceptRec   // accepts joined for the by-ball sort
+	acc       []acceptRec   // multi-request round's accepts, one slot per request
+	accWin    [][]acceptRec // multi-request round's step-2 output: windows of acc
 	accBuf    []Accept      // step-3 Choose buffer
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
@@ -34,6 +38,7 @@ func newScratch(workers, n int) *scratch {
 		reqShards: make([][]request, workers),
 		counts:    make([]int32, n+2),
 		accShards: make([][]acceptRec, workers),
+		accWin:    make([][]acceptRec, workers),
 		accBuf:    make([]Accept, 0, 8),
 		gatherMax: make([]int, workers),
 	}

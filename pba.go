@@ -58,8 +58,10 @@ type Options struct {
 
 // Aheavy allocates with the paper's symmetric threshold algorithm
 // (Theorem 1): max load m/n + O(1) in O(log log(m/n) + log* n) rounds
-// w.h.p. This entry point uses the count-based mass engine (exact in
-// distribution, scales to ~10^12 balls); see AheavyAgent for the
+// w.h.p. This entry point treats balls as exchangeable (exact in
+// distribution, scales to ~10^12 balls): phase 1 runs on the count-based
+// mass engine, and phase 2 throws Alight's first round count-based and
+// builds agents only for its survivors. See AheavyAgent for the
 // message-level agent simulation.
 func Aheavy(p Problem, o Options) (*Result, error) {
 	return core.RunFast(p, core.Config{Seed: o.Seed, Workers: o.Workers, Trace: o.Trace})
