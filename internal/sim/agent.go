@@ -52,9 +52,12 @@ const (
 
 // Protocol defines a balls-into-bins algorithm run by the Engine.
 //
-// Targets, Capacity and Payload must be safe for concurrent use: in large
-// rounds the engine invokes them from several goroutines for distinct balls
-// and bins. Choose and Place run on the engine's own goroutine.
+// Every method but Hold and Done must be safe for concurrent use: in large
+// rounds the engine invokes Targets, Capacity and Payload from several
+// goroutines for distinct balls and bins, and in rounds where each ball
+// sends at most one request the worker that answers a bin also runs Choose
+// and Place for the balls it accepts, so those too run concurrently, for
+// distinct balls. Choose may use only its own ball's state and stream.
 // Implementations should treat receiver state as read-only during a run
 // (round-indexed parameters such as thresholds must be precomputed or
 // derived from the arguments).
@@ -119,8 +122,20 @@ type acceptRec struct {
 	payload int64
 }
 
+// binTally is one step-2 worker's share of a round's commits. A worker
+// keeps it in a local and stores it once, at the end of its shard, so the
+// workers never write neighbouring tallies while they run.
+type binTally struct {
+	commits  int
+	msgs     int64 // commit messages
+	roundMax int64 // maximal load among the bins committed to
+	// redirects holds the bins of commits that Place sent outside the
+	// accepting bin, added to their loads after the step's join.
+	redirects []int32
+}
+
 // agentRun is the mutable state of one agent-mode execution. The shard
-// worker bodies are methods on it, bound once per arena (gatherFn,
+// worker bodies are methods on it, bound once per arena (initFn, gatherFn,
 // processFn), so the round loop allocates nothing in the steady state.
 type agentRun struct {
 	e   *Engine
@@ -128,7 +143,7 @@ type agentRun struct {
 
 	balls       []Ball
 	active      []int32
-	placed      []bool // placed[i]: ball i has committed
+	stay        []bool // stay[i]: active ball i stays unallocated after this round
 	loads       []int64
 	binReceived []int64
 	ballSent    []int32
@@ -137,10 +152,18 @@ type agentRun struct {
 	ballSeed uint64 // the run's ball-stream domain
 	round    int
 
-	// step-2 inputs (set by the round loop before the process shards run)
-	byBin   []int32
-	offsets []int32
-	windows bool // shards are windows of scr.acc (multi-request rounds)
+	// split is set by the round loop before step 1: each gather worker
+	// also counts its requests by bin, so the counting sort is split by
+	// gather shard (scratch.go).
+	split bool
+
+	// step-2 inputs (set by processRequests before the process shards run)
+	parts     [][]request // the round's requests, in arrival order
+	byBin     []int32
+	offsets   []int32
+	single    bool           // each ball sent at most one request: commit while answering
+	shards    int            // step-2 shards; a split sort's scatter is spread over them
+	scattered sync.WaitGroup // a split sort's scatter barrier
 
 	initFn    func(wi, lo, hi int)
 	gatherFn  func(wi, lo, hi int)
@@ -181,7 +204,9 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	// identical for any worker count.
 	ar.ballSeed = rng.Mix64(e.cfg.Seed ^ 0x5A5A5A5A5A5A5A5A)
 	arena.balls = grow(arena.balls, int(m))
+	arena.active = grow(arena.active, int(m))
 	ar.balls = arena.balls
+	ar.active = arena.active
 	shard(int(m), ar.scr.forkWorkers(int(m)), ar.initFn)
 	if e.cfg.InitState != nil {
 		for i := range ar.balls {
@@ -189,19 +214,17 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 	}
 
+	// Fresh per-ball vectors come zeroed from make and are first written
+	// by the round's workers; only reused ones are cleared here. Gather
+	// writes every active ball's stay mark, so those are never cleared.
 	arena.loads = growZero(arena.loads, n)
 	arena.binReceived = growZero(arena.binReceived, n)
 	arena.ballSent = growZero(arena.ballSent, int(m))
-	arena.placed = growZero(arena.placed, int(m))
-	arena.active = grow(arena.active, int(m))
-	ar.placed = arena.placed
+	arena.stay = grow(arena.stay, int(m))
+	ar.stay = arena.stay
 	ar.loads = arena.loads
 	ar.binReceived = arena.binReceived
 	ar.ballSent = arena.ballSent
-	ar.active = arena.active
-	for i := range ar.active {
-		ar.active[i] = int32(i)
-	}
 	ar.placements = nil
 	if e.cfg.RecordPlacements {
 		arena.placements = grow(arena.placements, int(m))
@@ -236,14 +259,20 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			obs.RoundStart(round, ar.loads, remaining)
 		}
 		ar.round = round
+		hold := e.proto.Hold(round)
 
 		// Step 1: active balls emit requests (ball shards; parallel from
-		// forkMin balls up).
+		// forkMin balls up). A round that answers only its own fresh
+		// requests counts them by bin as it gathers, one histogram per
+		// gather shard, once the active balls outnumber those histograms'
+		// entries.
+		gatherShards := chunks(len(ar.active), ar.scr.forkWorkers(len(ar.active)))
+		ar.split = !hold && len(held) == 0 && gatherShards > 1 && len(ar.active) >= gatherShards*(n+2)
 		reqs, sentThisRound, perBall := ar.gatherRequests()
 		metrics.BallRequests += sentThisRound
 		metrics.TotalMessages += sentThisRound
 
-		if e.proto.Hold(round) {
+		if hold {
 			// Grow once for the whole round, not once per shard.
 			held = slices.Grow(held, int(sentThisRound))
 			for _, part := range reqs {
@@ -258,7 +287,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			reqs = ar.scr.joinFlush(held, reqs)
 			held = held[:0]
 			// Flushed rounds can repeat a ball across collection rounds, so
-			// the sort-free commit grouping does not apply.
+			// a ball may hold several accepts.
 			perBall = 2
 		}
 		if total == 0 {
@@ -267,21 +296,19 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 
 		// Step 2: bins process requests (bin shards; parallel from forkMin
-		// requests up).
-		accepts := ar.processRequests(reqs, int(total), perBall <= 1)
-		// Every request is answered (accept or reject).
+		// requests up). Every request is answered (accept or reject).
+		// Step 3: balls with accepts commit — inside step 2 when each ball
+		// sent at most one request, else on this goroutine.
+		commits, roundMax := ar.processRequests(reqs, int(total), perBall <= 1, &metrics)
 		metrics.BinReplies += total
 		metrics.TotalMessages += total
-
-		// Step 3: balls with accepts commit (on this goroutine).
-		commits, roundMax := ar.commitBalls(accepts, &metrics, perBall <= 1)
 		if roundMax > maxLoad {
 			maxLoad = roundMax
 		}
 
 		// Drop allocated balls from the active set.
 		if commits > 0 {
-			ar.active = compactActive(ar.active, ar.placed)
+			ar.active = compactActive(ar.active, ar.stay)
 		}
 		e.emitRound(round, remaining, sentThisRound, int64(commits), maxLoad)
 	}
@@ -305,21 +332,30 @@ func (e *Engine) runAgent() (*model.Result, error) {
 }
 
 // initShard is the ball-initialization worker body: balls [lo, hi) get
-// their index as ID and their seeded stream.
+// their index as ID and their seeded stream, and join the active set.
 func (r *agentRun) initShard(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		b := &r.balls[i]
 		*b = Ball{ID: int64(i)}
 		b.rand.Seed(rng.Mix64(r.ballSeed + uint64(i)*0x9E3779B97F4A7C15))
+		r.active[i] = int32(i)
 	}
 }
 
 // gatherShard is the step-1 worker body: balls active[lo:hi] emit their
-// requests into the worker's shard buffer, sized for one request per ball.
+// requests into the worker's shard buffer, sized for one request per ball,
+// and in a split round count them by bin into the worker's histogram. A
+// silent ball is marked to stay active; a ball that sent requests leaves
+// unless step 2 marks it again.
 func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr := r.scr
 	buf := scr.targetBuf[wi]
 	out := grow(scr.reqShards[wi], hi-lo)[:0]
+	var hist []int32
+	if r.split {
+		hist = growZero(scr.hists[wi], r.e.p.N)
+		scr.hists[wi] = hist
+	}
 	perBall := 0
 	for _, bi := range r.active[lo:hi] {
 		b := &r.balls[bi]
@@ -329,11 +365,15 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 			panic(fmt.Sprintf("sim: ball %d sent more than %d requests", bi, math.MaxInt32))
 		}
 		r.ballSent[bi] = int32(sent)
+		r.stay[bi] = len(buf) == 0
 		if len(buf) > perBall {
 			perBall = len(buf)
 		}
 		for _, bin := range buf {
 			out = append(out, request{ball: bi, bin: int32(bin)})
+			if hist != nil {
+				hist[bin]++
+			}
 		}
 	}
 	scr.targetBuf[wi] = buf
@@ -344,8 +384,8 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 // gatherRequests runs step 1 and returns the round's requests as the
 // worker shards themselves, in deterministic (worker-shard) order, with
 // their total and the maximum number of requests any single ball sent (1
-// for degree-1 rounds — the precondition for the sort-free commit
-// grouping). The shards are valid until the next call.
+// for degree-1 rounds — the precondition for committing inside step 2).
+// The shards are valid until the next call.
 func (r *agentRun) gatherRequests() (shards [][]request, sent int64, perBall int) {
 	scr := r.scr
 	shards = scr.reqShards[:shard(len(r.active), scr.forkWorkers(len(r.active)), r.gatherFn)]
@@ -355,34 +395,62 @@ func (r *agentRun) gatherRequests() (shards [][]request, sent int64, perBall int
 	return shards, sent, slices.Max(scr.gatherMax[:len(shards)])
 }
 
-// processShard is the step-2 worker body: bins [lo, hi) answer their
-// requests into the worker's accept shard, sized for every request in the
-// range: the worker's own buffer, which it grows itself so that workers
-// fault fresh memory in parallel, or in a multi-request round the range's
-// window of scr.acc.
+// processShard is the step-2 worker body. In a split round it first
+// scatters its gather shards' requests into byBin and waits for the other
+// workers to scatter theirs. Then bins [lo, hi) answer their requests: in
+// a single-request round the worker commits what they accept itself (only
+// it writes those bins' loads, and each ball has one accept); otherwise it
+// writes the accepts into the range's window of scr.acc, sized for every
+// request in the range.
 func (r *agentRun) processShard(wi, lo, hi int) {
 	scr := r.scr
-	var out []acceptRec
-	if r.windows {
-		out = scr.acc[r.offsets[lo]:r.offsets[lo]:r.offsets[hi]]
-	} else {
-		out = grow(scr.accShards[wi], int(r.offsets[hi]-r.offsets[lo]))[:0]
+	if r.split {
+		for g := wi; g < len(r.parts); g += r.shards {
+			scatterBins(r.byBin, scr.hists[g], r.parts[g])
+		}
+		r.scattered.Done()
+		r.scattered.Wait()
 	}
+	var out []acceptRec
+	if !r.single {
+		out = scr.acc[r.offsets[lo]:r.offsets[lo]:r.offsets[hi]]
+	}
+	t := binTally{redirects: scr.tallies[wi].redirects[:0]}
 	for bin := lo; bin < hi; bin++ {
-		reqs := r.byBin[r.offsets[bin]:r.offsets[bin+1]]
-		if len(reqs) == 0 {
-			continue
+		if reqs := r.byBin[r.offsets[bin]:r.offsets[bin+1]]; len(reqs) > 0 {
+			out = r.answer(wi, bin, reqs, out, &t)
 		}
-		r.binReceived[bin] += int64(len(reqs))
-		capacity := r.e.proto.Capacity(r.round, bin, r.loads[bin])
-		if capacity <= 0 {
-			continue
-		}
-		k := int64(len(reqs))
-		if capacity < k {
-			k = capacity
+	}
+	scr.tallies[wi] = t
+	scr.accWin[wi] = out
+}
+
+// answer is bin's part of step 2 for its requests reqs (ball indices in
+// arrival order, tie-broken in place): the bin accepts up to its capacity
+// at its round-start load. In a single-request round each rejected ball
+// is marked to stay active, and each accepted ball commits at once,
+// counted in t; a commit that Place sends to another bin waits in
+// t.redirects, so that every Capacity call of the round sees its bin's
+// round-start load. Otherwise the accepts are appended to out.
+func (r *agentRun) answer(wi, bin int, reqs []int32, out []acceptRec, t *binTally) []acceptRec {
+	r.binReceived[bin] += int64(len(reqs))
+	capacity := r.e.proto.Capacity(r.round, bin, r.loads[bin])
+	k := int64(len(reqs))
+	if capacity < k {
+		k = max(capacity, 0)
+		if k > 0 {
 			r.e.applyTieBreak(r.round, bin, reqs)
 		}
+		if r.single {
+			for _, bi := range reqs[k:] {
+				r.stay[bi] = true
+			}
+		}
+	}
+	if k == 0 {
+		return out
+	}
+	if !r.single {
 		for i := int64(0); i < k; i++ {
 			out = append(out, acceptRec{
 				ball:    reqs[i],
@@ -390,12 +458,23 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 				payload: r.e.proto.Payload(r.round, bin, i),
 			})
 		}
+		return out
 	}
-	if r.windows {
-		scr.accWin[wi] = out
-	} else {
-		scr.accShards[wi] = out
+	buf := r.scr.accBufs[wi][:1]
+	landed := false
+	for i := int64(0); i < k; i++ {
+		buf[0] = Accept{From: bin, Payload: r.e.proto.Payload(r.round, bin, i)}
+		if place := r.commitBall(reqs[i], buf, t); place == bin {
+			r.loads[bin]++
+			landed = true
+		} else {
+			t.redirects = append(t.redirects, int32(place))
+		}
 	}
+	if landed {
+		t.roundMax = max(t.roundMax, r.loads[bin])
+	}
+	return out
 }
 
 // smallRoundMax bounds the sort-based small-round path: insertion sort is
@@ -403,77 +482,98 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 const smallRoundMax = 256
 
 // processRequests runs step 2 over the round's total requests, given as
-// parts in arrival order, and returns the accepts as shards whose
-// concatenation is in ascending-bin order (scratch-backed, valid until the
-// next call). In a round where a ball may hold several accepts
-// (!singleReq), the shards are ascending windows of scr.acc, sized for
-// the round's requests, so commit can join them in place. Rounds
-// counting-sort the requests and answer contiguous bin
-// ranges, across workers from forkMin requests up; small rounds (the
-// serving/churn regime: a handful of requests into many bins) instead sort
-// the requests by bin and walk only the touched bins, avoiding the
-// counting sort's O(n) per-round passes. Both paths produce bit-identical
-// accept sequences.
-func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool) [][]acceptRec {
+// parts in arrival order, and step 3: it returns the number of balls
+// allocated this round and the maximal load among the bins committed to,
+// and counts the commit messages in metrics. Rounds counting-sort the
+// requests and answer contiguous bin ranges, across workers from forkMin
+// requests up; small rounds (the serving/churn regime: a handful of
+// requests into many bins) instead sort the requests by bin and walk only
+// the touched bins, avoiding the counting sort's O(n) per-round passes.
+// Both paths answer in the same order. A single-request round commits
+// inside step 2; in any other round a ball may hold several accepts, so
+// the step's windows of scr.acc are joined in place and committed by ball
+// on this goroutine. Results are bit-identical either way.
+func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool, metrics *model.Metrics) (commits int, roundMax int64) {
 	n := r.e.p.N
 	scr := r.scr
+	r.single = singleReq
+	if !singleReq {
+		scr.acc = grow(scr.acc, total)
+	}
+	w := 1
 	if total <= smallRoundMax && total*8 < n {
 		// A small round spans several gather shards only when most of
 		// many active balls stayed silent; join those.
-		return r.processSmall(flatten(&scr.flush, parts))
+		r.processSmall(flatten(&scr.flush, parts))
+	} else {
+		r.parts = parts
+		if r.split {
+			r.byBin, r.offsets = scr.splitOffsets(len(parts), n, total)
+		} else {
+			r.byBin, r.offsets = scr.groupByBin(parts, n)
+		}
+		workers := scr.forkWorkers(total)
+		w = chunks(n, workers)
+		if r.split {
+			r.shards = w
+			r.scattered.Add(w)
+		}
+		shard(n, workers, r.processFn)
 	}
-	r.byBin, r.offsets = scr.groupByBin(parts, n)
-	shards := scr.accShards
-	if r.windows = !singleReq; r.windows {
-		scr.acc = grow(scr.acc, total)
-		shards = scr.accWin
+
+	var msgs int64
+	if singleReq {
+		// Redirected commits join their bins' loads in worker order.
+		for _, t := range scr.tallies[:w] {
+			commits += t.commits
+			msgs += t.msgs
+			roundMax = max(roundMax, t.roundMax)
+			for _, place := range t.redirects {
+				r.loads[place]++
+				roundMax = max(roundMax, r.loads[place])
+			}
+		}
+	} else {
+		// The windows ascend through scr.acc, so joining them moves each
+		// down behind the one before, in place.
+		accepts := scr.acc[:0]
+		for _, part := range scr.accWin[:w] {
+			accepts = append(accepts, part...)
+		}
+		sortAcceptsByBall(accepts)
+		// A ball with no accept stays, whatever bins rejected it.
+		for _, bi := range r.active {
+			r.stay[bi] = true
+		}
+		commits, roundMax, msgs = r.commitByBall(accepts)
 	}
-	return shards[:shard(n, scr.forkWorkers(total), r.processFn)]
+	metrics.CommitMessages += msgs
+	metrics.TotalMessages += msgs
+	return commits, roundMax
 }
 
 // processSmall is the small-round step 2: requests are stable-sorted by
 // destination bin (preserving arrival order within a bin — exactly the
 // grouping the counting sort produces) and the touched bins are answered
-// inline, O(k log k + k·d) for k requests instead of O(n), into the first
-// accept shard. Sequential by design: rounds this small gain nothing from
-// bin sharding.
-func (r *agentRun) processSmall(reqs []request) [][]acceptRec {
+// inline, O(k log k + k·d) for k requests instead of O(n), as worker 0.
+// Sequential by design: rounds this small gain nothing from bin sharding.
+func (r *agentRun) processSmall(reqs []request) {
 	sortRequestsByBin(reqs)
 	scr := r.scr
-	accepts := scr.accShards[0][:0]
+	out := scr.acc[:0]
 	buf := scr.runBuf[:0]
+	t := binTally{redirects: scr.tallies[0].redirects[:0]}
 	for i := 0; i < len(reqs); {
 		bin := int(reqs[i].bin)
-		j := i + 1
-		for j < len(reqs) && int(reqs[j].bin) == bin {
-			j++
+		buf = buf[:0]
+		for ; i < len(reqs) && int(reqs[i].bin) == bin; i++ {
+			buf = append(buf, reqs[i].ball)
 		}
-		cnt := j - i
-		r.binReceived[bin] += int64(cnt)
-		capacity := r.e.proto.Capacity(r.round, bin, r.loads[bin])
-		if capacity > 0 {
-			buf = buf[:0]
-			for _, q := range reqs[i:j] {
-				buf = append(buf, q.ball)
-			}
-			k := int64(cnt)
-			if capacity < k {
-				k = capacity
-				r.e.applyTieBreak(r.round, bin, buf)
-			}
-			for x := int64(0); x < k; x++ {
-				accepts = append(accepts, acceptRec{
-					ball:    buf[x],
-					bin:     int32(bin),
-					payload: r.e.proto.Payload(r.round, bin, x),
-				})
-			}
-		}
-		i = j
+		out = r.answer(0, bin, buf, out, &t)
 	}
 	scr.runBuf = buf
-	scr.accShards[0] = accepts
-	return scr.accShards[:1]
+	scr.tallies[0] = t
+	scr.accWin[0] = out
 }
 
 // sortRequestsByBin stable-insertion-sorts reqs by destination bin,
@@ -501,6 +601,15 @@ func (s *scratch) forkWorkers(items int) int {
 		return 1
 	}
 	return s.workers
+}
+
+// chunks is the number of chunks shard(total, w, ·) dispatches.
+func chunks(total, w int) int {
+	if total <= 0 {
+		return 0
+	}
+	chunk := (total + w - 1) / w
+	return (total + chunk - 1) / chunk
 }
 
 // shard runs fn(wi, lo, hi) over w contiguous chunks of [0, total): chunk
@@ -579,77 +688,49 @@ func siftDownMin(s []int32, i int) {
 	}
 }
 
-// commitBalls runs step 3 on the calling goroutine: group the accept
-// shards by ball, let each ball choose, and apply placements. Returns the
-// number of balls allocated this round and the maximal load among the bins
-// committed to.
-//
-// singleReq asserts that every ball sent at most one request this round
-// (every degree-1 round without a held-request flush — the paper's main
-// algorithm, and the whole churn hot path). Then every ball has at most
-// one accept, groups are singletons whatever the order, and commit walks
-// the shards in place, in bin order. Otherwise a ball's accepts must be
-// adjacent: the shards are joined and sorted by ball (in-place heapsort,
-// the dominant per-round cost for small epochs). Commit outcomes are
-// per-ball and order-independent, so results are bit-identical either way.
-func (r *agentRun) commitBalls(shards [][]acceptRec, metrics *model.Metrics, singleReq bool) (commits int, roundMax int64) {
-	if !singleReq {
-		accepts := shards[0]
-		if len(shards) > 1 {
-			// Several shards are ascending windows of scr.acc, so joining
-			// them moves each down behind the one before, in place.
-			accepts = r.scr.acc[:0]
-			for _, part := range shards {
-				accepts = append(accepts, part...)
-			}
-		}
-		sortAcceptsByBall(accepts)
-		return r.commit(accepts, metrics)
+// commitBall lets ball bi choose among its accepts (never empty), records
+// its placement where Place maps the chosen accept, and returns that bin;
+// the caller adds the ball to the bin's load. It counts the commit in t, with
+// one commit/inform message per accepting bin (the chosen bin learns of
+// the placement; others learn of the decline), plus one redirect message
+// when the placement bin differs.
+func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
+	choice := r.e.proto.Choose(r.round, &r.balls[bi], accepts)
+	if choice < 0 || choice >= len(accepts) {
+		panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(accepts)))
 	}
-	for _, accepts := range shards {
-		c, m := r.commit(accepts, metrics)
-		commits += c
-		roundMax = max(roundMax, m)
+	place := r.e.proto.Place(accepts[choice])
+	if r.placements != nil {
+		r.placements[bi] = int32(place)
 	}
-	return commits, roundMax
+	t.commits++
+	t.msgs += int64(len(accepts))
+	if place != accepts[choice].From {
+		t.msgs++
+	}
+	return place
 }
 
-// commit commits every ball of accepts, in which each ball's accepts are
-// adjacent.
-func (r *agentRun) commit(accepts []acceptRec, metrics *model.Metrics) (int, int64) {
-	buf := r.scr.accBuf
-	var commits int
-	var msgs, roundMax int64
+// commitByBall is step 3 of a round in which a ball may hold several
+// accepts: it commits every ball of accepts, in which each ball's accepts
+// are adjacent, on the calling goroutine, after step 2 has read every
+// bin's round-start load.
+func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, roundMax, msgs int64) {
+	buf := r.scr.accBufs[0]
+	var t binTally
 	for i := 0; i < len(accepts); {
 		bi := accepts[i].ball
 		buf = buf[:0]
 		for ; i < len(accepts) && accepts[i].ball == bi; i++ {
 			buf = append(buf, Accept{From: int(accepts[i].bin), Payload: accepts[i].payload})
 		}
-		choice := r.e.proto.Choose(r.round, &r.balls[bi], buf)
-		if choice < 0 || choice >= len(buf) {
-			panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(buf)))
-		}
-		place := r.e.proto.Place(buf[choice])
+		place := r.commitBall(bi, buf, &t)
+		r.stay[bi] = false
 		r.loads[place]++
-		roundMax = max(roundMax, r.loads[place])
-		if r.placements != nil {
-			r.placements[bi] = int32(place)
-		}
-		r.placed[bi] = true
-		commits++
-		// One commit/inform message per accepting bin (the chosen bin
-		// learns of the placement; others learn of the decline), plus one
-		// redirect message when the placement bin differs.
-		msgs += int64(len(buf))
-		if place != buf[choice].From {
-			msgs++
-		}
+		t.roundMax = max(t.roundMax, r.loads[place])
 	}
-	r.scr.accBuf = buf
-	metrics.CommitMessages += msgs
-	metrics.TotalMessages += msgs
-	return commits, roundMax
+	r.scr.accBufs[0] = buf
+	return t.commits, t.roundMax, t.msgs
 }
 
 func sortAcceptsByBall(a []acceptRec) {
@@ -683,12 +764,12 @@ func siftDownAccept(a []acceptRec, i int) {
 	}
 }
 
-// compactActive removes placed balls from the active set, preserving
-// order.
-func compactActive(active []int32, placed []bool) []int32 {
+// compactActive keeps the balls marked to stay in the active set,
+// preserving order.
+func compactActive(active []int32, stay []bool) []int32 {
 	out := active[:0]
 	for _, bi := range active {
-		if !placed[bi] {
+		if stay[bi] {
 			out = append(out, bi)
 		}
 	}

@@ -28,7 +28,7 @@ type Arena struct {
 	// agent-mode buffers
 	balls       []Ball
 	active      []int32
-	placed      []bool
+	stay        []bool
 	loads       []int64
 	binReceived []int64
 	ballSent    []int32

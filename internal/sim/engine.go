@@ -16,10 +16,13 @@
 //     draw every buffer from reusable scratch arenas (scratch.go), sized
 //     once per round, and read the per-worker shards in place. Steps of at
 //     least forkMin balls or requests (ball initialization included)
-//     run in parallel over per-worker shards; smaller steps, and every
-//     commit, run on the engine's goroutine, so small rounds allocate
-//     nothing. Placement marks live in the arena, never in the Ball.
-//     Capped at 2^31-2 balls.
+//     run in parallel over per-worker shards; smaller steps run on the
+//     engine's goroutine, so small rounds allocate nothing. A round in
+//     which each ball sent at most one request commits inside step 2: a
+//     ball's one accept comes from the bin it contacted, so the worker
+//     that answers a bin also commits what it accepts. Other rounds
+//     commit by ball on the engine's goroutine. Active-set marks live in
+//     the arena, never in the Ball. Capped at 2^31-2 balls.
 //
 //   - Mass mode (RunMass, mass.go): balls are exchangeable counts. A
 //     round evolves a per-bin ball-count vector via exact multinomial

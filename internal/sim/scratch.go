@@ -5,28 +5,35 @@ package sim
 // the steady state allocates (almost) nothing per round. One arena serves
 // one run; workers index into disjoint per-worker sub-buffers. Rounds read
 // the worker shards in place: the counting sort reads the gather shards,
-// and a single-request round commits straight from the accept shards.
-// Only flush rounds (held plus fresh requests) and small rounds that span
-// several gather shards join their request shards, into buffers sized to
-// exactly their sum. A round in which a ball may hold several accepts
-// answers into ascending windows of one buffer instead of the per-worker
-// accept shards, so commit joins them in place and such a round holds the
+// and a single-request round writes no accept at all, because each step-2
+// worker commits what its bins accept. Only flush rounds (held plus fresh
+// requests) and small rounds that span several gather shards join their
+// request shards, into buffers sized to exactly their sum. A round in
+// which a ball may hold several accepts answers into ascending windows of
+// one buffer, so commit joins them in place and such a round holds the
 // same bytes at any worker count. Buffers are sized before a step writes
-// them — a gather shard for one request per ball, an accept shard or
-// window for every request in its bin range — so a degree-1 round grows
-// no buffer by doubling.
+// them — a gather shard for one request per ball, a window for every
+// request in its bin range — so a degree-1 round grows no buffer by
+// doubling.
+//
+// A large round that answers only its fresh requests splits its counting
+// sort by gather shard: each gather worker counts its own requests into
+// its own histogram (hists), and at the head of step 2 the workers scatter
+// the shards (splitOffsets, scatterBins). Smaller rounds count into the one
+// n+2 entry counts array (groupByBin), so they keep its memory.
 type scratch struct {
 	workers   int
 	targetBuf [][]int       // per-worker Protocol.Targets buffer
 	reqShards [][]request   // per-worker step-1 output
+	hists     [][]int32     // per-gather-shard request counts by bin, then scatter cursors
 	flush     []request     // held+fresh working set on flush rounds; joined small rounds
 	flushPart [1][]request  // flush as the round's only part
 	counts    []int32       // n+2 counting-sort offsets and scatter cursors
 	byBin     []int32       // request ball indices scattered by bin
-	accShards [][]acceptRec // per-worker step-2 output
 	acc       []acceptRec   // multi-request round's accepts, one slot per request
 	accWin    [][]acceptRec // multi-request round's step-2 output: windows of acc
-	accBuf    []Accept      // step-3 Choose buffer
+	accBufs   [][]Accept    // per-worker Choose buffer
+	tallies   []binTally    // per-worker step-2 commit totals
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
 }
@@ -36,14 +43,16 @@ func newScratch(workers, n int) *scratch {
 		workers:   workers,
 		targetBuf: make([][]int, workers),
 		reqShards: make([][]request, workers),
+		hists:     make([][]int32, workers),
 		counts:    make([]int32, n+2),
-		accShards: make([][]acceptRec, workers),
 		accWin:    make([][]acceptRec, workers),
-		accBuf:    make([]Accept, 0, 8),
+		accBufs:   make([][]Accept, workers),
+		tallies:   make([]binTally, workers),
 		gatherMax: make([]int, workers),
 	}
 	for wi := 0; wi < workers; wi++ {
 		s.targetBuf[wi] = make([]int, 0, 8)
+		s.accBufs[wi] = make([]Accept, 0, 8)
 	}
 	return s
 }
@@ -92,4 +101,37 @@ func (s *scratch) groupByBin(parts [][]request, n int) (byBin []int32, offsets [
 		}
 	}
 	return byBin, counts[:n+1]
+}
+
+// splitOffsets is the split counting sort's prefix pass over the first h
+// histograms, which hold each group's request counts by bin for total
+// requests. It turns them into scatter cursors, bin-major and then
+// group-minor, so that each bin's requests keep group order, exactly the
+// order groupByBin gives. It returns byBin, sized for the requests, which
+// scatterBins then fills group by group, and the per-bin offsets, as
+// groupByBin does.
+func (s *scratch) splitOffsets(h, n, total int) (byBin []int32, offsets []int32) {
+	hists := s.hists[:h]
+	offsets = s.counts[:n+1]
+	var at int32
+	for b := range n {
+		offsets[b] = at
+		for _, hist := range hists {
+			c := hist[b]
+			hist[b] = at
+			at += c
+		}
+	}
+	offsets[n] = at
+	s.byBin = grow(s.byBin, total)
+	return s.byBin, offsets
+}
+
+// scatterBins writes the ball index of each of one group's requests to
+// its bin's next slot of byBin, advancing the group's cursors.
+func scatterBins(byBin, cursors []int32, reqs []request) {
+	for _, r := range reqs {
+		byBin[cursors[r.bin]] = r.ball
+		cursors[r.bin]++
+	}
 }

@@ -386,7 +386,36 @@ func TestGroupByBinProperty(t *testing.T) {
 			parts = append(parts, reqs[cuts[i-1]:cuts[i]])
 		}
 		splitByBin, splitOffsets := newScratch(1, n).groupByBin(parts, n)
-		return slices.Equal(splitByBin, byBin) && slices.Equal(splitOffsets, offsets)
+		if !slices.Equal(splitByBin, byBin) || !slices.Equal(splitOffsets, offsets) {
+			return false
+		}
+		// The counting sort split into 1-4 groups of contiguous parts, each
+		// counted into its own histogram and scattered on its own, as the
+		// gather shards are in a large round, gives the one-histogram output.
+		h := min(r.Intn(4)+1, len(parts))
+		s := newScratch(h, n)
+		bounds := []int{0, len(parts)}
+		for k := h - 1; k > 0; k-- {
+			bounds = append(bounds, r.Intn(len(parts)+1))
+		}
+		slices.Sort(bounds)
+		groups := make([][][]request, h)
+		for g := range groups {
+			groups[g] = parts[bounds[g]:bounds[g+1]]
+			s.hists[g] = make([]int32, n)
+			for _, part := range groups[g] {
+				for _, q := range part {
+					s.hists[g][q.bin]++
+				}
+			}
+		}
+		groupByBin, groupOffsets := s.splitOffsets(h, n, m)
+		for g, group := range groups {
+			for _, part := range group {
+				scatterBins(groupByBin, s.hists[g], part)
+			}
+		}
+		return slices.Equal(groupByBin, byBin) && slices.Equal(groupOffsets, offsets)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,19 @@ import (
 
 // fuzzProto is a randomized but well-formed protocol: per-round degree in
 // [1,3], per-round-per-bin capacities drawn from a seeded table, optional
-// hold pattern, optionally mostly-silent balls, uniform targets.
+// hold pattern, optionally mostly-silent balls, uniform targets, and
+// optionally placements redirected away from the accepting bin.
 type fuzzProto struct {
 	seed    uint64
 	degree  int
 	holdMod int // hold rounds where round%holdMod != holdMod-1 (0 = never hold)
 	capBase int64
 	quiet   int // a ball speaks only in rounds where (ID+round)%quiet == 0 (0 = always)
+	// redirect, if positive, is the bin count n: Place stores the ball
+	// Payload bins past the accepting one, mod n, so six of every seven
+	// accepts of a bin land in a later bin, whose Capacity must still see
+	// its round-start load.
+	redirect int
 }
 
 func (f *fuzzProto) Targets(round int, b *Ball, n int, buf []int) []int {
@@ -56,7 +62,12 @@ func (f *fuzzProto) Choose(_ int, b *Ball, accepts []Accept) int {
 	return int(b.Rand().Intn(len(accepts)))
 }
 
-func (f *fuzzProto) Place(a Accept) int { return a.From }
+func (f *fuzzProto) Place(a Accept) int {
+	if f.redirect > 0 {
+		return (a.From + int(a.Payload)) % f.redirect
+	}
+	return a.From
+}
 
 func (f *fuzzProto) Done(int, int64) bool { return false }
 
@@ -98,21 +109,27 @@ func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 }
 
 // FuzzAgentEngine runs fuzzProto at 1, 2 and 4 workers over instances
-// that straddle forkMin, so rounds fork or run inline, read one or several
-// gather and accept shards, commit in place or through the by-ball sort,
+// that straddle forkMin, so rounds fork or run inline, split their
+// counting sort by gather shard or not, read one or several gather shards,
+// commit inside step 2 or through the by-ball sort, redirect placements,
 // and flush held requests. Every run must pass Check, and the three
 // Results must be equal. A large quiet leaves most of many active balls
 // silent: rounds too small for the counting sort then span several gather
 // shards.
 func FuzzAgentEngine(f *testing.F) {
-	// seed, m-1, n-1, degree-1, holdMod, tie-break, quiet
-	f.Add(uint64(1), uint16(forkMin), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(6), uint16(forkMin+100), uint16(15), uint8(0), uint8(0), uint8(2), uint8(0))
-	f.Add(uint64(2), uint16(forkMin+3), uint16(31), uint8(0), uint8(3), uint8(1), uint8(0))
-	f.Add(uint64(3), uint16(forkMin+40), uint16(127), uint8(2), uint8(2), uint8(2), uint8(0))
-	f.Add(uint64(4), uint16(2*forkMin), uint16(4095), uint8(0), uint8(0), uint8(0), uint8(64))
-	f.Add(uint64(5), uint16(300), uint16(4095), uint8(1), uint8(3), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, mRaw, nRaw uint16, degRaw, holdRaw, tieRaw, quietRaw uint8) {
+	// seed, m-1, n-1, degree-1, holdMod, tie-break, quiet, redirect
+	f.Add(uint64(1), uint16(forkMin), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0), false)
+	f.Add(uint64(6), uint16(forkMin+100), uint16(15), uint8(0), uint8(0), uint8(2), uint8(0), false)
+	f.Add(uint64(2), uint16(forkMin+3), uint16(31), uint8(0), uint8(3), uint8(1), uint8(0), false)
+	f.Add(uint64(3), uint16(forkMin+40), uint16(127), uint8(2), uint8(2), uint8(2), uint8(0), false)
+	f.Add(uint64(4), uint16(2*forkMin), uint16(4095), uint8(0), uint8(0), uint8(0), uint8(64), false)
+	f.Add(uint64(5), uint16(300), uint16(4095), uint8(1), uint8(3), uint8(1), uint8(0), false)
+	// Redirected placements above forkMin: degree 1 commits inside step 2
+	// and queues the redirects; degree 2 commits by ball after it.
+	f.Add(uint64(7), uint16(2*forkMin), uint16(255), uint8(0), uint8(0), uint8(0), uint8(0), true)
+	f.Add(uint64(8), uint16(forkMin+500), uint16(63), uint8(0), uint8(0), uint8(1), uint8(0), true)
+	f.Add(uint64(9), uint16(2*forkMin), uint16(127), uint8(1), uint8(0), uint8(2), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, mRaw, nRaw uint16, degRaw, holdRaw, tieRaw, quietRaw uint8, redirect bool) {
 		m := int64(mRaw)%(3*forkMin) + 1
 		n := int(nRaw)%4096 + 1
 		proto := &fuzzProto{
@@ -121,6 +138,9 @@ func FuzzAgentEngine(f *testing.F) {
 			holdMod: int(holdRaw % 4), // 0,1 = never hold; 2,3 = collecting
 			capBase: m/int64(n) + 2,   // total capacity >= m + 2n
 			quiet:   int(quietRaw % 65),
+		}
+		if redirect {
+			proto.redirect = n
 		}
 		tie := TieBreak(tieRaw % 3)
 		var want *model.Result
