@@ -8,15 +8,18 @@ import (
 )
 
 // TestRunFreshMemoryPerBall fences a fresh Run's heap traffic. The agent
-// engine sizes every round buffer once, for its whole input, reads the
-// worker shards in place, and commits a degree-1 round's accepts where the
-// bins answer, so a run allocates the 48-byte balls plus one copy of each
-// buffer — about 69 B per ball — at any worker count. Buffers that grow by
-// doubling, a concatenation of the request shards, or a buffer of accept
-// records in degree-1 rounds push it past the bound; per-worker copies
-// push workers 2 and 4 past 1.01x the bytes of workers 1.
+// engine throws round 0 before it stores a ball, sizes every round buffer
+// once, for its whole input, reads the worker shards in place, and commits
+// a degree-1 round's accepts where the bins answer. So a run allocates
+// round 0's gather shard (8 B per ball), the scattered ball indices (4 B)
+// and the stay marks (1 B), and stores only the survivors of round 0, a
+// sixteenth of the balls at m/n = 4096, at about 57 B each: about 17 B per
+// ball at any worker count. Storing every ball up front (about 69 B),
+// buffers that grow by doubling, a concatenation of the request shards, or
+// a buffer of accept records in degree-1 rounds push it past the bound;
+// per-worker copies push workers 2 and 4 past 1.01x the bytes of workers 1.
 func TestRunFreshMemoryPerBall(t *testing.T) {
-	const maxBytesPerBall = 80
+	const maxBytesPerBall = 24
 	const maxWorkerGrowth = 1.01
 	p := model.Problem{M: 1 << 20, N: 256}
 	var oneWorker float64

@@ -11,9 +11,12 @@ import (
 )
 
 // Ball is the per-agent state of one ball: 48 bytes, most of them its
-// randomness stream. Protocols may use State freely (the engine records
-// placements in its own array, never in the Ball); Rand() is the ball's
-// private randomness.
+// randomness stream. ID belongs to the engine: it is the ball's index
+// among the run's balls, and protocols must not write it. Protocols may
+// use State freely (the engine records placements in its own array, never
+// in the Ball); Rand() is the ball's private randomness. A run of at least
+// forkMin balls without Config.InitState stores a ball only once it
+// survives round 0 (see Protocol).
 type Ball struct {
 	ID    int64
 	State int64
@@ -23,7 +26,10 @@ type Ball struct {
 // Rand returns the ball's private randomness stream. The engine seeds it
 // when it initializes the ball, before Config.InitState runs, from the run
 // seed and the ball index alone, so results are identical at any worker
-// count. The stream lives inside the Ball itself — no per-ball heap object.
+// count. A ball stored after round 0 is seeded again and replays its
+// round-0 Targets call, so its stream stands where it would stand had the
+// ball been stored from the start. The stream lives inside the Ball itself
+// — no per-ball heap object.
 func (b *Ball) Rand() *rng.Rand { return &b.rand }
 
 // Accept is an accept message delivered to a ball: bin From accepted the
@@ -55,16 +61,21 @@ const (
 // Every method but Hold and Done must be safe for concurrent use: in large
 // rounds the engine invokes Targets, Capacity and Payload from several
 // goroutines for distinct balls and bins, and in rounds where each ball
-// sends at most one request the worker that answers a bin also runs Choose
-// and Place for the balls it accepts, so those too run concurrently, for
-// distinct balls. Choose may use only its own ball's state and stream.
+// sends at most one request the worker that answers a bin also runs Place
+// for the balls it accepts, so Place too runs concurrently, for distinct
+// balls. Choose may use only its own ball's state and stream.
 // Implementations should treat receiver state as read-only during a run
 // (round-indexed parameters such as thresholds must be precomputed or
 // derived from the arguments).
 type Protocol interface {
 	// Targets appends the bins that (unallocated) ball b contacts in round
 	// to buf and returns the extended slice. Returning an empty slice means
-	// the ball stays silent this round.
+	// the ball stays silent this round. Targets must depend only on the
+	// round, the ball and read-only receiver state: a run of at least
+	// forkMin balls without Config.InitState builds each ball for round 0
+	// without storing it, and a ball that survives round 0 is stored by
+	// replaying its seed and its round-0 Targets call, so round 0 may call
+	// Targets twice for the same ball.
 	Targets(round int, b *Ball, n int, buf []int) []int
 
 	// Hold reports whether bins collect this round's requests without
@@ -83,9 +94,11 @@ type Protocol interface {
 	Payload(round int, bin int, k int64) int64
 
 	// Choose selects which accept ball b commits to, as an index into
-	// accepts (which is never empty). The engine requires an immediate
-	// choice; protocols model deferred decisions by holding requests
-	// instead (see Hold).
+	// accepts. The engine calls it only when the ball holds two or more
+	// accepts: with one, 0 is the only valid index, and a committed ball
+	// is never read again. The engine requires an immediate choice;
+	// protocols model deferred decisions by holding requests instead (see
+	// Hold).
 	Choose(round int, b *Ball, accepts []Accept) int
 
 	// Place maps the chosen accept to the bin that finally stores the
@@ -111,7 +124,7 @@ type RoundObserver interface {
 
 // request is a ball→bin message recorded during step 1 of a round.
 type request struct {
-	ball int32 // index into the engine's ball array
+	ball int32 // ball index (agentRun.ballID)
 	bin  int32
 }
 
@@ -134,9 +147,11 @@ type binTally struct {
 	redirects []int32
 }
 
-// agentRun is the mutable state of one agent-mode execution. The shard
-// worker bodies are methods on it, bound once per arena (initFn, gatherFn,
-// processFn), so the round loop allocates nothing in the steady state.
+// agentRun is the mutable state of one agent-mode execution, and the
+// owner of its per-ball buffers, which an arena keeps across runs. The
+// shard worker bodies are methods on it, bound once per arena (initFn,
+// gatherFn, processFn, ...), so the round loop allocates nothing in the
+// steady state.
 type agentRun struct {
 	e   *Engine
 	scr *scratch
@@ -144,13 +159,19 @@ type agentRun struct {
 	balls       []Ball
 	active      []int32
 	stay        []bool // stay[i]: active ball i stays unallocated after this round
+	ballSent    []int32
 	loads       []int64
 	binReceived []int64
-	ballSent    []int32
 	placements  []int32
 
 	ballSeed uint64 // the run's ball-stream domain
 	round    int
+
+	// A ball index is the ball's own index until the survivors of a fresh
+	// round 0 are stored; from then on (slots) it is the ball's slot among
+	// them, in ascending ball order, and Ball.ID is its own index. fresh
+	// is set until such a round 0 ends: no ball is stored yet.
+	fresh, slots bool
 
 	// split is set by the round loop before step 1: each gather worker
 	// also counts its requests by bin, so the counting sort is split by
@@ -166,8 +187,11 @@ type agentRun struct {
 	scattered sync.WaitGroup // a split sort's scatter barrier
 
 	initFn    func(wi, lo, hi int)
+	freshFn   func(wi, lo, hi int)
 	gatherFn  func(wi, lo, hi int)
 	processFn func(wi, lo, hi int)
+	countFn   func(wi, lo, hi int)
+	replayFn  func(wi, lo, hi int)
 }
 
 // runAgent executes the agent-based engine: explicit per-ball agents,
@@ -175,6 +199,13 @@ type agentRun struct {
 // reusable scratch arena. With Config.Arena set, the run-state buffers
 // (and the Result itself) come from the caller's arena, so repeated runs
 // allocate nothing once the arena is warm.
+//
+// A run of at least forkMin balls without Config.InitState is fresh: its
+// round 0 builds each ball on the fly in the gather worker's own Ball
+// (freshShard), and only the balls that survive round 0 are stored
+// (storeSurvivors). If round 0 holds its requests or a ball sends several,
+// the run stores every ball up front instead (storeAll), as every other
+// run does. Results never depend on which path runs.
 func (e *Engine) runAgent() (*model.Result, error) {
 	n := e.p.N
 	m := e.p.M
@@ -195,36 +226,31 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	// stable across runs, so the method-value closures are reusable.
 	if ar.gatherFn == nil {
 		ar.initFn = ar.initShard
+		ar.freshFn = ar.freshShard
 		ar.gatherFn = ar.gatherShard
 		ar.processFn = ar.processShard
+		ar.countFn = ar.countShard
+		ar.replayFn = ar.replayShard
 	}
 
 	// Ball streams are derived from a domain of the config seed disjoint
 	// from the (historical) worker-stream domain, so that results are
 	// identical for any worker count.
 	ar.ballSeed = rng.Mix64(e.cfg.Seed ^ 0x5A5A5A5A5A5A5A5A)
-	arena.balls = grow(arena.balls, int(m))
-	arena.active = grow(arena.active, int(m))
-	ar.balls = arena.balls
-	ar.active = arena.active
-	shard(int(m), ar.scr.forkWorkers(int(m)), ar.initFn)
-	if e.cfg.InitState != nil {
-		for i := range ar.balls {
-			e.cfg.InitState(&ar.balls[i])
-		}
+	ar.fresh = m >= forkMin && e.cfg.InitState == nil
+	ar.slots = false
+	if !ar.fresh {
+		ar.storeAll()
 	}
 
-	// Fresh per-ball vectors come zeroed from make and are first written
-	// by the round's workers; only reused ones are cleared here. Gather
-	// writes every active ball's stay mark, so those are never cleared.
+	// Fresh vectors come zeroed from make, and only reused ones are
+	// cleared. Gather writes every active ball's stay mark, so those are
+	// never cleared.
 	arena.loads = growZero(arena.loads, n)
 	arena.binReceived = growZero(arena.binReceived, n)
-	arena.ballSent = growZero(arena.ballSent, int(m))
-	arena.stay = grow(arena.stay, int(m))
-	ar.stay = arena.stay
+	ar.stay = grow(ar.stay, int(m))
 	ar.loads = arena.loads
 	ar.binReceived = arena.binReceived
-	ar.ballSent = arena.ballSent
 	ar.placements = nil
 	if e.cfg.RecordPlacements {
 		arena.placements = grow(arena.placements, int(m))
@@ -247,7 +273,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	round := 0
 	hitLimit := true
 	for ; round < e.cfg.MaxRounds; round++ {
-		remaining := int64(len(ar.active))
+		remaining := int64(ar.live())
 		if remaining == 0 || e.proto.Done(round, remaining) {
 			hitLimit = false
 			break
@@ -260,17 +286,18 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 		ar.round = round
 		hold := e.proto.Hold(round)
+		if hold && ar.fresh {
+			ar.storeAll()
+		}
 
 		// Step 1: active balls emit requests (ball shards; parallel from
 		// forkMin balls up). A round that answers only its own fresh
 		// requests counts them by bin as it gathers, one histogram per
 		// gather shard, once the active balls outnumber those histograms'
 		// entries.
-		gatherShards := chunks(len(ar.active), ar.scr.forkWorkers(len(ar.active)))
-		ar.split = !hold && len(held) == 0 && gatherShards > 1 && len(ar.active) >= gatherShards*(n+2)
-		reqs, sentThisRound, perBall := ar.gatherRequests()
-		metrics.BallRequests += sentThisRound
-		metrics.TotalMessages += sentThisRound
+		gatherShards := chunks(int(remaining), ar.scr.forkWorkers(int(remaining)))
+		ar.split = !hold && len(held) == 0 && gatherShards > 1 && int(remaining) >= gatherShards*(n+2)
+		reqs, sentThisRound, perBall := ar.gatherRequests(&metrics)
 
 		if hold {
 			// Grow once for the whole round, not once per shard.
@@ -290,24 +317,25 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			// a ball may hold several accepts.
 			perBall = 2
 		}
-		if total == 0 {
-			e.emitRound(round, remaining, sentThisRound, 0, maxLoad)
-			continue
-		}
 
 		// Step 2: bins process requests (bin shards; parallel from forkMin
 		// requests up). Every request is answered (accept or reject).
 		// Step 3: balls with accepts commit — inside step 2 when each ball
 		// sent at most one request, else on this goroutine.
-		commits, roundMax := ar.processRequests(reqs, int(total), perBall <= 1, &metrics)
-		metrics.BinReplies += total
-		metrics.TotalMessages += total
-		if roundMax > maxLoad {
-			maxLoad = roundMax
+		var commits int
+		if total > 0 {
+			var roundMax int64
+			commits, roundMax = ar.processRequests(reqs, int(total), perBall <= 1, &metrics)
+			metrics.BinReplies += total
+			metrics.TotalMessages += total
+			maxLoad = max(maxLoad, roundMax)
 		}
 
-		// Drop allocated balls from the active set.
-		if commits > 0 {
+		// Drop allocated balls from the active set; a fresh round 0 stores
+		// the balls that stay instead.
+		if ar.fresh {
+			ar.storeSurvivors()
+		} else if commits > 0 {
 			ar.active = compactActive(ar.active, ar.stay)
 		}
 		e.emitRound(round, remaining, sentThisRound, int64(commits), maxLoad)
@@ -317,29 +345,146 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	if e.cfg.Trace {
 		arena.trace = trace
 	}
+	metrics.MaxBinReceived = slices.Max(ar.binReceived)
 	res.Rounds = round
-	res.Metrics = finishMetrics(metrics, ar.ballSent, ar.binReceived)
+	res.Metrics = metrics
 	res.TraceRemaining = trace
 	res.Placements = ar.placements
-	res.Unallocated = int64(len(ar.active))
+	res.Unallocated = int64(ar.live())
 	// A protocol-initiated stop (Done) with balls remaining is a valid
 	// partial result (multi-phase algorithms hand the remainder to their
 	// next phase); only exhausting MaxRounds is an error.
-	if hitLimit && len(ar.active) > 0 {
+	if hitLimit && res.Unallocated > 0 {
 		return res, ErrRoundLimit
 	}
 	return res, nil
 }
 
-// initShard is the ball-initialization worker body: balls [lo, hi) get
-// their index as ID and their seeded stream, and join the active set.
+// live is the number of unallocated balls.
+func (r *agentRun) live() int {
+	if r.fresh {
+		return int(r.e.p.M)
+	}
+	return len(r.active)
+}
+
+// ballID is the index among the run's balls of the ball at index bi.
+func (r *agentRun) ballID(bi int32) int {
+	if r.slots {
+		return int(r.balls[bi].ID)
+	}
+	return int(bi)
+}
+
+// initBall makes b ball i: its index as ID and its seeded stream.
+func (r *agentRun) initBall(b *Ball, i int) {
+	*b = Ball{ID: int64(i)}
+	b.rand.Seed(rng.Mix64(r.ballSeed + uint64(i)*0x9E3779B97F4A7C15))
+}
+
+// storeAll stores every ball up front, ball i at index i, with
+// Config.InitState applied on this goroutine in ascending order.
+func (r *agentRun) storeAll() {
+	m := int(r.e.p.M)
+	r.fresh = false
+	r.balls = grow(r.balls, m)
+	r.active = grow(r.active, m)
+	r.ballSent = growZero(r.ballSent, m)
+	shard(m, r.scr.forkWorkers(m), r.initFn)
+	if init := r.e.cfg.InitState; init != nil {
+		for i := range r.balls {
+			init(&r.balls[i])
+		}
+	}
+}
+
+// initShard is storeAll's worker body: balls [lo, hi) are initialized and
+// join the active set.
 func (r *agentRun) initShard(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		b := &r.balls[i]
-		*b = Ball{ID: int64(i)}
-		b.rand.Seed(rng.Mix64(r.ballSeed + uint64(i)*0x9E3779B97F4A7C15))
+		r.initBall(&r.balls[i], i)
 		r.active[i] = int32(i)
 	}
+}
+
+// storeSurvivors ends a fresh round 0 by storing the balls marked to stay,
+// in ascending ball order: each worker counts the survivors of its chunk
+// of balls, the counts become each chunk's first slot, and each worker
+// then replays its survivors into their slots. A replayed ball is seeded
+// again and repeats its round-0 Targets call, so it holds the state, and
+// ballSent the count, it would hold had it been stored up front.
+func (r *agentRun) storeSurvivors() {
+	m := int(r.e.p.M)
+	w := r.scr.forkWorkers(m)
+	k := shard(m, w, r.countFn)
+	s := 0
+	for wi, c := range r.scr.survivors[:k] {
+		r.scr.survivors[wi] = s
+		s += c
+	}
+	r.balls = grow(r.balls, s)
+	r.active = grow(r.active, s)
+	r.ballSent = grow(r.ballSent, s)
+	shard(m, w, r.replayFn)
+	r.fresh, r.slots = false, true
+}
+
+// countShard counts the balls of [lo, hi) that survived a fresh round 0.
+func (r *agentRun) countShard(wi, lo, hi int) {
+	c := 0
+	for _, stay := range r.stay[lo:hi] {
+		if stay {
+			c++
+		}
+	}
+	r.scr.survivors[wi] = c
+}
+
+// replayShard stores the balls of [lo, hi) that survived a fresh round 0,
+// from the chunk's first slot on, and enters them into the active set.
+func (r *agentRun) replayShard(wi, lo, hi int) {
+	scr := r.scr
+	buf := scr.targetBuf[wi]
+	j := scr.survivors[wi]
+	for i := lo; i < hi; i++ {
+		if !r.stay[i] {
+			continue
+		}
+		b := &r.balls[j]
+		r.initBall(b, i)
+		buf = r.e.proto.Targets(0, b, r.e.p.N, buf[:0])
+		r.ballSent[j] = int32(len(buf))
+		r.active[j] = int32(j)
+		j++
+	}
+	scr.targetBuf[wi] = buf
+}
+
+// freshShard is a fresh round 0's step-1 worker body: balls [lo, hi) are
+// built one by one in the worker's own Ball, which is never stored, and
+// emit their requests as in gatherShard. A ball that sends several
+// requests stops the worker; gatherRequests then stores every ball and
+// gathers round 0 again.
+func (r *agentRun) freshShard(wi, lo, hi int) {
+	scr := r.scr
+	b := &scr.balls[wi].Ball
+	buf := scr.targetBuf[wi]
+	out := grow(scr.reqShards[wi], hi-lo)[:0]
+	hist := r.splitHist(wi)
+	perBall := 0
+	for i := lo; i < hi; i++ {
+		r.initBall(b, i)
+		buf = r.e.proto.Targets(r.round, b, r.e.p.N, buf[:0])
+		if perBall = max(perBall, len(buf)); perBall > 1 {
+			break
+		}
+		r.stay[i] = len(buf) == 0
+		out = emit(out, hist, int32(i), buf)
+	}
+	scr.targetBuf[wi] = buf
+	scr.reqShards[wi] = out
+	scr.gatherMax[wi] = perBall
+	scr.sentMax[wi] = int32(perBall)
 }
 
 // gatherShard is the step-1 worker body: balls active[lo:hi] emit their
@@ -351,48 +496,81 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr := r.scr
 	buf := scr.targetBuf[wi]
 	out := grow(scr.reqShards[wi], hi-lo)[:0]
-	var hist []int32
-	if r.split {
-		hist = growZero(scr.hists[wi], r.e.p.N)
-		scr.hists[wi] = hist
-	}
+	hist := r.splitHist(wi)
 	perBall := 0
+	var maxSent int32
 	for _, bi := range r.active[lo:hi] {
 		b := &r.balls[bi]
 		buf = r.e.proto.Targets(r.round, b, r.e.p.N, buf[:0])
 		sent := int64(r.ballSent[bi]) + int64(len(buf))
 		if sent > math.MaxInt32 {
-			panic(fmt.Sprintf("sim: ball %d sent more than %d requests", bi, math.MaxInt32))
+			panic(fmt.Sprintf("sim: ball %d sent more than %d requests", b.ID, math.MaxInt32))
 		}
 		r.ballSent[bi] = int32(sent)
+		maxSent = max(maxSent, int32(sent))
 		r.stay[bi] = len(buf) == 0
-		if len(buf) > perBall {
-			perBall = len(buf)
-		}
-		for _, bin := range buf {
-			out = append(out, request{ball: bi, bin: int32(bin)})
-			if hist != nil {
-				hist[bin]++
-			}
-		}
+		perBall = max(perBall, len(buf))
+		out = emit(out, hist, bi, buf)
 	}
 	scr.targetBuf[wi] = buf
 	scr.reqShards[wi] = out
 	scr.gatherMax[wi] = perBall
+	scr.sentMax[wi] = maxSent
+}
+
+// splitHist returns worker wi's histogram, zeroed, in a split round, and
+// nil in any other.
+func (r *agentRun) splitHist(wi int) []int32 {
+	if !r.split {
+		return nil
+	}
+	hist := growZero(r.scr.hists[wi], r.e.p.N)
+	r.scr.hists[wi] = hist
+	return hist
+}
+
+// emit appends ball bi's requests to bins to out, counts them in hist
+// unless it is nil, and returns the extended out.
+func emit(out []request, hist []int32, bi int32, bins []int) []request {
+	for _, bin := range bins {
+		out = append(out, request{ball: bi, bin: int32(bin)})
+		if hist != nil {
+			hist[bin]++
+		}
+	}
+	return out
 }
 
 // gatherRequests runs step 1 and returns the round's requests as the
 // worker shards themselves, in deterministic (worker-shard) order, with
 // their total and the maximum number of requests any single ball sent (1
 // for degree-1 rounds — the precondition for committing inside step 2).
-// The shards are valid until the next call.
-func (r *agentRun) gatherRequests() (shards [][]request, sent int64, perBall int) {
+// It counts the requests, and the most any ball has sent, in metrics. The
+// shards are valid until the next call.
+func (r *agentRun) gatherRequests(metrics *model.Metrics) (shards [][]request, sent int64, perBall int) {
 	scr := r.scr
-	shards = scr.reqShards[:shard(len(r.active), scr.forkWorkers(len(r.active)), r.gatherFn)]
+	live := r.live()
+	w := scr.forkWorkers(live)
+	fn := r.gatherFn
+	if r.fresh {
+		fn = r.freshFn
+	}
+	k := shard(live, w, fn)
+	if r.fresh && slices.Max(scr.gatherMax[:k]) > 1 {
+		// A ball that sends several requests needs its accepts committed
+		// by ball, so the run stores every ball and gathers again; Targets
+		// depends only on the ball, so the requests come out identical.
+		r.storeAll()
+		k = shard(live, w, r.gatherFn)
+	}
+	shards = scr.reqShards[:k]
 	for _, part := range shards {
 		sent += int64(len(part))
 	}
-	return shards, sent, slices.Max(scr.gatherMax[:len(shards)])
+	metrics.BallRequests += sent
+	metrics.TotalMessages += sent
+	metrics.MaxBallSent = max(metrics.MaxBallSent, int64(slices.Max(scr.sentMax[:k])))
+	return shards, sent, slices.Max(scr.gatherMax[:k])
 }
 
 // processShard is the step-2 worker body. In a split round it first
@@ -688,20 +866,24 @@ func siftDownMin(s []int32, i int) {
 	}
 }
 
-// commitBall lets ball bi choose among its accepts (never empty), records
-// its placement where Place maps the chosen accept, and returns that bin;
-// the caller adds the ball to the bin's load. It counts the commit in t, with
-// one commit/inform message per accepting bin (the chosen bin learns of
-// the placement; others learn of the decline), plus one redirect message
-// when the placement bin differs.
+// commitBall lets ball bi choose among its accepts (never empty; Choose
+// runs only when there are several, so a fresh round 0 reads no ball),
+// records its placement where Place maps the chosen accept, and returns
+// that bin; the caller adds the ball to the bin's load. It counts the
+// commit in t, with one commit/inform message per accepting bin (the
+// chosen bin learns of the placement; others learn of the decline), plus
+// one redirect message when the placement bin differs.
 func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
-	choice := r.e.proto.Choose(r.round, &r.balls[bi], accepts)
-	if choice < 0 || choice >= len(accepts) {
-		panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(accepts)))
+	choice := 0
+	if len(accepts) > 1 {
+		choice = r.e.proto.Choose(r.round, &r.balls[bi], accepts)
+		if choice < 0 || choice >= len(accepts) {
+			panic(fmt.Sprintf("sim: Choose returned invalid index %d of %d", choice, len(accepts)))
+		}
 	}
 	place := r.e.proto.Place(accepts[choice])
 	if r.placements != nil {
-		r.placements[bi] = int32(place)
+		r.placements[r.ballID(bi)] = int32(place)
 	}
 	t.commits++
 	t.msgs += int64(len(accepts))

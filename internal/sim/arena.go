@@ -25,13 +25,10 @@ type Arena struct {
 	run agentRun
 	res model.Result
 
-	// agent-mode buffers
-	balls       []Ball
-	active      []int32
-	stay        []bool
+	// agent-mode buffers beside those run owns (balls, active, stay,
+	// ballSent)
 	loads       []int64
 	binReceived []int64
-	ballSent    []int32
 	placements  []int32
 	trace       []int64
 	held        []request
@@ -78,9 +75,13 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// growZero is grow with all n entries zeroed.
+// growZero is grow with all n entries zeroed. A fresh slice comes zeroed
+// from make, so only a reused one is cleared.
 func growZero[T any](buf []T, n int) []T {
-	buf = grow(buf, n)
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
 	clear(buf)
 	return buf
 }

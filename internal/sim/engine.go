@@ -12,17 +12,22 @@
 //     with its own randomness stream, seeded when the ball is
 //     initialized, so per-ball and per-bin message statistics are
 //     measured rather than estimated and arbitrary protocols
-//     (multi-target, payloads, per-ball state) are expressible. Rounds
-//     draw every buffer from reusable scratch arenas (scratch.go), sized
-//     once per round, and read the per-worker shards in place. Steps of at
-//     least forkMin balls or requests (ball initialization included)
-//     run in parallel over per-worker shards; smaller steps run on the
-//     engine's goroutine, so small rounds allocate nothing. A round in
-//     which each ball sent at most one request commits inside step 2: a
-//     ball's one accept comes from the bin it contacted, so the worker
-//     that answers a bin also commits what it accepts. Other rounds
-//     commit by ball on the engine's goroutine. Active-set marks live in
-//     the arena, never in the Ball. Capped at 2^31-2 balls.
+//     (multi-target, payloads, per-ball state) are expressible. A run of
+//     at least forkMin balls without InitState stores a ball only once it
+//     survives round 0: round 0's gather workers build each ball in a
+//     Ball of their own, and each survivor is then stored by replaying
+//     its seed and its round-0 Targets call. Rounds draw every buffer from
+//     reusable scratch arenas (scratch.go), sized once per round, and read
+//     the per-worker shards in place. Steps of at least forkMin balls or
+//     requests (ball initialization and storage included) run in parallel
+//     over per-worker shards; smaller steps run on the engine's goroutine,
+//     so small rounds allocate nothing. A round in which each ball sent at
+//     most one request commits inside step 2: a ball's one accept comes
+//     from the bin it contacted, so the worker that answers a bin also
+//     commits what it accepts, and Choose runs only for a ball with
+//     several accepts. Other rounds commit by ball on the engine's
+//     goroutine. Active-set marks live in the arena, never in the Ball.
+//     Capped at 2^31-2 balls.
 //
 //   - Mass mode (RunMass, mass.go): balls are exchangeable counts. A
 //     round evolves a per-bin ball-count vector via exact multinomial
@@ -60,7 +65,8 @@ type Config struct {
 	// only: mass mode treats balls as exchangeable.
 	RecordPlacements bool
 	// InitState, if non-nil, is called once per ball before the run to set
-	// Ball.State (used e.g. by the deterministic prober). Agent mode only.
+	// Ball.State (used e.g. by the deterministic prober). A run with
+	// InitState stores every ball up front. Agent mode only.
 	InitState func(b *Ball)
 	// OnRound, if non-nil, receives a RoundRecord after every executed
 	// round (called from the engine goroutine, in order).
@@ -169,16 +175,4 @@ func (e *Engine) emitRound(round int, remaining, sent, accepted, maxLoad int64) 
 		Accepted:  accepted,
 		MaxLoad:   maxLoad,
 	})
-}
-
-func finishMetrics(m model.Metrics, ballSent []int32, binReceived []int64) model.Metrics {
-	for _, v := range ballSent {
-		m.MaxBallSent = max(m.MaxBallSent, int64(v))
-	}
-	for _, v := range binReceived {
-		if v > m.MaxBinReceived {
-			m.MaxBinReceived = v
-		}
-	}
-	return m
 }

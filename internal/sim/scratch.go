@@ -36,6 +36,16 @@ type scratch struct {
 	tallies   []binTally    // per-worker step-2 commit totals
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
+	sentMax   []int32       // per-worker max requests one ball has sent in the run
+	balls     []workerBall  // per-worker ball of a fresh round 0
+	survivors []int         // per-chunk survivors of a fresh round 0, then first slots
+}
+
+// workerBall is a gather worker's own Ball, padded so that no two
+// workers' balls share a cache line.
+type workerBall struct {
+	Ball
+	_ [128 - 48]byte
 }
 
 func newScratch(workers, n int) *scratch {
@@ -49,6 +59,9 @@ func newScratch(workers, n int) *scratch {
 		accBufs:   make([][]Accept, workers),
 		tallies:   make([]binTally, workers),
 		gatherMax: make([]int, workers),
+		sentMax:   make([]int32, workers),
+		balls:     make([]workerBall, workers),
+		survivors: make([]int, workers),
 	}
 	for wi := 0; wi < workers; wi++ {
 		s.targetBuf[wi] = make([]int, 0, 8)

@@ -71,6 +71,20 @@ func (f *fuzzProto) Place(a Accept) int {
 
 func (f *fuzzProto) Done(int, int64) bool { return false }
 
+// choosyProto is a fuzzProto whose Choose fails the test when the engine
+// asks it to choose from fewer than two accepts.
+type choosyProto struct {
+	*fuzzProto
+	t testing.TB
+}
+
+func (p choosyProto) Choose(round int, b *Ball, accepts []Accept) int {
+	if len(accepts) < 2 {
+		p.t.Errorf("round %d: Choose called for ball %d with %d accept(s)", round, b.ID, len(accepts))
+	}
+	return p.fuzzProto.Choose(round, b, accepts)
+}
+
 func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 	err := quick.Check(func(seed uint64, mRaw uint16, nRaw uint8, degRaw, holdRaw uint8) bool {
 		n := int(nRaw%50) + 2
@@ -112,10 +126,13 @@ func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 // that straddle forkMin, so rounds fork or run inline, split their
 // counting sort by gather shard or not, read one or several gather shards,
 // commit inside step 2 or through the by-ball sort, redirect placements,
-// and flush held requests. Every run must pass Check, and the three
-// Results must be equal. A large quiet leaves most of many active balls
-// silent: rounds too small for the counting sort then span several gather
-// shards.
+// and flush held requests. Runs of at least forkMin balls throw round 0
+// before they store a ball, unless round 0 holds or a ball sends several
+// requests; each input therefore also runs with a no-op InitState, which
+// stores every ball up front. Every run must pass Check, the six Results
+// must be equal, and Choose must never be asked to choose from a single
+// accept. A large quiet leaves most of many active balls silent: rounds
+// too small for the counting sort then span several gather shards.
 func FuzzAgentEngine(f *testing.F) {
 	// seed, m-1, n-1, degree-1, holdMod, tie-break, quiet, redirect
 	f.Add(uint64(1), uint16(forkMin), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0), false)
@@ -129,6 +146,14 @@ func FuzzAgentEngine(f *testing.F) {
 	f.Add(uint64(7), uint16(2*forkMin), uint16(255), uint8(0), uint8(0), uint8(0), uint8(0), true)
 	f.Add(uint64(8), uint16(forkMin+500), uint16(63), uint8(0), uint8(0), uint8(1), uint8(0), true)
 	f.Add(uint64(9), uint16(2*forkMin), uint16(127), uint8(1), uint8(0), uint8(2), uint8(0), true)
+	// Above forkMin without a hold: round 0 without stored balls, with
+	// balls silent in round 0 under each tie-break, and with redirects;
+	// degree 3 falls back to storing every ball.
+	f.Add(uint64(10), uint16(forkMin+7), uint16(31), uint8(0), uint8(0), uint8(0), uint8(3), false)
+	f.Add(uint64(11), uint16(2*forkMin+9), uint16(63), uint8(0), uint8(0), uint8(1), uint8(2), false)
+	f.Add(uint64(12), uint16(3*forkMin-2), uint16(127), uint8(0), uint8(0), uint8(2), uint8(5), false)
+	f.Add(uint64(13), uint16(2*forkMin), uint16(511), uint8(0), uint8(0), uint8(2), uint8(4), true)
+	f.Add(uint64(14), uint16(forkMin+11), uint16(255), uint8(2), uint8(0), uint8(1), uint8(0), false)
 	f.Fuzz(func(t *testing.T, seed uint64, mRaw, nRaw uint16, degRaw, holdRaw, tieRaw, quietRaw uint8, redirect bool) {
 		m := int64(mRaw)%(3*forkMin) + 1
 		n := int(nRaw)%4096 + 1
@@ -145,24 +170,28 @@ func FuzzAgentEngine(f *testing.F) {
 		tie := TieBreak(tieRaw % 3)
 		var want *model.Result
 		for _, w := range []int{1, 2, 4} {
-			res, err := New(model.Problem{M: m, N: n}, proto, Config{
-				Seed:             seed,
-				Workers:          w,
-				MaxRounds:        5000,
-				TieBreak:         tie,
-				RecordPlacements: true,
-				Trace:            true,
-			}).Run()
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if err := res.Check(); err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if want == nil {
-				want = res
-			} else if !reflect.DeepEqual(res, want) {
-				t.Fatalf("workers=%d: result differs from workers=1", w)
+			for _, init := range []func(*Ball){nil, func(*Ball) {}} {
+				res, err := New(model.Problem{M: m, N: n}, choosyProto{proto, t}, Config{
+					Seed:             seed,
+					Workers:          w,
+					MaxRounds:        5000,
+					TieBreak:         tie,
+					RecordPlacements: true,
+					Trace:            true,
+					InitState:        init,
+				}).Run()
+				up := init != nil
+				if err != nil {
+					t.Fatalf("workers=%d up-front=%v: %v", w, up, err)
+				}
+				if err := res.Check(); err != nil {
+					t.Fatalf("workers=%d up-front=%v: %v", w, up, err)
+				}
+				if want == nil {
+					want = res
+				} else if !reflect.DeepEqual(res, want) {
+					t.Fatalf("workers=%d up-front=%v: result differs from workers=1 without InitState", w, up)
+				}
 			}
 		}
 	})
