@@ -3,7 +3,7 @@ package pba
 // Integration tests crossing module boundaries: statistical equivalence of
 // the agent-based and count-based Aheavy implementations, a conservation
 // grid over every algorithm × instance shape, and end-to-end pipeline
-// checks (allocate → analyze with dist/trace).
+// checks (allocate → analyze with dist and the per-round record).
 
 import (
 	"testing"
@@ -12,7 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/threshold"
 )
 
 // TestAgentVsFastKS draws max-load and round-count samples from both
@@ -115,32 +115,105 @@ func TestSpectrumOfAheavyIsTight(t *testing.T) {
 	}
 }
 
-// TestTracePipeline wires a collector through a full engine run and checks
-// the trace is internally consistent with the result.
+// TestTracePipeline runs Aheavy's phase 1 on the agent engine with the
+// per-round record on and checks it against the result (traceDrops), and
+// the decay rate of Aheavy's signature.
 func TestTracePipeline(t *testing.T) {
 	p := model.Problem{M: 65536, N: 256}
-	col := &trace.Collector{}
 	sched, _ := core.Schedule(p, core.Params{})
-	// Drive the agent engine directly with the collector attached, using
-	// the public facade result as the reference.
 	proto := fixedScheduleProto{sched: sched}
-	eng := sim.New(p, &proto, sim.Config{Seed: 9, OnRound: col.Observe, MaxRounds: len(sched) + 1})
-	res, err := eng.Run()
+	res, err := sim.New(p, &proto, sim.Config{Seed: 9, Trace: true, MaxRounds: len(sched) + 1}).Run()
 	if err != nil && res.Unallocated == 0 {
 		t.Fatal(err)
 	}
-	if got := col.TotalAccepted(); got != res.TotalAllocated() {
-		t.Fatalf("trace accepted %d != result %d", got, res.TotalAllocated())
+	traceDrops(t, p, res)
+	if res.Rounds > len(sched)+1 {
+		t.Fatalf("%d rounds over a %d-round schedule", res.Rounds, len(sched))
 	}
-	if col.Rounds() == 0 || col.Rounds() > len(sched)+1 {
-		t.Fatalf("trace rounds %d", col.Rounds())
-	}
-	rates := col.DecayRates()
 	// Aheavy's signature: the remaining count collapses fast, with the
 	// early rounds removing the overwhelming majority.
-	if len(rates) > 0 && rates[0] > 0.2 {
-		t.Fatalf("first-round survival rate %.3f; expected collapse", rates[0])
+	tr := res.TraceRemaining
+	if len(tr) > 1 {
+		if rate := float64(tr[1]) / float64(tr[0]); rate > 0.2 {
+			t.Fatalf("first-round survival rate %.3f; expected collapse", rate)
+		}
 	}
+}
+
+// TestTraceFixedCap runs a fixed-cap threshold algorithm on the agent
+// engine with the per-round record on: it allocates every ball, the record
+// agrees with the result, every ball sends at least one request, and no bin
+// exceeds the cap.
+func TestTraceFixedCap(t *testing.T) {
+	const limit = 110
+	p := model.Problem{M: 5000, N: 50}
+	res := runFixedCap(t, p, limit)
+	if res.Unallocated != 0 {
+		t.Fatalf("%d balls unallocated", res.Unallocated)
+	}
+	traceDrops(t, p, res)
+	if res.Metrics.BallRequests < p.M {
+		t.Fatalf("requests %d below m", res.Metrics.BallRequests)
+	}
+	if ml := res.MaxLoad(); ml > limit {
+		t.Fatalf("max load %d above cap %d", ml, limit)
+	}
+}
+
+// TestTraceDecayRates checks that each round's survival rate, the share of
+// its remaining balls still unallocated at the next round, lies in [0, 1].
+func TestTraceDecayRates(t *testing.T) {
+	p := model.Problem{M: 20000, N: 100}
+	res := runFixedCap(t, p, 210)
+	tr := res.TraceRemaining
+	for i, drop := range traceDrops(t, p, res) {
+		if rate := float64(tr[i]-drop) / float64(tr[i]); rate < 0 || rate > 1 {
+			t.Fatalf("round %d survival rate %g out of [0, 1]", i, rate)
+		}
+	}
+}
+
+// runFixedCap runs the degree-1 threshold algorithm with a fixed cap on the
+// agent engine with the per-round record on.
+func runFixedCap(t *testing.T, p model.Problem, limit int64) *model.Result {
+	t.Helper()
+	alg := threshold.Algorithm{Degree: 1, PhaseLen: 1, Policy: threshold.Fixed(limit)}
+	res, err := alg.Run(p, threshold.Config{Seed: 7, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// traceDrops checks a run's per-round record against its result: one entry
+// per round, the first equal to M, and rounds' commits (the drops from one
+// entry to the next, and from the last to Unallocated) that are never
+// negative and sum to the allocation. It returns the drops.
+func traceDrops(t *testing.T, p model.Problem, res *model.Result) []int64 {
+	t.Helper()
+	tr := res.TraceRemaining
+	if len(tr) != res.Rounds || res.Rounds == 0 {
+		t.Fatalf("%d trace entries over %d rounds", len(tr), res.Rounds)
+	}
+	if tr[0] != p.M {
+		t.Fatalf("trace starts at %d, want %d", tr[0], p.M)
+	}
+	drops := make([]int64, len(tr))
+	var accepted int64
+	for i, r := range append(tr[1:len(tr):len(tr)], res.Unallocated) {
+		if r > tr[i] {
+			t.Fatalf("remaining rose in round %d", i)
+		}
+		drops[i] = tr[i] - r
+		accepted += drops[i]
+	}
+	if accepted != res.TotalAllocated() {
+		t.Fatalf("trace accepted %d != result %d", accepted, res.TotalAllocated())
+	}
+	return drops
 }
 
 // fixedScheduleProto is Aheavy's phase 1 as a standalone protocol for the

@@ -160,24 +160,20 @@ func TestThrottleBoundsPerRoundProgress(t *testing.T) {
 	p := model.Problem{M: 10000, N: 100}
 	const limit = 10
 	base, _ := greedyAlg(2).Protocol(p.N)
-	var maxPerRound int64
-	eng := sim.New(p, Throttle(base, limit), sim.Config{
-		Seed: 3,
-		OnRound: func(r sim.RoundRecord) {
-			if r.Accepted > maxPerRound {
-				maxPerRound = r.Accepted
-			}
-		},
-	})
-	res, err := eng.Run()
+	res, err := sim.New(p, Throttle(base, limit), sim.Config{Seed: 3, Trace: true}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if maxPerRound > int64(p.N)*limit {
-		t.Fatalf("round allocated %d > n*limit", maxPerRound)
+	// A round's commits are the drop from its trace entry to the next one,
+	// or to Unallocated after the last round.
+	tr := append(res.TraceRemaining, res.Unallocated)
+	for i := 1; i < len(tr); i++ {
+		if placed := tr[i-1] - tr[i]; placed > int64(p.N)*limit {
+			t.Fatalf("round %d allocated %d > n*limit", i-1, placed)
+		}
 	}
 	if res.Rounds < int(p.M)/(p.N*limit) {
 		t.Fatalf("rounds %d below the throughput floor", res.Rounds)

@@ -96,9 +96,13 @@ type Protocol interface {
 	// Choose selects which accept ball b commits to, as an index into
 	// accepts. The engine calls it only when the ball holds two or more
 	// accepts: with one, 0 is the only valid index, and a committed ball
-	// is never read again. The engine requires an immediate choice;
-	// protocols model deferred decisions by holding requests instead (see
-	// Hold).
+	// is never read again. The accepts arrive in the order
+	// sortAcceptsByBall leaves them in: the round's accepts are listed bin
+	// by bin and heapsorted by ball, which in general leaves a ball's
+	// accepts in neither request nor bin order. Results depend on that
+	// order, since a Choose that returns 0 takes the first. The engine requires an
+	// immediate choice; protocols model deferred decisions by holding
+	// requests instead (see Hold).
 	Choose(round int, b *Ball, accepts []Accept) int
 
 	// Place maps the chosen accept to the bin that finally stores the
@@ -139,9 +143,8 @@ type acceptRec struct {
 // keeps it in a local and stores it once, at the end of its shard, so the
 // workers never write neighbouring tallies while they run.
 type binTally struct {
-	commits  int
-	msgs     int64 // commit messages
-	roundMax int64 // maximal load among the bins committed to
+	commits int
+	msgs    int64 // commit messages
 	// redirects holds the bins of commits that Place sent outside the
 	// accepting bin, added to their loads after the step's join.
 	redirects []int32
@@ -260,7 +263,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 	}
 	held := arena.held[:0] // requests collected during Hold rounds
-	var maxLoad int64      // running maximum, updated at commit time
 	var metrics model.Metrics
 	var trace []int64
 	if e.cfg.Trace {
@@ -305,7 +307,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 			for _, part := range reqs {
 				held = append(held, part...)
 			}
-			e.emitRound(round, remaining, sentThisRound, 0, maxLoad)
 			continue
 		}
 		total := sentThisRound
@@ -324,11 +325,9 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		// sent at most one request, else on this goroutine.
 		var commits int
 		if total > 0 {
-			var roundMax int64
-			commits, roundMax = ar.processRequests(reqs, int(total), perBall <= 1, &metrics)
+			commits = ar.processRequests(reqs, int(total), perBall <= 1, &metrics)
 			metrics.BinReplies += total
 			metrics.TotalMessages += total
-			maxLoad = max(maxLoad, roundMax)
 		}
 
 		// Drop allocated balls from the active set; a fresh round 0 stores
@@ -338,7 +337,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		} else if commits > 0 {
 			ar.active = compactActive(ar.active, ar.stay)
 		}
-		e.emitRound(round, remaining, sentThisRound, int64(commits), maxLoad)
 	}
 
 	arena.held = held[:0]
@@ -639,18 +637,13 @@ func (r *agentRun) answer(wi, bin int, reqs []int32, out []acceptRec, t *binTall
 		return out
 	}
 	buf := r.scr.accBufs[wi][:1]
-	landed := false
 	for i := int64(0); i < k; i++ {
 		buf[0] = Accept{From: bin, Payload: r.e.proto.Payload(r.round, bin, i)}
 		if place := r.commitBall(reqs[i], buf, t); place == bin {
 			r.loads[bin]++
-			landed = true
 		} else {
 			t.redirects = append(t.redirects, int32(place))
 		}
-	}
-	if landed {
-		t.roundMax = max(t.roundMax, r.loads[bin])
 	}
 	return out
 }
@@ -661,17 +654,17 @@ const smallRoundMax = 256
 
 // processRequests runs step 2 over the round's total requests, given as
 // parts in arrival order, and step 3: it returns the number of balls
-// allocated this round and the maximal load among the bins committed to,
-// and counts the commit messages in metrics. Rounds counting-sort the
-// requests and answer contiguous bin ranges, across workers from forkMin
-// requests up; small rounds (the serving/churn regime: a handful of
-// requests into many bins) instead sort the requests by bin and walk only
-// the touched bins, avoiding the counting sort's O(n) per-round passes.
+// allocated this round and counts the commit messages in metrics. Rounds
+// counting-sort the requests and answer contiguous bin ranges, across
+// workers from forkMin requests up; small rounds (the serving/churn
+// regime: a handful of requests into many bins) instead sort the requests
+// by bin and walk only the touched bins, avoiding the counting sort's O(n)
+// per-round passes.
 // Both paths answer in the same order. A single-request round commits
 // inside step 2; in any other round a ball may hold several accepts, so
 // the step's windows of scr.acc are joined in place and committed by ball
 // on this goroutine. Results are bit-identical either way.
-func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool, metrics *model.Metrics) (commits int, roundMax int64) {
+func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool, metrics *model.Metrics) int {
 	n := r.e.p.N
 	scr := r.scr
 	r.single = singleReq
@@ -699,16 +692,15 @@ func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool,
 		shard(n, workers, r.processFn)
 	}
 
+	var commits int
 	var msgs int64
 	if singleReq {
 		// Redirected commits join their bins' loads in worker order.
 		for _, t := range scr.tallies[:w] {
 			commits += t.commits
 			msgs += t.msgs
-			roundMax = max(roundMax, t.roundMax)
 			for _, place := range t.redirects {
 				r.loads[place]++
-				roundMax = max(roundMax, r.loads[place])
 			}
 		}
 	} else {
@@ -723,11 +715,11 @@ func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool,
 		for _, bi := range r.active {
 			r.stay[bi] = true
 		}
-		commits, roundMax, msgs = r.commitByBall(accepts)
+		commits, msgs = r.commitByBall(accepts)
 	}
 	metrics.CommitMessages += msgs
 	metrics.TotalMessages += msgs
-	return commits, roundMax
+	return commits
 }
 
 // processSmall is the small-round step 2: requests are stable-sorted by
@@ -831,38 +823,10 @@ func (e *Engine) applyTieBreak(round, bin int, reqs []int32) {
 		br := rng.New(rng.Mix64(e.cfg.Seed ^ uint64(bin)*0x9E3779B97F4A7C15 ^ uint64(round)*0xC2B2AE3D27D4EB4F))
 		br.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	case TieAdversarialHighID:
-		// Highest ball IDs first (simple insertion-free selection sort of
-		// the prefix would be O(k*len); full sort keeps it simple).
-		sortInt32Desc(reqs)
-	}
-}
-
-func sortInt32Desc(s []int32) {
-	// Heapsort (descending via min-heap semantics inverted).
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		siftDownMin(s, i)
-	}
-	for end := len(s) - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftDownMin(s[:end], 0)
-	}
-}
-
-func siftDownMin(s []int32, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && s[l] < s[smallest] {
-			smallest = l
-		}
-		if r < len(s) && s[r] < s[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		// Highest ball IDs first. Ball indices ascend with IDs, and a
+		// descending list of them has only one order.
+		slices.Sort(reqs)
+		slices.Reverse(reqs)
 	}
 }
 
@@ -897,7 +861,7 @@ func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
 // accepts: it commits every ball of accepts, in which each ball's accepts
 // are adjacent, on the calling goroutine, after step 2 has read every
 // bin's round-start load.
-func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, roundMax, msgs int64) {
+func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, msgs int64) {
 	buf := r.scr.accBufs[0]
 	var t binTally
 	for i := 0; i < len(accepts); {
@@ -909,16 +873,17 @@ func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, roundMax, msg
 		place := r.commitBall(bi, buf, &t)
 		r.stay[bi] = false
 		r.loads[place]++
-		t.roundMax = max(t.roundMax, r.loads[place])
 	}
 	r.scr.accBufs[0] = buf
-	return t.commits, t.roundMax, t.msgs
+	return t.commits, t.msgs
 }
 
+// sortAcceptsByBall heapsorts a round's accepts, listed bin by bin, by ball
+// index. The sort is not stable, and its permutation of a ball's accepts is
+// the order Choose sees them in, so results depend on it: every in-repo
+// Choose returns 0. ROADMAP.md plans to replace it with the order in which
+// the ball sent its requests.
 func sortAcceptsByBall(a []acceptRec) {
-	// Heapsort by ball index; stable ordering within a ball is not required
-	// (accept order within a ball carries no meaning to protocols beyond
-	// the set itself, and payloads travel with their records).
 	for i := len(a)/2 - 1; i >= 0; i-- {
 		siftDownAccept(a, i)
 	}

@@ -38,7 +38,11 @@
 //     implement both interfaces; Engine.Run then routes oversized
 //     instances to mass mode automatically.
 //
-// Both modes are deterministic for a fixed seed at any worker count.
+// Both modes are deterministic for a fixed seed at any worker count, and
+// both keep one per-round record, Result.TraceRemaining (Config.Trace).
+// The agent engine's rules are stated once, in a serial reference engine
+// (reference_test.go) that the tests compare it with.
+//
 // Algorithms are expressed as implementations of the Protocol (and
 // optionally MassProtocol) interfaces; the packages core (Aheavy), light
 // (Alight), asym (superbin algorithm), baseline, and threshold all
@@ -56,10 +60,14 @@ import (
 // Config controls an engine run.
 type Config struct {
 	Seed      uint64
-	Workers   int  // 0 means GOMAXPROCS
-	MaxRounds int  // safety bound; 0 means DefaultMaxRounds
-	Trace     bool // record remaining-ball trajectory
-	TieBreak  TieBreak
+	Workers   int // 0 means GOMAXPROCS
+	MaxRounds int // safety bound; 0 means DefaultMaxRounds
+	// Trace keeps the run's per-round record, Result.TraceRemaining: the
+	// unallocated balls at the start of each executed round, hold rounds
+	// included. The drop from one entry to the next, or from the last to
+	// Result.Unallocated, is that round's commits.
+	Trace    bool
+	TieBreak TieBreak
 	// RecordPlacements records every ball's final bin in Result.Placements
 	// (-1 for balls left unallocated). Costs one int32 per ball. Agent mode
 	// only: mass mode treats balls as exchangeable.
@@ -68,9 +76,6 @@ type Config struct {
 	// Ball.State (used e.g. by the deterministic prober). A run with
 	// InitState stores every ball up front. Agent mode only.
 	InitState func(b *Ball)
-	// OnRound, if non-nil, receives a RoundRecord after every executed
-	// round (called from the engine goroutine, in order).
-	OnRound func(RoundRecord)
 	// Arena, if non-nil, supplies reusable run-state buffers so repeated
 	// runs allocate (almost) nothing: the ball array, per-bin/per-ball
 	// vectors, worker scratch, and the Result itself are drawn from it.
@@ -79,15 +84,6 @@ type Config struct {
 	// by concurrent engines. Used by the online/churn layer, which runs
 	// one small engine execution per epoch in steady state.
 	Arena *Arena
-}
-
-// RoundRecord summarizes one executed round for observers.
-type RoundRecord struct {
-	Round     int
-	Remaining int64 // unallocated balls at round start
-	Requests  int64 // requests sent this round
-	Accepted  int64 // balls allocated this round
-	MaxLoad   int64 // maximal bin load after the round
 }
 
 // DefaultMaxRounds bounds runaway protocols.
@@ -159,20 +155,4 @@ func (e *Engine) Run() (*model.Result, error) {
 		return RunMass(e.p, mp, e.cfg)
 	}
 	return e.runAgent()
-}
-
-// emitRound delivers a RoundRecord to the configured observer. The
-// maximal load is maintained incrementally at commit time, so observers
-// cost O(1) per round, not O(n).
-func (e *Engine) emitRound(round int, remaining, sent, accepted, maxLoad int64) {
-	if e.cfg.OnRound == nil {
-		return
-	}
-	e.cfg.OnRound(RoundRecord{
-		Round:     round,
-		Remaining: remaining,
-		Requests:  sent,
-		Accepted:  accepted,
-		MaxLoad:   maxLoad,
-	})
 }

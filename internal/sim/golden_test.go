@@ -182,3 +182,21 @@ func TestGoldenFingerprints(t *testing.T) {
 		})
 	}
 }
+
+// TestHoldGoldenReference runs the hold case on the serial reference
+// engine, which must reproduce the fingerprint recorded from the engine.
+func TestHoldGoldenReference(t *testing.T) {
+	res, err := sim.Reference(model.Problem{M: 1 << 14, N: 1 << 6}, holdProto{quota: 64}, sim.Config{Seed: 7, Trace: true, RecordPlacements: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, c := range goldenCases {
+		if c.name == "hold" {
+			want = c.want
+		}
+	}
+	if got := fingerprint(res); got != want {
+		t.Errorf("reference fingerprint %s, want %s", got, want)
+	}
+}

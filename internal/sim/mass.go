@@ -91,7 +91,6 @@ func RunMass(p model.Problem, proto MassProtocol, cfg Config) (*model.Result, er
 	if cfg.Trace && arena != nil {
 		trace = arena.massTrace[:0]
 	}
-	var maxLoad int64
 
 	remaining := p.M
 	round := 0
@@ -126,22 +125,10 @@ func RunMass(p model.Problem, proto MassProtocol, cfg Config) (*model.Result, er
 				take = free
 			}
 			loads[b] += take
-			if loads[b] > maxLoad {
-				maxLoad = loads[b]
-			}
 			allocated += take
 		}
 		metrics.CommitMessages += allocated
 		metrics.TotalMessages += allocated
-		if cfg.OnRound != nil {
-			cfg.OnRound(RoundRecord{
-				Round:     round,
-				Remaining: remaining,
-				Requests:  remaining,
-				Accepted:  allocated,
-				MaxLoad:   maxLoad,
-			})
-		}
 		remaining -= allocated
 	}
 

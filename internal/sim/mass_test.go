@@ -135,28 +135,31 @@ func TestMassRunHugeInstance(t *testing.T) {
 	}
 }
 
+// TestMassRunOnRoundObserver checks the mass engine's per-round record:
+// one trace entry per round, starting at M and never rising, and rounds
+// whose commits sum to the allocation.
 func TestMassRunOnRoundObserver(t *testing.T) {
 	p := model.Problem{M: 50000, N: 20}
-	var records []RoundRecord
 	res, err := RunMass(p, &massFixed{threshold: func(round int) int64 { return int64(1000 * (round + 1)) }},
-		Config{Seed: 5, OnRound: func(r RoundRecord) { records = append(records, r) }})
+		Config{Seed: 5, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != res.Rounds {
-		t.Fatalf("%d records, %d rounds", len(records), res.Rounds)
+	if len(res.TraceRemaining) != res.Rounds {
+		t.Fatalf("%d trace entries, %d rounds", len(res.TraceRemaining), res.Rounds)
 	}
-	if records[0].Remaining != p.M {
-		t.Fatalf("record 0 remaining = %d", records[0].Remaining)
+	if res.TraceRemaining[0] != p.M {
+		t.Fatalf("trace starts at %d", res.TraceRemaining[0])
 	}
-	// The incremental max must equal a fresh scan at the end.
-	if got, want := records[len(records)-1].MaxLoad, res.MaxLoad(); got != want {
-		t.Fatalf("final MaxLoad record %d, scan %d", got, want)
-	}
-	for i := 1; i < len(records); i++ {
-		if records[i].MaxLoad < records[i-1].MaxLoad {
-			t.Fatal("MaxLoad decreased between rounds")
+	var allocated int64
+	for i, c := range traceCommits(res) {
+		if c < 0 {
+			t.Fatalf("remaining rose in round %d", i)
 		}
+		allocated += c
+	}
+	if allocated != res.TotalAllocated() {
+		t.Fatalf("rounds committed %d balls, result allocated %d", allocated, res.TotalAllocated())
 	}
 }
 

@@ -443,16 +443,6 @@ func TestSortAcceptsByBall(t *testing.T) {
 	}
 }
 
-func TestSortInt32Desc(t *testing.T) {
-	s := []int32{3, 1, 4, 1, 5, 9, 2, 6}
-	sortInt32Desc(s)
-	for i := 1; i < len(s); i++ {
-		if s[i] > s[i-1] {
-			t.Fatalf("not descending: %v", s)
-		}
-	}
-}
-
 func TestNewPanicsOnInvalidProblem(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -510,33 +500,6 @@ func TestOneShotLoadDistribution(t *testing.T) {
 	}
 	if max > predicted*1.5 {
 		t.Fatalf("max load %g far above predicted %g", max, predicted)
-	}
-}
-
-// TestOnRoundMaxLoadIncremental guards the commit-time running maximum
-// that replaced emitRound's O(n) rescan: the observer's MaxLoad must be
-// monotone and end exactly at the scanned maximum, with multiple workers
-// racing commits.
-func TestOnRoundMaxLoadIncremental(t *testing.T) {
-	p := model.Problem{M: 20000, N: 40}
-	proto := &uniformProto{threshold: func(round int) int64 { return int64(120 * (round + 1)) }}
-	var records []RoundRecord
-	res, err := New(p, proto, Config{Seed: 19, Workers: 4, OnRound: func(r RoundRecord) {
-		records = append(records, r)
-	}}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != res.Rounds {
-		t.Fatalf("%d records, %d rounds", len(records), res.Rounds)
-	}
-	for i := 1; i < len(records); i++ {
-		if records[i].MaxLoad < records[i-1].MaxLoad {
-			t.Fatal("MaxLoad decreased between rounds")
-		}
-	}
-	if got, want := records[len(records)-1].MaxLoad, res.MaxLoad(); got != want {
-		t.Fatalf("final observer MaxLoad %d != scanned max %d", got, want)
 	}
 }
 

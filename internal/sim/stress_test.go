@@ -5,7 +5,8 @@ package sim
 // patterns. Protocols here are generated from quick-check seeds.
 
 import (
-	"reflect"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,17 +123,19 @@ func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 	}
 }
 
-// FuzzAgentEngine runs fuzzProto at 1, 2 and 4 workers over instances
+// FuzzAgentEngine compares the engine with the serial reference engine
+// (reference_test.go) on fuzzProto, at 1, 2 and 4 workers, over instances
 // that straddle forkMin, so rounds fork or run inline, split their
 // counting sort by gather shard or not, read one or several gather shards,
 // commit inside step 2 or through the by-ball sort, redirect placements,
 // and flush held requests. Runs of at least forkMin balls throw round 0
 // before they store a ball, unless round 0 holds or a ball sends several
 // requests; each input therefore also runs with a no-op InitState, which
-// stores every ball up front. Every run must pass Check, the six Results
-// must be equal, and Choose must never be asked to choose from a single
-// accept. A large quiet leaves most of many active balls silent: rounds
-// too small for the counting sort then span several gather shards.
+// stores every ball up front. Every run must pass Check and equal the
+// reference in every Result field, and Choose must never be asked to
+// choose from a single accept. A large quiet leaves most of many active
+// balls silent: rounds too small for the counting sort then span several
+// gather shards.
 func FuzzAgentEngine(f *testing.F) {
 	// seed, m-1, n-1, degree-1, holdMod, tie-break, quiet, redirect
 	f.Add(uint64(1), uint16(forkMin), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0), false)
@@ -167,31 +170,30 @@ func FuzzAgentEngine(f *testing.F) {
 		if redirect {
 			proto.redirect = n
 		}
-		tie := TieBreak(tieRaw % 3)
-		var want *model.Result
+		p := model.Problem{M: m, N: n}
+		cfg := Config{
+			Seed:             seed,
+			MaxRounds:        5000,
+			TieBreak:         TieBreak(tieRaw % 3),
+			RecordPlacements: true,
+			Trace:            true,
+		}
+		want, err := Reference(p, choosyProto{proto, t}, cfg)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
 		for _, w := range []int{1, 2, 4} {
 			for _, init := range []func(*Ball){nil, func(*Ball) {}} {
-				res, err := New(model.Problem{M: m, N: n}, choosyProto{proto, t}, Config{
-					Seed:             seed,
-					Workers:          w,
-					MaxRounds:        5000,
-					TieBreak:         tie,
-					RecordPlacements: true,
-					Trace:            true,
-					InitState:        init,
-				}).Run()
-				up := init != nil
+				cfg.Workers, cfg.InitState = w, init
+				res, err := New(p, choosyProto{proto, t}, cfg).Run()
+				label := fmt.Sprintf("workers=%d up-front=%v", w, init != nil)
 				if err != nil {
-					t.Fatalf("workers=%d up-front=%v: %v", w, up, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				if err := res.Check(); err != nil {
-					t.Fatalf("workers=%d up-front=%v: %v", w, up, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				if want == nil {
-					want = res
-				} else if !reflect.DeepEqual(res, want) {
-					t.Fatalf("workers=%d up-front=%v: result differs from workers=1 without InitState", w, up)
-				}
+				sameResult(t, label, res, want)
 			}
 		}
 	})
@@ -212,35 +214,67 @@ func TestEngineTieBreaksUnderRandomProtocols(t *testing.T) {
 	}
 }
 
+// observedProto is a fuzzProto that records what RoundStart sees: the
+// round, the unallocated balls and the balls placed so far.
+type observedProto struct {
+	*fuzzProto
+	rounds            []int
+	remaining, placed []int64
+}
+
+func (o *observedProto) RoundStart(round int, loads []int64, remaining int64) {
+	var sum int64
+	for _, l := range loads {
+		sum += l
+	}
+	o.rounds = append(o.rounds, round)
+	o.remaining = append(o.remaining, remaining)
+	o.placed = append(o.placed, sum)
+}
+
+// traceCommits returns the balls each round of res committed: the drop
+// from one TraceRemaining entry to the next, and from the last to
+// Unallocated.
+func traceCommits(res *model.Result) []int64 {
+	tr := append(slices.Clone(res.TraceRemaining), res.Unallocated)
+	out := make([]int64, len(tr)-1)
+	for i := range out {
+		out[i] = tr[i] - tr[i+1]
+	}
+	return out
+}
+
+// TestEngineObserverConsistency checks the per-round record against the
+// RoundObserver hook and the result: one trace entry per executed round,
+// equal to the unallocated balls RoundStart sees, while the loads it sees
+// hold the balls placed so far; no round commits a negative number of
+// balls, and the rounds' commits sum to the allocation.
 func TestEngineObserverConsistency(t *testing.T) {
-	// Accepted totals reported via OnRound must equal the final allocation,
-	// and remaining must decrease by exactly the accepted count.
-	proto := &fuzzProto{seed: 9, degree: 1, holdMod: 0, capBase: 30}
+	proto := &observedProto{fuzzProto: &fuzzProto{seed: 9, degree: 1, holdMod: 3, capBase: 30}}
 	p := model.Problem{M: 2000, N: 100}
-	var records []RoundRecord
-	res, err := New(p, proto, Config{
-		Seed:      3,
-		MaxRounds: 5000,
-		OnRound:   func(r RoundRecord) { records = append(records, r) },
-	}).Run()
+	res, err := New(p, proto, Config{Seed: 3, MaxRounds: 5000, Trace: true}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted int64
-	for i, r := range records {
-		accepted += r.Accepted
-		if i > 0 {
-			wantRemaining := records[i-1].Remaining - records[i-1].Accepted
-			if r.Remaining != wantRemaining {
-				t.Fatalf("round %d: remaining %d, want %d", r.Round, r.Remaining, wantRemaining)
-			}
+	if len(res.TraceRemaining) != res.Rounds || len(proto.rounds) != res.Rounds {
+		t.Fatalf("%d trace entries and %d RoundStart calls for %d rounds", len(res.TraceRemaining), len(proto.rounds), res.Rounds)
+	}
+	if res.TraceRemaining[0] != p.M {
+		t.Fatalf("trace starts at %d, want %d", res.TraceRemaining[0], p.M)
+	}
+	var allocated int64
+	for i, c := range traceCommits(res) {
+		if proto.rounds[i] != i || proto.remaining[i] != res.TraceRemaining[i] || proto.placed[i] != allocated {
+			t.Fatalf("RoundStart %d saw round %d, %d remaining, %d placed; trace says %d remaining, %d placed",
+				i, proto.rounds[i], proto.remaining[i], proto.placed[i], res.TraceRemaining[i], allocated)
 		}
+		if c < 0 {
+			t.Fatalf("round %d committed %d balls", i, c)
+		}
+		allocated += c
 	}
-	if accepted != res.TotalAllocated() {
-		t.Fatalf("observer accepted %d != allocated %d", accepted, res.TotalAllocated())
-	}
-	if len(records) != res.Rounds {
-		t.Fatalf("observer saw %d rounds, result says %d", len(records), res.Rounds)
+	if allocated != res.TotalAllocated() {
+		t.Fatalf("rounds committed %d balls, result allocated %d", allocated, res.TotalAllocated())
 	}
 }
 
@@ -345,6 +379,56 @@ func TestEngineChurnAdversarialTieBreak(t *testing.T) {
 		if sum != live || live != arrived-departed {
 			t.Fatalf("epoch %d: conservation broken: loads %d, live %d, arrived %d, departed %d",
 				e, sum, live, arrived, departed)
+		}
+	}
+}
+
+// TestArenaChurnMatchesReference runs a churn sequence of engine runs over
+// one reused Arena (NewIn), the online layer's regime, and compares every
+// epoch with the reference engine. The bin count changes from epoch to
+// epoch, the ball count alternates below and above forkMin, capacities are
+// residual like churnProto's over the loads earlier epochs left, and the
+// tie-break, placement recording and tracing rotate. Every fourth epoch
+// runs a fuzzProto with held requests, two requests per ball and
+// redirects over the same arena.
+func TestArenaChurnMatchesReference(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		a := &Arena{}
+		r := rng.New(rng.Mix64(0xA7E4A + uint64(w)))
+		for e := range 16 {
+			n := []int{64, 7, 1024, 300}[e%4]
+			m := int64(r.Intn(forkMin)) + 1
+			if e%2 == 1 {
+				m += forkMin + int64(r.Intn(forkMin))
+			}
+			base := make([]int64, n)
+			var baseTotal int64
+			for i := range base {
+				base[i] = int64(r.Intn(int(m)/n + 3))
+				baseTotal += base[i]
+			}
+			var proto Protocol = &churnProto{base: base, cap: (baseTotal+m)/int64(n) + 2}
+			if e%4 == 3 {
+				proto = &fuzzProto{seed: uint64(e), degree: 2, holdMod: 3, capBase: m/int64(n) + 2, redirect: n}
+			}
+			p := model.Problem{M: m, N: n}
+			cfg := Config{
+				Seed:             rng.Mix64(uint64(e)),
+				Workers:          w,
+				MaxRounds:        5000,
+				TieBreak:         TieBreak(e % 3),
+				RecordPlacements: e%3 != 2,
+				Trace:            e%5 != 4,
+			}
+			want, err := Reference(p, proto, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d epoch %d: reference: %v", w, e, err)
+			}
+			got, err := NewIn(a, p, proto, cfg).Run()
+			if err != nil {
+				t.Fatalf("workers=%d epoch %d: %v", w, e, err)
+			}
+			sameResult(t, fmt.Sprintf("workers=%d epoch %d (m=%d, n=%d)", w, e, m, n), got, want)
 		}
 	}
 }

@@ -27,20 +27,18 @@ func TestPerRoundRejectionsTrackTheorem7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var survivors []float64
-	eng := sim.New(p, proto, sim.Config{
-		Seed: 5,
-		OnRound: func(r sim.RoundRecord) {
-			survivors = append(survivors, float64(r.Remaining-r.Accepted))
-		},
-		MaxRounds: len(sched) + 1,
-	})
-	res, err := eng.Run()
+	res, err := sim.New(p, proto, sim.Config{Seed: 5, Trace: true, MaxRounds: len(sched) + 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.CheckPartial(); err != nil {
 		t.Fatal(err)
+	}
+	// The balls that survive round i start round i+1; the last round's
+	// survivors are the unallocated ones.
+	var survivors []float64
+	for _, r := range append(res.TraceRemaining[1:], res.Unallocated) {
+		survivors = append(survivors, float64(r))
 	}
 	// Early rounds (strong concentration): survivors_{i} should be within
 	// a small constant of sqrt(M_i · n), up to the t divisor of Theorem 7.

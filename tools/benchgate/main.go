@@ -7,10 +7,11 @@
 // Each -assert-le 'metric:refA<=refB' exits 1 when refA's metric exceeds
 // refB's. A ref is a benchmark name without its "Benchmark" prefix,
 // optionally pinned to one GOMAXPROCS with "@N" and scaled by a
-// "factor*" prefix. A metric is ns_per_op, bytes_per_op, allocs_per_op,
-// or a b.ReportMetric unit with "/" spelled "_per_" and "-" spelled "_"
-// (balls/s is balls_per_s). Lines that are not benchmark results are
-// ignored.
+// "factor*" prefix. A ref that matches repeated results at one GOMAXPROCS
+// (go test -count) reads their median. A metric is ns_per_op,
+// bytes_per_op, allocs_per_op, or a b.ReportMetric unit with "/" spelled
+// "_per_" and "-" spelled "_" (balls/s is balls_per_s). Lines that are not
+// benchmark results are ignored.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,8 +33,8 @@ type Result struct {
 	Gomaxprocs  int
 	Iterations  int64
 	NsPerOp     float64
-	BytesPerOp  int64
-	AllocsPerOp int64
+	BytesPerOp  float64
+	AllocsPerOp float64
 	Extra       map[string]float64
 }
 
@@ -74,9 +76,9 @@ func parseLine(line string) (Result, bool) {
 			r.NsPerOp = v
 			ok = true
 		case "B/op":
-			r.BytesPerOp = int64(v)
+			r.BytesPerOp = v
 		case "allocs/op":
-			r.AllocsPerOp = int64(v)
+			r.AllocsPerOp = v
 		default:
 			// A custom b.ReportMetric column; "MB/s" etc. also land here.
 			if r.Extra == nil {
@@ -94,9 +96,10 @@ type listFlag []string
 func (l *listFlag) String() string     { return strings.Join(*l, ",") }
 func (l *listFlag) Set(s string) error { *l = append(*l, s); return nil }
 
-// findResult resolves a "name" or "name@gomaxprocs" reference to exactly
-// one parsed result; zero or several matches are an error so a typo or a
-// missing -cpu pin cannot silently compare the wrong records.
+// findResult resolves a "name" or "name@gomaxprocs" reference to the
+// results it matches, folded into one by median (repeated runs of one
+// benchmark). No match, or matches at several GOMAXPROCS, is an error so a
+// typo or a missing -cpu pin cannot silently compare the wrong records.
 func findResult(results []Result, ref string) (Result, error) {
 	name, cpuStr, hasCPU := strings.Cut(ref, "@")
 	cpu := 0
@@ -106,22 +109,53 @@ func findResult(results []Result, ref string) (Result, error) {
 			return Result{}, fmt.Errorf("ref %q: bad gomaxprocs %q", ref, cpuStr)
 		}
 	}
-	var match Result
-	found := 0
+	var matches []Result
 	for _, r := range results {
-		if r.Name != name || (hasCPU && r.Gomaxprocs != cpu) {
-			continue
+		if r.Name == name && (!hasCPU || r.Gomaxprocs == cpu) {
+			matches = append(matches, r)
 		}
-		match = r
-		found++
 	}
-	switch {
-	case found == 0:
+	if len(matches) == 0 {
 		return Result{}, fmt.Errorf("no benchmark matches %q", ref)
-	case found > 1:
-		return Result{}, fmt.Errorf("%d benchmarks match %q; pin one with name@gomaxprocs", found, ref)
 	}
-	return match, nil
+	for _, r := range matches {
+		if r.Gomaxprocs != matches[0].Gomaxprocs {
+			return Result{}, fmt.Errorf("%q matches benchmarks at GOMAXPROCS %d and %d; pin one with name@gomaxprocs", ref, matches[0].Gomaxprocs, r.Gomaxprocs)
+		}
+	}
+	return medianResult(matches), nil
+}
+
+// medianResult folds repeated results of one benchmark, which report the
+// same columns, into one whose every column is the median of theirs.
+func medianResult(rs []Result) Result {
+	column := func(get func(Result) float64) float64 {
+		vs := make([]float64, len(rs))
+		for i, r := range rs {
+			vs[i] = get(r)
+		}
+		return median(vs)
+	}
+	m := rs[0]
+	m.NsPerOp = column(func(r Result) float64 { return r.NsPerOp })
+	m.BytesPerOp = column(func(r Result) float64 { return r.BytesPerOp })
+	m.AllocsPerOp = column(func(r Result) float64 { return r.AllocsPerOp })
+	m.Extra = make(map[string]float64, len(rs[0].Extra))
+	for key := range rs[0].Extra {
+		m.Extra[key] = column(func(r Result) float64 { return r.Extra[key] })
+	}
+	return m
+}
+
+// median returns the middle value of vs, or the mean of the middle two
+// for an even count. It sorts vs.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	h := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[h]
+	}
+	return (vs[h-1] + vs[h]) / 2
 }
 
 // metric reads one of a result's numeric columns by its identifier.
@@ -130,9 +164,9 @@ func (r Result) metric(key string) (float64, bool) {
 	case "ns_per_op":
 		return r.NsPerOp, true
 	case "bytes_per_op":
-		return float64(r.BytesPerOp), true
+		return r.BytesPerOp, true
 	case "allocs_per_op":
-		return float64(r.AllocsPerOp), true
+		return r.AllocsPerOp, true
 	}
 	v, ok := r.Extra[key]
 	return v, ok

@@ -113,3 +113,38 @@ func TestCustomMetricColumns(t *testing.T) {
 		t.Fatalf("custom metrics: %v", r.Extra)
 	}
 }
+
+// TestRepeatedResultsMedian: repeated results of one benchmark at one
+// GOMAXPROCS (go test -count) resolve to their median, the mean of the
+// middle two for an even count, in every column; a bare ref that matches
+// results at two GOMAXPROCS still fails.
+func TestRepeatedResultsMedian(t *testing.T) {
+	var results []Result
+	for _, ns := range []float64{143.8, 86.3, 90, 88, 300} {
+		results = append(results, Result{Name: "AheavyAgentHeavy", Gomaxprocs: 2, NsPerOp: ns, BytesPerOp: ns,
+			Extra: map[string]float64{"balls_per_s": 1000 / ns}})
+	}
+	r, err := findResult(results, "AheavyAgentHeavy@2")
+	if err != nil || r.NsPerOp != 90 || r.BytesPerOp != 90 || r.Extra["balls_per_s"] != 1000.0/90 {
+		t.Fatalf("odd count: %+v, %v", r, err)
+	}
+	r, err = findResult(results[:4], "AheavyAgentHeavy")
+	if err != nil || r.NsPerOp != 89 || r.BytesPerOp != 89 {
+		t.Fatalf("even count: %+v, %v", r, err)
+	}
+	for _, ns := range []float64{150, 160, 140} {
+		results = append(results, Result{Name: "AheavyAgentHeavy", Gomaxprocs: 1, NsPerOp: ns})
+	}
+	if _, err := findResult(results, "AheavyAgentHeavy"); err == nil {
+		t.Error("bare ref over two GOMAXPROCS accepted")
+	}
+	// The gate compares medians (90 against 150): the one slow run at
+	// GOMAXPROCS 2, slower than every run at GOMAXPROCS 1, does not decide
+	// it.
+	if err := checkAsserts(listFlag{"ns_per_op:AheavyAgentHeavy@2<=AheavyAgentHeavy@1"}, results); err != nil {
+		t.Fatalf("median gate failed: %v", err)
+	}
+	if err := checkAsserts(listFlag{"ns_per_op:AheavyAgentHeavy@1<=AheavyAgentHeavy@2"}, results); err == nil {
+		t.Error("median gate passed with medians 150 > 90")
+	}
+}
