@@ -1,7 +1,7 @@
 package pba
 
 // This file is the benchmark harness required by DESIGN.md: one testing.B
-// target per experiment (E1–E15), regenerating the corresponding table on
+// target per experiment (E1–E17), regenerating the corresponding table on
 // every iteration, plus micro-benchmarks of the core algorithms at several
 // scales. Run with:
 //

@@ -1,7 +1,9 @@
 // Command pba-bench regenerates the reproduction's experiment tables
 // (E1–E17; see DESIGN.md for the experiment index). By default every
 // experiment runs at full scale and tables print to stdout; -quick shrinks
-// the sweeps for a fast smoke run.
+// the sweeps for a fast smoke run. A table that restates a paper claim
+// ends in a "verdict: PASS|FAIL" line computed from its own rows
+// (pba-verify prints only those lines).
 //
 // Usage:
 //

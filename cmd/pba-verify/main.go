@@ -1,17 +1,11 @@
-// Command pba-verify is the reproduction gate: it re-checks the paper's
-// headline claims end to end in under a minute and prints PASS/FAIL per
-// claim. Useful as a post-install smoke test and in CI.
+// Command pba-verify is the reproduction gate: it runs the experiments of
+// internal/bench at full scale (10 seeds, n = 1024) and prints the verdict
+// each one computes from its own rows — PASS or FAIL per paper claim, with
+// the statistic and its bound. It exits 1 on any FAIL or run error, so it
+// serves as a post-install smoke test and as a CI step.
 //
-// Checks:
-//
-//	C1  Aheavy excess is flat (O(1)) across three decades of m/n
-//	C2  Aheavy rounds grow like loglog(m/n), not like log n
-//	C3  message totals stay below 3m
-//	C4  asymmetric algorithm: constant rounds, O(1) excess
-//	C5  Theorem 7 floor: one round rejects >= sqrt(Mn)/(4t) for all profiles
-//	C6  fixed threshold needs >= 2x Aheavy's rounds (the §1.1 foil)
-//	C7  Alight: load cap 2 and log*-flat rounds
-//	C8  deterministic fallback: exact balance within n rounds
+//	pba-verify                 # every experiment that has a verdict
+//	pba-verify -checks E1,E15  # a subset, by experiment ID
 package main
 
 import (
@@ -20,205 +14,51 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/lower"
-	"repro/internal/model"
-	"repro/internal/sweep"
+	"repro/internal/bench"
 )
 
-type check struct {
-	id, desc string
-	run      func() error
-}
-
 func main() {
-	only := flag.String("checks", "", "comma-separated check IDs to run (e.g. C1,C8); empty = all")
+	only := flag.String("checks", "", "comma-separated experiment IDs to verify (e.g. E1,E15); empty = every experiment with a verdict")
 	flag.Parse()
-	checks := []check{
-		{"C1", "Aheavy excess O(1) across m/n in {2^6, 2^10, 2^14}", checkExcessFlat},
-		{"C2", "Aheavy rounds track loglog(m/n)", checkRoundsLogLog},
-		{"C3", "Aheavy total requests < 3m", checkMessages},
-		{"C4", "asymmetric: constant rounds, O(1) excess", checkAsym},
-		{"C5", "Theorem 7 rejection floor under 4 capacity profiles", checkRejectionFloor},
-		{"C6", "fixed threshold pays >= 2x Aheavy's rounds", checkFixedFoil},
-		{"C7", "Alight: load <= 2, log*-flat rounds", checkAlight},
-		{"C8", "deterministic fallback: exact balance in <= n rounds", checkDeterministic},
-	}
+	list := bench.Registry()
 	if *only != "" {
-		want := map[string]bool{}
+		list = nil
 		for _, id := range strings.Split(*only, ",") {
-			if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
-				want[id] = true
+			e, ok := bench.Find(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(os.Stderr, "pba-verify: unknown experiment %q\n", id)
+				os.Exit(2)
 			}
+			list = append(list, e)
 		}
-		var sel []check
-		for _, c := range checks {
-			if want[c.id] {
-				sel = append(sel, c)
-				delete(want, c.id)
-			}
-		}
-		if len(want) > 0 {
-			for id := range want {
-				fmt.Fprintf(os.Stderr, "pba-verify: unknown check %q\n", id)
-			}
-			os.Exit(2)
-		}
-		checks = sel
 	}
-	failed := 0
-	for _, c := range checks {
-		if err := c.run(); err != nil {
-			fmt.Printf("FAIL %s %-55s %v\n", c.id, c.desc, err)
+	verdicts, failed := 0, 0
+	for _, e := range list {
+		tbl, err := e.Run(bench.Config{})
+		if err != nil {
+			fmt.Printf("FAIL %-4s %s: %v\n", e.ID, e.Title, err)
+			verdicts++
 			failed++
-		} else {
-			fmt.Printf("PASS %s %s\n", c.id, c.desc)
+			continue
 		}
+		v := tbl.Verdict()
+		if v == "" {
+			if *only != "" {
+				fmt.Fprintf(os.Stderr, "pba-verify: %s has no verdict\n", e.ID)
+				os.Exit(2)
+			}
+			continue
+		}
+		verdicts++
+		if !tbl.Passed() {
+			failed++
+		}
+		word, checks, _ := strings.Cut(v, " ")
+		fmt.Printf("%s %-4s %s: %s\n", word, e.ID, e.Title, checks)
 	}
 	if failed > 0 {
-		fmt.Printf("\n%d of %d checks failed\n", failed, len(checks))
+		fmt.Printf("\n%d of %d verdicts failed\n", failed, verdicts)
 		os.Exit(1)
 	}
-	fmt.Printf("\nall %d checks passed — the reproduction is healthy\n", len(checks))
-}
-
-const n = 1 << 10
-
-// run resolves an algorithm through the sweep registry — the same dispatch
-// path pba-run and pba-sweep use — and invariant-checks the result.
-func run(alg string, p model.Problem, seed uint64) (*model.Result, error) {
-	res, err := sweep.Run(alg, p, sweep.Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Check(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func runHeavy(ratio int64, seed uint64) (*model.Result, error) {
-	return run("aheavy-fast", model.Problem{M: int64(n) * ratio, N: n}, seed)
-}
-
-func checkExcessFlat() error {
-	var worst int64
-	for _, ratio := range []int64{1 << 6, 1 << 10, 1 << 14} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			res, err := runHeavy(ratio, seed)
-			if err != nil {
-				return err
-			}
-			if res.Excess() > worst {
-				worst = res.Excess()
-			}
-		}
-	}
-	if worst > 10 {
-		return fmt.Errorf("worst excess %d > 10", worst)
-	}
-	return nil
-}
-
-func checkRoundsLogLog() error {
-	small, err := runHeavy(1<<6, 1)
-	if err != nil {
-		return err
-	}
-	big, err := runHeavy(1<<16, 1)
-	if err != nil {
-		return err
-	}
-	// 2^6 -> 2^16 is a 10x exponent jump but only ~1.4x in loglog: rounds
-	// must grow by only a few.
-	if big.Rounds > small.Rounds+6 {
-		return fmt.Errorf("rounds jumped %d -> %d", small.Rounds, big.Rounds)
-	}
-	return nil
-}
-
-func checkMessages() error {
-	res, err := runHeavy(1<<10, 2)
-	if err != nil {
-		return err
-	}
-	if res.Metrics.BallRequests > 3*res.Problem.M {
-		return fmt.Errorf("requests %d > 3m", res.Metrics.BallRequests)
-	}
-	return nil
-}
-
-func checkAsym() error {
-	for _, ratio := range []int64{4, 256} {
-		p := model.Problem{M: int64(n) * ratio, N: n}
-		res, err := run("asym", p, 3)
-		if err != nil {
-			return err
-		}
-		if res.Rounds > 7 {
-			return fmt.Errorf("ratio %d: %d rounds", ratio, res.Rounds)
-		}
-		if res.Excess() > 30 {
-			return fmt.Errorf("ratio %d: excess %d", ratio, res.Excess())
-		}
-	}
-	return nil
-}
-
-func checkRejectionFloor() error {
-	m := int64(n) * 1024
-	floor := lower.PredictedRejections(m, n) / 4
-	for _, profile := range []lower.CapacityProfile{lower.Uniform, lower.TwoClass, lower.Ramp, lower.Random} {
-		caps := lower.Capacities(profile, m, n, 2, 7)
-		if rej := lower.OneRound(m, caps, 11).Rejected; float64(rej) < floor {
-			return fmt.Errorf("%v rejected %d < floor %.0f", profile, rej, floor)
-		}
-	}
-	return nil
-}
-
-func checkFixedFoil() error {
-	p := model.Problem{M: int64(n) * 64, N: n}
-	fixed, err := run("fixed:1", p, 5)
-	if err != nil {
-		return err
-	}
-	heavy, err := run("aheavy-fast", p, 5)
-	if err != nil {
-		return err
-	}
-	if fixed.Rounds < 2*heavy.Rounds {
-		return fmt.Errorf("fixed %d rounds vs aheavy %d: no separation", fixed.Rounds, heavy.Rounds)
-	}
-	return nil
-}
-
-func checkAlight() error {
-	for _, sz := range []int{1 << 10, 1 << 16} {
-		res, err := run("alight", model.Problem{M: int64(sz), N: sz}, 9)
-		if err != nil {
-			return err
-		}
-		if res.MaxLoad() > 2 {
-			return fmt.Errorf("n=%d: load %d", sz, res.MaxLoad())
-		}
-		if res.Rounds > 8 {
-			return fmt.Errorf("n=%d: %d rounds", sz, res.Rounds)
-		}
-	}
-	return nil
-}
-
-func checkDeterministic() error {
-	p := model.Problem{M: 10007, N: 64}
-	res, err := run("det", p, 13)
-	if err != nil {
-		return err
-	}
-	if res.MaxLoad() != p.CeilAvg() {
-		return fmt.Errorf("max load %d != ceil(m/n) %d", res.MaxLoad(), p.CeilAvg())
-	}
-	if res.Rounds > p.N {
-		return fmt.Errorf("%d rounds > n", res.Rounds)
-	}
-	return nil
+	fmt.Printf("\nall %d verdicts passed\n", verdicts)
 }

@@ -10,14 +10,17 @@ import (
 func TestSmoke(t *testing.T) {
 	bin := cmdtest.Build(t, "repro/cmd/pba-verify")
 
-	// One fast claim end to end; the full suite runs in CI via pba-verify
-	// itself, not in the unit-test tier.
-	out := cmdtest.MustRun(t, bin, "-checks", "C8")
-	if !strings.Contains(out, "PASS C8") || !strings.Contains(out, "all 1 checks passed") {
+	// One fast verdict end to end; CI runs every verdict through
+	// pba-verify itself, not in the unit-test tier.
+	out := cmdtest.MustRun(t, bin, "-checks", "E15")
+	if !strings.Contains(out, "PASS E15") || !strings.Contains(out, "all 1 verdicts passed") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
 
-	if _, _, code := cmdtest.Run(t, bin, "-checks", "C99"); code == 0 {
-		t.Error("unknown check ID exited 0")
+	// An unknown ID, and one whose experiment computes no verdict.
+	for _, id := range []string{"E99", "E14"} {
+		if _, _, code := cmdtest.Run(t, bin, "-checks", id); code == 0 {
+			t.Errorf("-checks %s exited 0", id)
+		}
 	}
 }

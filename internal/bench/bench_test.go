@@ -30,6 +30,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					t.Fatalf("%s: ragged row %v", e.ID, row)
 				}
 			}
+			if !tbl.Passed() {
+				t.Fatalf("%s: verdict %s", e.ID, tbl.Verdict())
+			}
 		})
 	}
 }
@@ -70,6 +73,49 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "# n") {
 		t.Fatalf("CSV note missing:\n%s", out)
+	}
+}
+
+func TestTableVerdict(t *testing.T) {
+	tbl := &Table{ID: "T", Columns: []string{"a"}}
+	tbl.AddRow("1")
+	render := func() string {
+		var text, csv bytes.Buffer
+		if err := tbl.Render(&text); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.RenderCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return text.String() + csv.String()
+	}
+	if out := render(); strings.Contains(out, "verdict") {
+		t.Fatalf("table without checks rendered a verdict:\n%s", out)
+	}
+	tbl.AddCheck("worst excess", 6, "<=", 10)
+	tbl.AddCheck("ratio", 1.98, ">=", 0.25)
+	tbl.AddCheck("excess(max)", 0, "=", 0)
+	if !tbl.Passed() {
+		t.Fatalf("passing checks failed: %s", tbl.Verdict())
+	}
+	out := render()
+	for _, want := range []string{"\nverdict: PASS worst excess 6 <= 10; ratio 1.98 >= 0.25; excess(max) 0 = 0\n", "\n# verdict: PASS "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	tbl.AddCheck("max load", 3, "<=", 2)
+	if tbl.Passed() {
+		t.Fatal("a failing check passed")
+	}
+	out = render()
+	for _, want := range []string{"\nverdict: FAIL ", "\n# verdict: FAIL ", "max load 3 <= 2 (fails)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "10 (fails)") {
+		t.Fatalf("a passing check is marked failing:\n%s", out)
 	}
 }
 

@@ -132,6 +132,7 @@ func E17Faults(cfg Config) (*Table, error) {
 			return adversary.Throttle(pr, 10)
 		}},
 	}
+	stalled := 0
 	for _, sc := range scenarios {
 		var rounds, excess stats.Running
 		completed := 0
@@ -170,6 +171,7 @@ func E17Faults(cfg Config) (*Table, error) {
 			avg := (p.M + int64(survivors) - 1) / int64(survivors)
 			excess.Add(float64(mx - avg))
 		}
+		stalled += seeds - completed
 		t.AddRow(
 			sc.name,
 			fmt.Sprintf("%.1f", rounds.Mean()),
@@ -177,6 +179,7 @@ func E17Faults(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d/%d", completed, seeds),
 		)
 	}
-	t.AddNote("all scenarios complete every seed; faults stretch rounds, not load — retries absorb loss and survivors absorb crashed capacity when slack is provisioned")
+	t.AddCheck("stalled runs", float64(stalled), "=", 0)
+	t.AddNote("faults stretch rounds, not load — retries absorb loss and survivors absorb crashed capacity when slack is provisioned")
 	return t, nil
 }

@@ -7,16 +7,18 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/sweep"
 )
 
-// Table is one experiment's output: a titled grid of formatted cells plus
-// free-form notes (the paper-vs-measured verdict).
+// Table is one experiment's output: a titled grid of formatted cells,
+// descriptive notes, and the checks that decide the experiment's verdict
+// on its paper claim.
 type Table struct {
 	ID      string
 	Title   string
@@ -24,6 +26,33 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	Checks  []Check
+}
+
+// Check is one statistic computed from the same runs that fill a table's
+// rows, with the bound the paper claim puts on it.
+type Check struct {
+	Stat  string // what was measured, e.g. "worst excess"
+	Value float64
+	Op    string // "<=", ">=" or "="
+	Bound float64
+}
+
+// Pass reports whether the value respects the bound.
+func (c Check) Pass() bool {
+	switch c.Op {
+	case "<=":
+		return c.Value <= c.Bound
+	case ">=":
+		return c.Value >= c.Bound
+	case "=":
+		return c.Value == c.Bound
+	}
+	return false
+}
+
+func (c Check) String() string {
+	return fmt.Sprintf("%s %.4g %s %.4g", c.Stat, c.Value, c.Op, c.Bound)
 }
 
 // AddRow appends a formatted row; the cell count must match Columns.
@@ -35,9 +64,45 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddNote appends a verdict/annotation line rendered under the table.
+// AddNote appends a descriptive line rendered under the table; only
+// checks decide whether the claim holds.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// AddCheck appends one verdict statistic.
+func (t *Table) AddCheck(stat string, value float64, op string, bound float64) {
+	t.Checks = append(t.Checks, Check{Stat: stat, Value: value, Op: op, Bound: bound})
+}
+
+// Passed reports whether every check holds.
+func (t *Table) Passed() bool {
+	for _, c := range t.Checks {
+		if !c.Pass() {
+			return false
+		}
+	}
+	return true
+}
+
+// Verdict renders the checks as one line, "PASS ..." or "FAIL ..." with
+// each failing check marked; it is "" for a table without checks.
+func (t *Table) Verdict() string {
+	if len(t.Checks) == 0 {
+		return ""
+	}
+	parts := make([]string, len(t.Checks))
+	for i, c := range t.Checks {
+		parts[i] = c.String()
+		if !c.Pass() {
+			parts[i] += " (fails)"
+		}
+	}
+	word := "PASS"
+	if !t.Passed() {
+		word = "FAIL"
+	}
+	return word + " " + strings.Join(parts, "; ")
 }
 
 // Render writes the table as aligned text.
@@ -78,6 +143,9 @@ func (t *Table) Render(w io.Writer) error {
 	for _, row := range t.Rows {
 		line(row)
 	}
+	if v := t.Verdict(); v != "" {
+		fmt.Fprintf(&b, "verdict: %s\n", v)
+	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
@@ -86,8 +154,8 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderCSV writes the table as CSV (columns header + rows; notes become
-// trailing comment lines).
+// RenderCSV writes the table as CSV (columns header + rows; the verdict
+// and the notes become trailing comment lines).
 func (t *Table) RenderCSV(w io.Writer) error {
 	var b strings.Builder
 	writeCSVRow := func(cells []string) {
@@ -109,6 +177,9 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	for _, row := range t.Rows {
 		writeCSVRow(row)
 	}
+	if v := t.Verdict(); v != "" {
+		fmt.Fprintf(&b, "# verdict: %s\n", v)
+	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "# %s\n", n)
 	}
@@ -129,11 +200,11 @@ type Config struct {
 	Workers int
 	// BaseSeed offsets all run seeds, for independent replications.
 	BaseSeed uint64
-	// Mode selects the engine for the Aheavy sweeps: "" or "mass" runs the
-	// count-based mass engine (the historical default for the E-tables),
-	// "agent" forces the per-ball agent engine — slower, but it measures
-	// exact per-agent message maxima and is the baseline the mass engine's
-	// speedups are quoted against.
+	// Mode selects the engine for the Aheavy sweeps through
+	// sweep.ApplyMode: "" or "mass" runs the count-based mass engine (the
+	// historical default for the E-tables), "agent" forces the per-ball
+	// agent engine — slower, but it measures exact per-agent message maxima
+	// and is the baseline the mass engine's speedups are quoted against.
 	Mode string
 }
 
@@ -147,26 +218,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validateMode() error {
-	switch c.Mode {
-	case "", "agent", "mass":
-		return nil
-	}
-	return fmt.Errorf("bench: bad Mode %q (want agent or mass)", c.Mode)
-}
+// seed is the seed of run index i: the sweep runner's sequence, so a
+// table row can be replayed with pba-run or pba-sweep.
+func (c Config) seed(i int) uint64 { return sweep.Spec{BaseSeed: c.BaseSeed}.RunSeed(i) }
 
-// runAheavy executes Aheavy on the engine Config.Mode selects.
-func (c Config) runAheavy(p model.Problem, seed uint64, params core.Params) (*model.Result, error) {
-	if err := c.validateMode(); err != nil {
+// run executes the registry algorithm alg on p with the seed of run index
+// i and checks the result's invariants, so no verdict reads a run that
+// lost a ball. Aheavy names go onto the engine Mode selects.
+func (c Config) run(alg string, p model.Problem, i int) (*model.Result, error) {
+	if strings.HasPrefix(alg, "aheavy") {
+		var err error
+		if alg, err = sweep.ApplyMode(alg, cmp.Or(c.Mode, "mass")); err != nil {
+			return nil, err
+		}
+	}
+	res, err := sweep.Run(alg, p, sweep.Options{Seed: c.seed(i), Workers: c.Workers})
+	if err != nil {
 		return nil, err
 	}
-	if c.Mode == "agent" {
-		return core.Run(p, core.Config{Seed: seed, Workers: c.Workers, Params: params})
-	}
-	return core.RunFast(p, core.Config{Seed: seed, Workers: c.Workers, Params: params})
+	return res, res.Check()
 }
-
-func (c Config) seed(i int) uint64 { return c.BaseSeed + uint64(i)*0x9E3779B97F4A7C15 + 1 }
 
 // Experiment couples an ID to its runner.
 type Experiment struct {

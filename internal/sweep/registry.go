@@ -4,9 +4,10 @@
 // seeding, per-cell aggregation through package stats, and resumable JSON
 // manifests with content fingerprints.
 //
-// The registry is the single dispatch point for the CLI layer: cmd/pba-run,
-// cmd/pba-sweep, and cmd/pba-verify all resolve algorithm names here
-// instead of hand-rolling switch statements. Names are lower-case families
+// The registry is the single dispatch point: cmd/pba-run, cmd/pba-sweep
+// and the experiment harness behind cmd/pba-bench and cmd/pba-verify
+// (internal/bench) all resolve algorithm names here instead of
+// hand-rolling switch statements. Names are lower-case families
 // with colon-separated parameters:
 //
 //	aheavy[:beta]        agent-based Aheavy (slack exponent beta, 0 = 2/3)
