@@ -30,6 +30,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					t.Fatalf("%s: ragged row %v", e.ID, row)
 				}
 			}
+			if e.Verdict != (len(tbl.Checks) > 0) {
+				t.Fatalf("%s: registry marks Verdict %v, but the table has %d checks", e.ID, e.Verdict, len(tbl.Checks))
+			}
 			if !tbl.Passed() {
 				t.Fatalf("%s: verdict %s", e.ID, tbl.Verdict())
 			}

@@ -66,7 +66,7 @@ func E16Weighted(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.0f", oneShot.Mean()),
 		)
 	}
-	t.AddNote("excess stays within a small multiple of w_max for every mix, far below the one-shot spread — the paper's mechanism is weight-robust")
+	t.AddNote("excess(max) is set by RunWeighted's finisher, a sequential least-loaded heap over the phase-1 remainder, not by the threshold rounds; the table does not show what a parallel finisher would reach")
 	return t, nil
 }
 

@@ -244,28 +244,32 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(cfg Config) (*Table, error)
+	// Verdict says the experiment's table computes a pass/fail verdict
+	// from its rows (Table.Checks is non-empty), so a gate can pick the
+	// experiments worth running without running the others.
+	Verdict bool
 }
 
 // Registry lists every experiment in DESIGN.md order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"E1", "Aheavy maximal load (Theorem 1/6)", E1AheavyLoad},
-		{"E2", "Aheavy round count (Theorem 1/6)", E2AheavyRounds},
-		{"E3", "Aheavy message complexity (Theorem 6)", E3Messages},
-		{"E4", "Phase-1 trajectory vs estimate (Claim 2)", E4Trajectory},
-		{"E5", "One-shot random allocation excess (baseline)", E5OneShot},
-		{"E6", "Sequential and batched d-choice (BCSV06 baseline)", E6Greedy},
-		{"E7", "Alight substrate (Theorem 5 / LW16)", E7Alight},
-		{"E8", "Asymmetric algorithm (Theorem 3)", E8Asymmetric},
-		{"E9", "One-round rejection lower bound (Theorem 7)", E9Rejection},
-		{"E10", "Round lower bound vs Aheavy (Theorem 2)", E10RoundsLB},
-		{"E11", "Naive fixed threshold needs Ω(log n) rounds (§1.1)", E11FixedThreshold},
-		{"E12", "Degree simulation (Lemmas 2–3)", E12Simulation},
-		{"E13", "Ablation: threshold slack exponent β", E13SlackAblation},
-		{"E14", "Ablation: phase-1 degree", E14Degree},
-		{"E15", "Deterministic n-round algorithm (§3 note)", E15Deterministic},
-		{"E16", "Extension: weighted balls", E16Weighted},
-		{"E17", "Extension: fault tolerance", E17Faults},
+		{"E1", "Aheavy maximal load (Theorem 1/6)", E1AheavyLoad, true},
+		{"E2", "Aheavy round count (Theorem 1/6)", E2AheavyRounds, true},
+		{"E3", "Aheavy message complexity (Theorem 6)", E3Messages, true},
+		{"E4", "Phase-1 trajectory vs estimate (Claim 2)", E4Trajectory, false},
+		{"E5", "One-shot random allocation excess (baseline)", E5OneShot, false},
+		{"E6", "Sequential and batched d-choice (BCSV06 baseline)", E6Greedy, false},
+		{"E7", "Alight substrate (Theorem 5 / LW16)", E7Alight, true},
+		{"E8", "Asymmetric algorithm (Theorem 3)", E8Asymmetric, true},
+		{"E9", "One-round rejection lower bound (Theorem 7)", E9Rejection, true},
+		{"E10", "Round lower bound vs Aheavy (Theorem 2)", E10RoundsLB, false},
+		{"E11", "Naive fixed threshold needs Ω(log n) rounds (§1.1)", E11FixedThreshold, true},
+		{"E12", "Degree simulation (Lemmas 2–3)", E12Simulation, false},
+		{"E13", "Ablation: threshold slack exponent β", E13SlackAblation, false},
+		{"E14", "Ablation: phase-1 degree", E14Degree, false},
+		{"E15", "Deterministic n-round algorithm (§3 note)", E15Deterministic, true},
+		{"E16", "Extension: weighted balls", E16Weighted, false},
+		{"E17", "Extension: fault tolerance", E17Faults, true},
 	}
 }
 

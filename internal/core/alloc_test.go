@@ -89,3 +89,43 @@ func TestRunFastMemoryPerBin(t *testing.T) {
 		}
 	}
 }
+
+// TestResultRetainsOnlyItsSlices: a Result made without a Scratch keeps
+// alive its own Loads, Placements and TraceRemaining and nothing of the
+// run that made it — not the agent engine's balls and worker scratch, nor
+// the mass engine's count vectors. A Result drawn from the agent run's
+// own arena keeps about 19 MB alive here for its 8 KB of loads.
+func TestResultRetainsOnlyItsSlices(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates allocations")
+	}
+	const slack = 8 << 10
+	for _, c := range []struct {
+		name string
+		run  func(model.Problem, Config) (*model.Result, error)
+		p    model.Problem
+	}{
+		{"Run", Run, model.Problem{M: 1 << 20, N: 1 << 10}},
+		{"RunFast", RunFast, model.Problem{M: 10_000_000_000, N: 100_000}},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := c.run(c.p, Config{Seed: 1, Trace: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		own := 8*cap(res.Loads) + 4*cap(res.Placements) + 8*cap(res.TraceRemaining)
+		retained := int(after.HeapAlloc) - int(before.HeapAlloc)
+		t.Logf("%s: %d bytes retained, %d of them the Result's own slices", c.name, retained, own)
+		if retained > own+slack {
+			t.Errorf("%s: a held Result keeps %d bytes alive, want at most its own %d plus %d",
+				c.name, retained, own, slack)
+		}
+		runtime.KeepAlive(res)
+	}
+}

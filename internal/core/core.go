@@ -25,8 +25,9 @@
 // phase 1 runs on the sim engine's mass mode, and phase 2 on
 // light.RunMass, which throws Alight's degree-1 first round count-based
 // and builds agents only for its survivors). Both produce distributionally
-// identical allocations; tests cross-validate them. Run routes oversized
-// degree-1 instances to the mass engine automatically, both phases.
+// identical allocations; tests cross-validate them. Both share one body,
+// which picks each phase's engine: Run runs a degree-1 instance beyond
+// sim.MaxAgentBalls count-based, both phases, exactly as RunFast does.
 package core
 
 import (
@@ -114,29 +115,26 @@ type Config struct {
 	// ball's final bin in Result.Placements. RunFast rejects it: the
 	// count-based path treats balls as exchangeable and has no identities.
 	RecordPlacements bool
-	// Scratch, if non-nil, supplies reusable per-run state (schedule
-	// buffers, protocol structs, and the two engine arenas) so repeated
-	// runs — the online layer's epoch-per-Allocate regime — allocate
-	// (almost) nothing. The returned Result is then valid only until the
-	// next run using the same Scratch; one Scratch serves one run at a
-	// time.
+	// Scratch, if non-nil, supplies reusable per-run state (protocol
+	// values with their schedule and load buffers, and the two engine
+	// arenas) so repeated runs — the online layer's epoch-per-Allocate
+	// regime — allocate (almost) nothing. The returned Result is then
+	// valid only until the next run using the same Scratch; one Scratch
+	// serves one run at a time. Without one, a run gets fresh protocol
+	// values and no arenas, and its Result keeps nothing else alive.
 	Scratch *Scratch
 }
 
 // Scratch pools every reusable buffer of one Run/RunFast invocation: the
-// threshold schedule, the phase-1 and phase-2 protocol values, the
-// cleanup's totals vector, and one sim.Arena per phase (both phases'
+// phase-1 protocol (with its threshold schedule), the cleanup protocol
+// (with its per-bin totals), and one sim.Arena per phase (both phases'
 // results are alive simultaneously while finish merges them, so they
 // cannot share an arena).
 type Scratch struct {
-	thresholds []int64
-	estimates  []float64
-	p1         phase1
-	mp1        massPhase1
-	cl         cleanup
-	totals     []int64
-	arenaP1    sim.Arena
-	arenaP2    sim.Arena
+	p1      phase1
+	cl      cleanup
+	arenaP1 sim.Arena
+	arenaP2 sim.Arena
 }
 
 // validateBase checks a BaseLoads slice against the instance and returns
@@ -208,33 +206,15 @@ func PredictedRemaining(p model.Problem, beta float64, i int) float64 {
 	return float64(p.N) * math.Pow(p.AvgLoad(), math.Pow(beta, float64(i)))
 }
 
-// phase1 implements sim.Protocol for the threshold rounds.
+// phase1 implements sim.Protocol and sim.MassProtocol for the threshold
+// rounds. Only the paper's degree-1 algorithm is exchangeable, so run puts
+// it on the mass engine only when Degree == 1.
 type phase1 struct {
 	thresholds []int64
+	estimates  []float64 // the schedule's remaining-ball estimates, kept for their buffer
 	degree     int
 	base       []int64 // pre-existing per-bin loads (nil = none)
 }
-
-// massPhase1 adds the count-based view of the threshold rounds. Only the
-// paper's degree-1 algorithm is exchangeable, so core wraps phase1 in this
-// type exactly when Degree == 1; the sim engine then routes oversized
-// instances to mass mode automatically.
-type massPhase1 struct{ *phase1 }
-
-func (h massPhase1) MassCapacities(round int, loads []int64, _ int64, caps []int64) {
-	t := h.thresholds[round]
-	if h.base != nil {
-		for b := range caps {
-			caps[b] = t - h.base[b] - loads[b]
-		}
-		return
-	}
-	for b := range caps {
-		caps[b] = t - loads[b]
-	}
-}
-
-func (h massPhase1) MassDone(round int, _ int64) bool { return round >= len(h.thresholds) }
 
 func (h *phase1) Targets(round int, b *sim.Ball, n int, buf []int) []int {
 	for i := 0; i < h.degree; i++ {
@@ -261,9 +241,30 @@ func (h *phase1) Place(a sim.Accept) int { return a.From }
 
 func (h *phase1) Done(round int, _ int64) bool { return round >= len(h.thresholds) }
 
+func (h *phase1) MassCapacities(round int, loads []int64, _ int64, caps []int64) {
+	for b := range caps {
+		caps[b] = h.Capacity(round, b, loads[b])
+	}
+}
+
+func (h *phase1) MassDone(round int, remaining int64) bool { return h.Done(round, remaining) }
+
 // Run executes Aheavy agent-based on the sim engine and returns the complete
-// allocation.
+// allocation. A degree-1 instance beyond sim.MaxAgentBalls runs
+// count-based, both phases, exactly as RunFast; it cannot record
+// placements.
 func Run(p model.Problem, cfg Config) (*model.Result, error) {
+	mass := cfg.Params.withDefaults().Degree == 1 && p.M > sim.MaxAgentBalls
+	if mass && cfg.RecordPlacements {
+		return nil, fmt.Errorf("core: %d balls exceed the agent engine's limit, and the count-based path cannot record placements (balls are exchangeable)", p.M)
+	}
+	return run(p, cfg, mass)
+}
+
+// run is Run and RunFast: it computes the schedule, runs phase 1 on the
+// mass engine when mass is set and on the agent engine otherwise, and
+// hands the leftover balls to phase 2 (finish).
+func run(p model.Problem, cfg Config, mass bool) (*model.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -275,78 +276,48 @@ func Run(p model.Problem, cfg Config) (*model.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scr := cfg.Scratch
-	thresholds := scheduleThresholds(p, baseTotal, params, scr)
+	var p1 *phase1
+	var arena *sim.Arena
+	if scr := cfg.Scratch; scr != nil {
+		p1, arena = &scr.p1, &scr.arenaP1
+	} else {
+		p1 = new(phase1)
+	}
+	p1.thresholds, p1.estimates = scheduleOffsetInto(p, baseTotal, params, p1.thresholds[:0], p1.estimates[:0])
+	p1.degree, p1.base = params.Degree, cfg.BaseLoads
 
 	var res *model.Result
-	if len(thresholds) > 0 {
-		// Degree-1 runs expose the count-based view too, so the engine can
-		// route instances beyond its agent limit to mass mode.
-		var proto sim.Protocol
-		var arena *sim.Arena
-		if scr != nil {
-			scr.p1 = phase1{thresholds: thresholds, degree: params.Degree, base: cfg.BaseLoads}
-			proto = &scr.p1
-			if params.Degree == 1 {
-				scr.mp1 = massPhase1{&scr.p1}
-				proto = &scr.mp1
-			}
-			arena = &scr.arenaP1
-		} else {
-			p1 := &phase1{thresholds: thresholds, degree: params.Degree, base: cfg.BaseLoads}
-			proto = p1
-			if params.Degree == 1 {
-				proto = massPhase1{p1}
-			}
-		}
-		eng := sim.NewIn(arena, p, proto, sim.Config{
+	if len(p1.thresholds) == 0 {
+		// Degenerate heavily-loaded ratio: everything goes to phase 2. This
+		// is also the small-batch churn regime (m̃_0 <= StopFactor·n), so
+		// with a Scratch the empty result comes from its arena instead of
+		// fresh O(n+m) slices.
+		res = arena.ResultBuffers(p, cfg.RecordPlacements)
+	} else {
+		scfg := sim.Config{
 			Seed:             cfg.Seed,
 			Workers:          cfg.Workers,
 			TieBreak:         cfg.TieBreak,
 			Trace:            cfg.Trace,
 			RecordPlacements: cfg.RecordPlacements,
-			MaxRounds:        len(thresholds) + 1,
-		})
-		res, err = eng.Run()
+			MaxRounds:        len(p1.thresholds) + 1,
+			Arena:            arena,
+		}
+		if mass {
+			res, err = sim.RunMass(p, p1, scfg)
+		} else {
+			res, err = sim.New(p, p1, scfg).Run()
+		}
 		if err != nil {
 			return res, fmt.Errorf("core: phase 1: %w", err)
 		}
-	} else if scr != nil {
-		// Degenerate heavily-loaded ratio: everything goes to phase 2. This
-		// is also the small-batch churn regime (m̃_0 <= StopFactor·n), so the
-		// empty result comes from the arena instead of fresh O(n+m) slices.
-		res = scr.arenaP1.ResultBuffers(p, cfg.RecordPlacements)
-	} else {
-		res = &model.Result{Problem: p, Loads: make([]int64, p.N), Unallocated: p.M}
-		if cfg.RecordPlacements {
-			res.Placements = make([]int32, p.M)
-			for i := range res.Placements {
-				res.Placements[i] = -1
-			}
-		}
 	}
-
-	// Engine.Run routed phase 1 to the mass engine exactly when a degree-1
-	// instance exceeds the agent limit; phase 2 then stays count-based too,
-	// so the auto-routed Run is RunFast.
-	mass := len(thresholds) > 0 && params.Degree == 1 && p.M > sim.MaxAgentBalls
 	return finish(p, res, params, cfg, mass)
-}
-
-// scheduleThresholds computes the phase-1 schedule, reusing the scratch's
-// buffers when available.
-func scheduleThresholds(p model.Problem, baseTotal int64, params Params, scr *Scratch) []int64 {
-	if scr == nil {
-		thresholds, _ := ScheduleOffset(p, baseTotal, params)
-		return thresholds
-	}
-	scr.thresholds, scr.estimates = scheduleOffsetInto(p, baseTotal, params, scr.thresholds[:0], scr.estimates[:0])
-	return scr.thresholds
 }
 
 // finish dispatches phase 2: the Alight substrate for the batch case, the
 // base-aware adaptive cleanup when residual loads are in play. mass says
-// phase 1 ran on the mass engine.
+// phase 1 ran on the mass engine, and Alight then runs count-based too.
 func finish(p model.Problem, phase1Res *model.Result, params Params, cfg Config, mass bool) (*model.Result, error) {
 	if cfg.BaseLoads != nil {
 		return finishWithCleanup(p, phase1Res, cfg)
@@ -433,55 +404,13 @@ func virtualFactor(leftover int64, n int, cap int64) int {
 // agent engine over that round's survivors only. It draws a different
 // stream from Run's phase 2 with the same distribution.
 func RunFast(p model.Problem, cfg Config) (*model.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	params := cfg.Params.withDefaults()
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	if params.Degree != 1 {
-		return nil, fmt.Errorf("core: RunFast supports Degree == 1 only, got %d", params.Degree)
+	if d := cfg.Params.withDefaults().Degree; d != 1 {
+		return nil, fmt.Errorf("core: RunFast supports Degree == 1 only, got %d", d)
 	}
 	if cfg.RecordPlacements {
 		return nil, fmt.Errorf("core: RunFast cannot record placements (balls are exchangeable); use Run")
 	}
-	baseTotal, err := validateBase(cfg.BaseLoads, p.N)
-	if err != nil {
-		return nil, err
-	}
-	scr := cfg.Scratch
-	thresholds := scheduleThresholds(p, baseTotal, params, scr)
-
-	var res *model.Result
-	if len(thresholds) > 0 {
-		var proto sim.MassProtocol
-		var arena *sim.Arena
-		if scr != nil {
-			scr.p1 = phase1{thresholds: thresholds, degree: 1, base: cfg.BaseLoads}
-			scr.mp1 = massPhase1{&scr.p1}
-			proto = &scr.mp1
-			arena = &scr.arenaP1
-		} else {
-			proto = massPhase1{&phase1{thresholds: thresholds, degree: 1, base: cfg.BaseLoads}}
-		}
-		res, err = sim.RunMass(p, proto, sim.Config{
-			Seed:      cfg.Seed,
-			Workers:   cfg.Workers,
-			Trace:     cfg.Trace,
-			MaxRounds: len(thresholds) + 1,
-			Arena:     arena,
-		})
-		if err != nil {
-			return res, fmt.Errorf("core: phase 1: %w", err)
-		}
-	} else if scr != nil {
-		// Degenerate heavily-loaded ratio: everything goes to phase 2.
-		res = scr.arenaP1.ResultBuffers(p, false)
-	} else {
-		res = &model.Result{Problem: p, Loads: make([]int64, p.N), Unallocated: p.M}
-	}
-	return finish(p, res, params, cfg, true)
+	return run(p, cfg, true)
 }
 
 // cleanup is the phase-2 protocol for the residual-load case: a
@@ -515,48 +444,38 @@ func finishWithCleanup(p model.Problem, phase1Res *model.Result, cfg Config) (*m
 		return phase1Res, nil
 	}
 	n := p.N
-	scr := cfg.Scratch
-	var totals []int64
-	if scr != nil {
-		scr.totals = sim.GrowInt64(scr.totals, n)
-		totals = scr.totals
+	var cl *cleanup
+	var arena *sim.Arena
+	if scr := cfg.Scratch; scr != nil {
+		// Phase 2 runs while the phase-1 result (arenaP1) is still live, so
+		// it gets its own arena.
+		cl, arena = &scr.cl, &scr.arenaP2
 	} else {
-		totals = make([]int64, n)
+		cl = new(cleanup)
 	}
+	cl.base = sim.GrowInt64(cl.base, n)
 	var total, maxTotal int64
-	for i := range totals {
-		totals[i] = cfg.BaseLoads[i] + phase1Res.Loads[i]
-		total += totals[i]
-		if totals[i] > maxTotal {
-			maxTotal = totals[i]
-		}
+	for i := range cl.base {
+		cl.base[i] = cfg.BaseLoads[i] + phase1Res.Loads[i]
+		total += cl.base[i]
+		maxTotal = max(maxTotal, cl.base[i])
 	}
 	total += leftover
-	ceilAvg := (total + int64(n) - 1) / int64(n)
+	cl.ceilAvg = (total + int64(n) - 1) / int64(n)
 	// Once round > maxTotal - ceilAvg every bin has spare capacity; the
 	// +128 margin covers the randomized tail with room to spare.
 	maxRounds := 128
-	if over := maxTotal - ceilAvg; over > 0 {
+	if over := maxTotal - cl.ceilAvg; over > 0 {
 		maxRounds += int(over)
 	}
-	var proto sim.Protocol
-	var arena *sim.Arena
-	if scr != nil {
-		// Phase 2 runs while the phase-1 result (arenaP1) is still live, so
-		// it gets its own arena.
-		scr.cl = cleanup{base: totals, ceilAvg: ceilAvg}
-		proto = &scr.cl
-		arena = &scr.arenaP2
-	} else {
-		proto = &cleanup{base: totals, ceilAvg: ceilAvg}
-	}
-	res, err := sim.NewIn(arena, model.Problem{M: leftover, N: n}, proto, sim.Config{
+	res, err := sim.New(model.Problem{M: leftover, N: n}, cl, sim.Config{
 		Seed:             rng.Mix64(cfg.Seed ^ 0xE07AB8F2C4D59A17),
 		Workers:          cfg.Workers,
 		TieBreak:         cfg.TieBreak,
 		Trace:            cfg.Trace,
 		RecordPlacements: phase1Res.Placements != nil,
 		MaxRounds:        maxRounds,
+		Arena:            arena,
 	}).Run()
 	if err != nil {
 		return phase1Res, fmt.Errorf("core: phase 2 (cleanup): %w", err)

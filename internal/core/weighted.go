@@ -11,13 +11,16 @@ package core
 // W̃_{i+1} = W̃_i^(2/3)·n^(1/3) on total remaining *weight*. Phase 1 keeps
 // every bin within w_max of its threshold (a bin stops only when the next
 // ball would overflow), so the leftover weight is again deterministic up
-// to O(n·w_max). The O(n)-ball remainder is placed with a least-loaded
-// pass (the role Alight/the asymmetric finisher plays for unit balls),
-// adding at most w_max above the running minimum.
+// to O(n·w_max). The O(n)-ball remainder is then placed by a sequential
+// least-loaded pass over a heap of the bins, on one goroutine and with a
+// global view of the loads — no parallel protocol. That finisher sets the
+// final max load (each placement adds at most w_max above the running
+// minimum), so the excess RunWeighted reports measures the finisher, not
+// the threshold rounds.
 //
-// Guarantee: max weighted load ≤ W/n + O(w_max) w.h.p. (recovering the
-// paper's m/n + O(1) when all weights are 1). Implemented count-based
-// (balls exchangeable within a weight class).
+// Guarantee: max weighted load ≤ W/n + O(w_max) (recovering the paper's
+// m/n + O(1) when all weights are 1). Implemented count-based (balls
+// exchangeable within a weight class).
 
 import (
 	"container/heap"
@@ -223,8 +226,8 @@ func RunWeighted(p WeightedProblem, cfg Config) (*WeightedResult, error) {
 	}
 
 	// Finisher: place the O(n·w_max)-weight remainder least-loaded-first
-	// (heavy balls first), the weighted analogue of the Alight phase. Adds
-	// at most w_max above the running minimum per placement.
+	// (heavy balls first), sequentially. It sets the final excess: each
+	// placement adds at most w_max above the running minimum.
 	h := &binHeap{}
 	h.items = make([]binItem, n)
 	for b := 0; b < n; b++ {

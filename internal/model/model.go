@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Problem specifies a balls-into-bins instance.
@@ -118,55 +119,13 @@ func (r *Result) Gini() float64 {
 		return 0
 	}
 	// O(n log n) formulation over the sorted load vector.
-	sorted := append([]int64(nil), r.Loads...)
-	int64Sort(sorted)
+	sorted := slices.Clone(r.Loads)
+	slices.Sort(sorted)
 	var cum float64
 	for i, v := range sorted {
 		cum += float64(v) * float64(2*(i+1)-n-1)
 	}
 	return cum / (float64(n) * float64(total))
-}
-
-func int64Sort(s []int64) {
-	// Insertion sort for tiny inputs, otherwise heapsort; avoids importing
-	// sort for a []int64 (pre-slices idiom kept simple and allocation-free).
-	if len(s) < 32 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	heapify(s)
-	for end := len(s) - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftDown(s[:end], 0)
-	}
-}
-
-func heapify(s []int64) {
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		siftDown(s, i)
-	}
-}
-
-func siftDown(s []int64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(s) && s[l] > s[largest] {
-			largest = l
-		}
-		if r < len(s) && s[r] > s[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s[i], s[largest] = s[largest], s[i]
-		i = largest
-	}
 }
 
 // ErrUnallocated is returned by Check when not all balls were placed.

@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -112,29 +111,6 @@ func TestGiniOrderInvariant(t *testing.T) {
 		res2 := Result{Problem: Problem{M: m, N: n}, Loads: shuffled}
 		return math.Abs(g1-res2.Gini()) < 1e-9
 	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInt64SortMatchesStdlib(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		r := rng.New(seed)
-		n := int(nRaw) // includes 0 and values > 32 to hit both branches
-		a := make([]int64, n)
-		for i := range a {
-			a[i] = int64(r.Intn(1000)) - 500
-		}
-		b := append([]int64(nil), a...)
-		int64Sort(a)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

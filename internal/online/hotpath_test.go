@@ -19,15 +19,22 @@ func releaseAll(a *Allocator, rep *Report, buf []int64) []int64 {
 }
 
 // TestSteadyStateChurnAllocs pins the hot-path refactor: once the epoch
-// scratch is warm, a steady-state Allocate+Release cycle performs only the
-// per-epoch report allocations (the Report and its Placements slice, which
-// escape to the caller by contract) — no engine, runner, table, or
-// histogram allocations, independent of batch size. The "instrumented"
-// variants re-assert the same bounds with the obs instrumentation wired
-// in: metric recording is atomic-only and must not add a single
-// allocation to the epoch hot path.
+// scratch is warm, a steady-state Allocate+Release cycle performs three
+// allocations: the Report and its Placements slice, which escape to the
+// caller by contract, and one in the ID table — no engine, protocol,
+// runner or histogram allocations, at either batch size. oneshot!mass
+// makes two more: baseline.OneShot allocates its own buffers instead of
+// drawing them from the epoch scratch. A protocol value or engine that a
+// run allocates before it picks the scratch's copy fails the bound. The
+// "instrumented" variants re-assert the same bounds with the obs
+// instrumentation wired in: metric recording is atomic-only and must not
+// add a single allocation to the epoch hot path.
 func TestSteadyStateChurnAllocs(t *testing.T) {
 	for _, alg := range []string{"aheavy", "aheavy!mass", "adaptive:2", "greedy:2", "oneshot", "oneshot!mass"} {
+		want := 3.0
+		if alg == "oneshot!mass" {
+			want = 5
+		}
 		for _, instrumented := range []bool{false, true} {
 			alg, instrumented := alg, instrumented
 			name := alg
@@ -65,13 +72,8 @@ func TestSteadyStateChurnAllocs(t *testing.T) {
 				}
 				small := measure(64)
 				large := measure(512)
-				// "~0" above the reporting contract: a handful of fixed-size
-				// allocations per epoch, none proportional to the batch.
-				if small > 10 {
-					t.Errorf("steady-state epoch allocates %.1f times (batch 64); want ~0 beyond the report", small)
-				}
-				if large > small+4 {
-					t.Errorf("allocations scale with batch size: %.1f at batch 64 vs %.1f at batch 512", small, large)
+				if small > want || large > want {
+					t.Errorf("steady-state epoch allocates %.1f times (batch 64) and %.1f (batch 512); want at most %.0f", small, large, want)
 				}
 				t.Logf("%s: %.1f allocs/epoch (batch 64), %.1f (batch 512)", name, small, large)
 			})

@@ -19,10 +19,10 @@ type runOpts struct {
 	Workers  int
 	TieBreak sim.TieBreak
 	Trace    bool
-	// Scratch, if non-nil, supplies the allocator's reusable epoch buffers
-	// (engine arenas, runner protocol values, placement/load vectors), so
-	// steady-state epochs allocate (almost) nothing. Results produced
-	// against a scratch are valid only until its next epoch.
+	// Scratch is the allocator's reusable epoch buffers (engine arenas,
+	// runner protocol values, placement/load vectors), so steady-state
+	// epochs allocate (almost) nothing. Results produced against it are
+	// valid only until its next epoch.
 	Scratch *epochScratch
 }
 
@@ -39,53 +39,23 @@ type epochScratch struct {
 	res        model.Result
 }
 
-// coreScratch returns the core-layer scratch (nil-safe).
-func (o runOpts) coreScratch() *core.Scratch {
-	if o.Scratch == nil {
-		return nil
-	}
-	return &o.Scratch.core
-}
-
-// thrScratch returns the threshold-layer scratch (nil-safe).
-func (o runOpts) thrScratch() *threshold.Scratch {
-	if o.Scratch == nil {
-		return nil
-	}
-	return &o.Scratch.thr
-}
-
-// epochBuffers returns a zeroed n-bin load vector, an m-slot placement
-// vector (contents unspecified; runners overwrite every slot), and the
-// Result header — scratch-backed when available, freshly allocated
-// otherwise.
+// epochBuffers returns the scratch's n-bin load vector, zeroed, its m-slot
+// placement vector (contents unspecified; runners overwrite every slot),
+// and its Result header.
 func epochBuffers(scr *epochScratch, p model.Problem) (loads []int64, placements []int32, res *model.Result) {
-	if scr == nil {
-		return make([]int64, p.N), make([]int32, p.M), &model.Result{}
-	}
-	if cap(scr.loads) < p.N {
-		scr.loads = make([]int64, p.N)
-	}
-	scr.loads = scr.loads[:p.N]
-	for i := range scr.loads {
-		scr.loads[i] = 0
-	}
-	if cap(scr.placements) < int(p.M) {
-		scr.placements = make([]int32, p.M)
-	}
-	scr.placements = scr.placements[:p.M]
-	return scr.loads, scr.placements, &scr.res
+	scr.loads = sim.GrowInt64(scr.loads, p.N)
+	clear(scr.loads)
+	return scr.loads, scr.placementBuf(p.M), &scr.res
 }
 
-// epochRand seeds a runner's generator — the scratch's in-place stream
-// when available (identical to rng.New by construction), a fresh one
-// otherwise.
-func epochRand(scr *epochScratch, seed uint64) *rng.Rand {
-	if scr == nil {
-		return rng.New(seed)
+// placementBuf returns the scratch's placement vector resized to m slots
+// (contents unspecified).
+func (scr *epochScratch) placementBuf(m int64) []int32 {
+	if cap(scr.placements) < int(m) {
+		scr.placements = make([]int32, m)
 	}
-	scr.rand.Seed(seed)
-	return &scr.rand
+	scr.placements = scr.placements[:m]
+	return scr.placements
 }
 
 // epochRunner places p.M fresh balls on top of the base per-bin loads and
@@ -155,7 +125,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 				return core.RunFast(p, core.Config{
 					Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
 					Params: core.Params{Beta: beta}, BaseLoads: base,
-					Scratch: opt.coreScratch(),
+					Scratch: &opt.Scratch.core,
 				})
 			}), nil
 		}
@@ -163,7 +133,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 			return core.Run(p, core.Config{
 				Seed: opt.Seed, Workers: opt.Workers, TieBreak: opt.TieBreak, Trace: opt.Trace,
 				Params: core.Params{Beta: beta}, BaseLoads: base, RecordPlacements: true,
-				Scratch: opt.coreScratch(),
+				Scratch: &opt.Scratch.core,
 			})
 		}, nil
 	case "adaptive":
@@ -184,7 +154,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 			return canon + massSuffix, massEpoch(func(p model.Problem, base []int64, opt runOpts) (*model.Result, error) {
 				return alg.RunMass(p, threshold.Config{
 					Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace, BaseLoads: base,
-					Scratch: opt.thrScratch(),
+					Scratch: &opt.Scratch.thr,
 				})
 			}), nil
 		}
@@ -192,7 +162,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 			return alg.Run(p, threshold.Config{
 				Seed: opt.Seed, Workers: opt.Workers, TieBreak: opt.TieBreak, Trace: opt.Trace,
 				BaseLoads: base, RecordPlacements: true,
-				Scratch: opt.thrScratch(),
+				Scratch: &opt.Scratch.thr,
 			})
 		}, nil
 	case "greedy":
@@ -252,17 +222,9 @@ func massEpoch(run epochRunner) epochRunner {
 		if err != nil {
 			return nil, err
 		}
-		var placements []int32
-		if scr := opt.Scratch; scr != nil {
-			// The load/result buffers stay with the inner run; only the
-			// placement synthesis buffer is drawn here.
-			if cap(scr.placements) < int(p.M) {
-				scr.placements = make([]int32, p.M)
-			}
-			placements = scr.placements[:p.M]
-		} else {
-			placements = make([]int32, p.M)
-		}
+		// The load/result buffers stay with the inner run; only the
+		// placement synthesis buffer is drawn here.
+		placements := opt.Scratch.placementBuf(p.M)
 		i := 0
 		for b, l := range res.Loads {
 			for j := int64(0); j < l && i < len(placements); j++ {
@@ -273,7 +235,8 @@ func massEpoch(run epochRunner) epochRunner {
 		for ; i < len(placements); i++ {
 			placements[i] = -1
 		}
-		r := epochRand(opt.Scratch, rng.Mix64(opt.Seed^0x9216D5D98979FB1B))
+		r := &opt.Scratch.rand
+		r.Seed(rng.Mix64(opt.Seed ^ 0x9216D5D98979FB1B))
 		r.Shuffle(len(placements), func(a, b int) {
 			placements[a], placements[b] = placements[b], placements[a]
 		})
@@ -286,7 +249,8 @@ func massEpoch(run epochRunner) epochRunner {
 // the textbook balancer, here churn-aware. One round by convention.
 func greedyRunner(d int) epochRunner {
 	return func(p model.Problem, base []int64, opt runOpts) (*model.Result, error) {
-		r := epochRand(opt.Scratch, rng.Mix64(opt.Seed^0x6A09E667F3BCC909))
+		r := &opt.Scratch.rand
+		r.Seed(rng.Mix64(opt.Seed ^ 0x6A09E667F3BCC909))
 		loads, placements, res := epochBuffers(opt.Scratch, p)
 		for i := int64(0); i < p.M; i++ {
 			best := -1
@@ -321,7 +285,8 @@ func greedyRunner(d int) epochRunner {
 // oneshotRunner hashes every ball to a uniform bin; no coordination, so
 // residual loads are ignored (that is the point of the foil).
 func oneshotRunner(p model.Problem, _ []int64, opt runOpts) (*model.Result, error) {
-	r := epochRand(opt.Scratch, rng.Mix64(opt.Seed^0xBB67AE8584CAA73B))
+	r := &opt.Scratch.rand
+	r.Seed(rng.Mix64(opt.Seed ^ 0xBB67AE8584CAA73B))
 	loads, placements, res := epochBuffers(opt.Scratch, p)
 	for i := int64(0); i < p.M; i++ {
 		b := r.Intn(p.N)

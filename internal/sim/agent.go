@@ -201,7 +201,8 @@ type agentRun struct {
 // sharded across workers, with all per-round working memory drawn from a
 // reusable scratch arena. With Config.Arena set, the run-state buffers
 // (and the Result itself) come from the caller's arena, so repeated runs
-// allocate nothing once the arena is warm.
+// allocate nothing once the arena is warm; without it, from a private
+// arena that the Result does not keep alive (runStorage).
 //
 // A run of at least forkMin balls without Config.InitState is fresh: its
 // round 0 builds each ball on the fly in the gather worker's own Ball
@@ -213,10 +214,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	n := e.p.N
 	m := e.p.M
 
-	arena := e.cfg.Arena
-	if arena == nil {
-		arena = &Arena{}
-	}
+	arena, res := runStorage(e.cfg.Arena)
 
 	ar := &arena.run
 	ar.e = e
@@ -269,7 +267,6 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		trace = arena.trace[:0]
 	}
 
-	res := &arena.res
 	*res = model.Result{Problem: e.p, Loads: ar.loads}
 
 	round := 0

@@ -19,9 +19,10 @@ import (
 // arena's next run. Callers that retain results must copy what they keep.
 // Both the agent engine (Engine.Run) and the mass engine (RunMass) draw
 // from the same Arena type; they use disjoint buffer sets, so one arena
-// may serve either mode run-by-run.
+// may serve either mode run-by-run. A run without an arena draws from a
+// private one (runStorage).
 type Arena struct {
-	eng Engine // NewIn's engine storage
+	eng Engine // New's engine storage
 	run agentRun
 	res model.Result
 
@@ -42,22 +43,35 @@ type Arena struct {
 	sampler      rng.Rand
 }
 
-// ResultBuffers hands out an arena-backed Result for degenerate runs that
-// bypass the engine entirely (e.g. Aheavy with an empty threshold
-// schedule, where every ball goes straight to phase 2): Loads is zeroed to
-// length N and, when requested, Placements is filled with -1 for all M
-// balls. The same validity contract as engine runs applies.
+// runStorage returns the arena a run draws its buffers from and the Result
+// it fills: a itself and a's Result header, or, for a run without an
+// arena, a private arena and a Result allocated apart from it, so that a
+// held Result keeps alive only its Loads, Placements and TraceRemaining.
+func runStorage(a *Arena) (*Arena, *model.Result) {
+	if a != nil {
+		return a, &a.res
+	}
+	return new(Arena), new(model.Result)
+}
+
+// ResultBuffers hands out a Result for degenerate runs that bypass the
+// engine entirely (e.g. Aheavy with an empty threshold schedule, where
+// every ball goes straight to phase 2): Loads is zeroed to length N and,
+// when requested, Placements is filled with -1 for all M balls. A nil
+// arena follows the engines' rule (runStorage); otherwise the same
+// validity contract as engine runs applies.
 func (a *Arena) ResultBuffers(p model.Problem, recordPlacements bool) *model.Result {
+	a, res := runStorage(a)
 	a.loads = growZero(a.loads, p.N)
-	a.res = model.Result{Problem: p, Loads: a.loads, Unallocated: p.M}
+	*res = model.Result{Problem: p, Loads: a.loads, Unallocated: p.M}
 	if recordPlacements {
 		a.placements = grow(a.placements, int(p.M))
 		for i := range a.placements {
 			a.placements[i] = -1
 		}
-		a.res.Placements = a.placements
+		res.Placements = a.placements
 	}
-	return &a.res
+	return res
 }
 
 // GrowInt64 returns buf resized to n entries, reallocating only when the

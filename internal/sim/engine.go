@@ -34,12 +34,15 @@
 //     request splitting (internal/rng's conditional-binomial chain), so
 //     cost per round is O(n) independent of the ball count and the limit
 //     rises to ~10^12 balls. Protocols are expressed as MassProtocol —
-//     per-round capacity vectors — and degree-1 threshold protocols can
-//     implement both interfaces; Engine.Run then routes oversized
-//     instances to mass mode automatically.
+//     per-round capacity vectors. The caller picks the engine: Engine.Run
+//     never hands a run to mass mode, and refuses one above MaxAgentBalls.
 //
 // Both modes are deterministic for a fixed seed at any worker count, and
 // both keep one per-round record, Result.TraceRemaining (Config.Trace).
+// Both follow one buffer rule: a run draws its buffers from Config.Arena,
+// or, without one, from a private arena, and then allocates its Result
+// apart from that arena, so a held Result keeps alive only its Loads,
+// Placements and TraceRemaining.
 // The agent engine's rules are stated once, in a serial reference engine
 // (reference_test.go) that the tests compare it with.
 //
@@ -77,12 +80,14 @@ type Config struct {
 	// InitState stores every ball up front. Agent mode only.
 	InitState func(b *Ball)
 	// Arena, if non-nil, supplies reusable run-state buffers so repeated
-	// runs allocate (almost) nothing: the ball array, per-bin/per-ball
-	// vectors, worker scratch, and the Result itself are drawn from it.
-	// The returned Result (Loads, Placements, TraceRemaining included) is
-	// valid only until the arena's next run; an arena must not be shared
-	// by concurrent engines. Used by the online/churn layer, which runs
-	// one small engine execution per epoch in steady state.
+	// runs allocate nothing once it is warm: the engine itself (New), the
+	// ball array, per-bin/per-ball vectors, worker scratch, and the Result
+	// are drawn from it. The returned Result (Loads, Placements,
+	// TraceRemaining included) is valid only until the arena's next run;
+	// an arena must not be shared by concurrent engines. Without an arena
+	// a run uses a private one and allocates its Result apart from it.
+	// Used by the online/churn layer, which runs one small engine
+	// execution per epoch in steady state.
 	Arena *Arena
 }
 
@@ -103,27 +108,9 @@ type Engine struct {
 	cfg   Config
 }
 
-// New constructs an engine. It panics on an invalid problem.
+// New constructs an engine, inside cfg.Arena when it is set (reclaimed by
+// that arena's next New). It panics on an invalid problem.
 func New(p model.Problem, proto Protocol, cfg Config) *Engine {
-	e := new(Engine)
-	initEngine(e, p, proto, cfg)
-	return e
-}
-
-// NewIn is New with arena-owned engine storage: the returned engine lives
-// inside a (reclaimed by a's next NewIn call) and cfg.Arena is set to a,
-// so a repeated construct-and-run cycle allocates nothing at all. With a
-// nil arena it is exactly New.
-func NewIn(a *Arena, p model.Problem, proto Protocol, cfg Config) *Engine {
-	if a == nil {
-		return New(p, proto, cfg)
-	}
-	cfg.Arena = a
-	initEngine(&a.eng, p, proto, cfg)
-	return &a.eng
-}
-
-func initEngine(e *Engine, p model.Problem, proto Protocol, cfg Config) {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
@@ -133,26 +120,23 @@ func initEngine(e *Engine, p model.Problem, proto Protocol, cfg Config) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
+	var e *Engine
+	if cfg.Arena != nil {
+		e = &cfg.Arena.eng
+	} else {
+		e = new(Engine)
+	}
 	*e = Engine{p: p, proto: proto, cfg: cfg}
+	return e
 }
 
 // Run executes the protocol to completion and returns the result. If the
 // round limit is hit, the partial result is returned along with
-// ErrRoundLimit.
-//
-// Instances beyond MaxAgentBalls are routed to the mass engine when the
-// protocol implements MassProtocol (and the configuration does not demand
-// per-ball identities); otherwise an error names the way out.
+// ErrRoundLimit. An instance beyond MaxAgentBalls is an error: the caller
+// chooses the mass engine (RunMass) for it.
 func (e *Engine) Run() (*model.Result, error) {
 	if e.p.M > MaxAgentBalls {
-		mp, ok := e.proto.(MassProtocol)
-		if !ok {
-			return nil, fmt.Errorf("sim: agent engine supports at most 2^31-2 balls, got %d, and protocol %T has no mass-mode implementation (select a mass-capable algorithm with the registry's '!mass' suffix, e.g. \"aheavy!mass\")", e.p.M, e.proto)
-		}
-		if e.cfg.RecordPlacements || e.cfg.InitState != nil {
-			return nil, fmt.Errorf("sim: %d balls exceed the agent engine limit and the mass engine cannot honour per-ball identities (RecordPlacements/InitState); shrink the instance or drop the per-ball options", e.p.M)
-		}
-		return RunMass(e.p, mp, e.cfg)
+		return nil, fmt.Errorf("sim: agent engine supports at most 2^31-2 balls, got %d (select a mass-capable algorithm with the registry's '!mass' suffix, e.g. \"aheavy!mass\")", e.p.M)
 	}
 	return e.runAgent()
 }

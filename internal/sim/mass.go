@@ -15,8 +15,8 @@ import (
 // and never materializes an agent, lifting the ball limit to MassMaxBalls.
 //
 // Degree-1 threshold protocols typically implement both Protocol and
-// MassProtocol on the same type; Engine.Run then routes instances beyond
-// MaxAgentBalls to the mass engine automatically.
+// MassProtocol on the same type, and their caller picks the engine per run
+// (Engine.Run never routes to RunMass).
 type MassProtocol interface {
 	// MassCapacities writes each bin's acceptance capacity for round into
 	// caps, given the per-bin loads at the round start and the number of
@@ -59,36 +59,24 @@ func RunMass(p model.Problem, proto MassProtocol, cfg Config) (*model.Result, er
 		cfg.MaxRounds = DefaultMaxRounds
 	}
 	n := p.N
+	arena, res := runStorage(cfg.Arena)
 
 	// The sampling stream is the first split of the master stream the
 	// historical count-based path derived its worker streams from, so a
 	// fixed seed reproduces those results exactly — now at every worker
-	// count, not only one.
-	var loads, received, counts, caps []int64
-	var sampler *rng.Rand
-	arena := cfg.Arena
-	if arena != nil {
-		// Arena-backed run: same streams, same results, no allocations
-		// once warm (SplitInto is Split into caller-owned storage).
-		var parent rng.Rand
-		parent.Seed(rng.Mix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5))
-		parent.SplitInto(&arena.sampler)
-		sampler = &arena.sampler
-		arena.massLoads = growZero(arena.massLoads, n)
-		arena.massReceived = growZero(arena.massReceived, n)
-		arena.massCounts = growZero(arena.massCounts, n)
-		arena.massCaps = growZero(arena.massCaps, n)
-		loads, received, counts, caps = arena.massLoads, arena.massReceived, arena.massCounts, arena.massCaps
-	} else {
-		sampler = rng.New(rng.Mix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5)).Split()
-		loads = make([]int64, n)
-		received = make([]int64, n)
-		counts = make([]int64, n)
-		caps = make([]int64, n)
-	}
+	// count, not only one. SplitInto is Split into the arena's storage.
+	var parent rng.Rand
+	parent.Seed(rng.Mix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5))
+	parent.SplitInto(&arena.sampler)
+	sampler := &arena.sampler
+	arena.massLoads = growZero(arena.massLoads, n)
+	arena.massReceived = growZero(arena.massReceived, n)
+	arena.massCounts = growZero(arena.massCounts, n)
+	arena.massCaps = growZero(arena.massCaps, n)
+	loads, received, counts, caps := arena.massLoads, arena.massReceived, arena.massCounts, arena.massCaps
 	var metrics model.Metrics
 	var trace []int64
-	if cfg.Trace && arena != nil {
+	if cfg.Trace {
 		trace = arena.massTrace[:0]
 	}
 
@@ -141,12 +129,8 @@ func RunMass(p model.Problem, proto MassProtocol, cfg Config) (*model.Result, er
 	// sent exactly `round` requests; an allocated ball sent at most that.
 	metrics.MaxBallSent = int64(round)
 
-	res := &model.Result{}
-	if arena != nil {
-		if cfg.Trace {
-			arena.massTrace = trace
-		}
-		res = &arena.res
+	if cfg.Trace {
+		arena.massTrace = trace
 	}
 	*res = model.Result{
 		Problem:        p,

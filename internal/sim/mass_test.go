@@ -163,46 +163,30 @@ func TestMassRunOnRoundObserver(t *testing.T) {
 	}
 }
 
-// massUniform implements both Protocol and MassProtocol (the shape core's
-// degree-1 phase 1 has), for the auto-routing tests.
+// massUniform implements both Protocol and MassProtocol, the shape core's
+// degree-1 phase 1 has.
 type massUniform struct {
 	uniformProto
 	massFixed
 }
 
-func TestEngineAutoRoutesOversizedToMass(t *testing.T) {
-	thr := func(int) int64 { return 1 << 62 }
-	proto := &massUniform{
-		uniformProto: uniformProto{threshold: thr},
-		massFixed:    massFixed{threshold: thr},
-	}
-	p := model.Problem{M: MaxAgentBalls + 10, N: 100}
-	res, err := New(p, proto, Config{Seed: 2}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("rounds = %d", res.Rounds)
-	}
-}
-
+// TestEngineOversizedWithoutMassSupportErrors: the agent engine refuses an
+// instance beyond MaxAgentBalls, whether or not the protocol could run on
+// the mass engine too — the caller picks the engine, and the error names
+// the registry spelling that would work.
 func TestEngineOversizedWithoutMassSupportErrors(t *testing.T) {
 	p := model.Problem{M: MaxAgentBalls + 10, N: 100}
-	_, err := New(p, unlimited(), Config{Seed: 2}).Run()
-	if err == nil {
-		t.Fatal("oversized agent run without mass support succeeded")
-	}
-	// The error must name the registry spelling that would work.
-	if want := "!mass"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not mention %q", err, want)
-	}
-	// Per-ball options block the mass route even for capable protocols.
 	thr := func(int) int64 { return 1 << 62 }
-	proto := &massUniform{uniformProto: uniformProto{threshold: thr}, massFixed: massFixed{threshold: thr}}
-	if _, err := New(p, proto, Config{Seed: 2, RecordPlacements: true}).Run(); err == nil {
-		t.Fatal("oversized run with RecordPlacements succeeded")
+	for _, proto := range []Protocol{
+		unlimited(),
+		&massUniform{uniformProto: uniformProto{threshold: thr}, massFixed: massFixed{threshold: thr}},
+	} {
+		_, err := New(p, proto, Config{Seed: 2}).Run()
+		if err == nil {
+			t.Fatalf("%T: oversized agent run succeeded", proto)
+		}
+		if want := "!mass"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%T: error %q does not mention %q", proto, err, want)
+		}
 	}
 }

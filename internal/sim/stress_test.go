@@ -384,9 +384,9 @@ func TestEngineChurnAdversarialTieBreak(t *testing.T) {
 }
 
 // TestArenaChurnMatchesReference runs a churn sequence of engine runs over
-// one reused Arena (NewIn), the online layer's regime, and compares every
-// epoch with the reference engine. The bin count changes from epoch to
-// epoch, the ball count alternates below and above forkMin, capacities are
+// one reused Arena (Config.Arena), the online layer's regime, and compares
+// every epoch with the reference engine. The bin count changes from epoch
+// to epoch, the ball count alternates below and above forkMin, capacities are
 // residual like churnProto's over the loads earlier epochs left, and the
 // tie-break, placement recording and tracing rotate. Every fourth epoch
 // runs a fuzzProto with held requests, two requests per ball and
@@ -424,7 +424,8 @@ func TestArenaChurnMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d epoch %d: reference: %v", w, e, err)
 			}
-			got, err := NewIn(a, p, proto, cfg).Run()
+			cfg.Arena = a
+			got, err := New(p, proto, cfg).Run()
 			if err != nil {
 				t.Fatalf("workers=%d epoch %d: %v", w, e, err)
 			}

@@ -77,14 +77,14 @@ func (a Algorithm) Run(p model.Problem, opt Options) (*model.Result, error) {
 }
 
 // family is one registry row: a usage pattern plus a builder that turns
-// the colon-separated parameter list into a concrete Algorithm. Families
-// with a count-based implementation additionally provide buildMass, used
-// when the spec carries the "!mass" suffix.
+// the colon-separated parameter list into a concrete Algorithm. A family
+// with a count-based implementation sets mass, and its builder picks that
+// runner when the spec carries the "!mass" suffix.
 type family struct {
-	usage     string
-	desc      string
-	build     func(args []string) (Algorithm, error)
-	buildMass func(args []string) (Algorithm, error)
+	usage string
+	desc  string
+	mass  bool
+	build func(args []string, mass bool) (Algorithm, error)
 }
 
 // aliases maps legacy spellings onto canonical names before family lookup.
@@ -101,23 +101,18 @@ var families = map[string]family{
 	"aheavy": {
 		usage: "aheavy[:beta][!mass]",
 		desc:  "symmetric threshold algorithm (Theorem 1); !mass = count-based engine",
-		build: func(args []string) (Algorithm, error) {
+		mass:  true,
+		build: func(args []string, mass bool) (Algorithm, error) {
 			beta, name, err := betaArg("aheavy", args)
 			if err != nil {
 				return Algorithm{}, err
 			}
-			return Algorithm{Name: name, Family: "aheavy", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return core.Run(p, core.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
-					Params: core.Params{Beta: beta}})
-			}}, nil
-		},
-		buildMass: func(args []string) (Algorithm, error) {
-			beta, name, err := betaArg("aheavy", args)
-			if err != nil {
-				return Algorithm{}, err
+			run := core.Run
+			if mass {
+				run = core.RunFast
 			}
 			return Algorithm{Name: name, Family: "aheavy", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return core.RunFast(p, core.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
+				return run(p, core.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
 					Params: core.Params{Beta: beta}})
 			}}, nil
 		},
@@ -125,7 +120,7 @@ var families = map[string]family{
 	"asym": {
 		usage: "asym",
 		desc:  "asymmetric algorithm: constant rounds (Theorem 3)",
-		build: func(args []string) (Algorithm, error) {
+		build: func(args []string, _ bool) (Algorithm, error) {
 			if err := noArgs("asym", args); err != nil {
 				return Algorithm{}, err
 			}
@@ -137,7 +132,7 @@ var families = map[string]family{
 	"alight": {
 		usage: "alight",
 		desc:  "lightly loaded substrate: load cap 2 (Theorem 5)",
-		build: func(args []string) (Algorithm, error) {
+		build: func(args []string, _ bool) (Algorithm, error) {
 			if err := noArgs("alight", args); err != nil {
 				return Algorithm{}, err
 			}
@@ -149,32 +144,45 @@ var families = map[string]family{
 	"oneshot": {
 		usage: "oneshot[!mass]",
 		desc:  "one-shot random allocation, no communication",
-		build: func(args []string) (Algorithm, error) {
-			return buildOneShot(args)
-		},
 		// One-shot already samples the exact multinomial count vector: the
-		// agent and mass implementations coincide, bit for bit.
-		buildMass: func(args []string) (Algorithm, error) {
-			return buildOneShot(args)
+		// agent and mass spellings run the same sampler, bit for bit.
+		mass: true,
+		build: func(args []string, _ bool) (Algorithm, error) {
+			if err := noArgs("oneshot", args); err != nil {
+				return Algorithm{}, err
+			}
+			return Algorithm{Name: "oneshot", Family: "oneshot", run: func(p model.Problem, opt Options) (*model.Result, error) {
+				return baseline.OneShot(p, baseline.Config{Seed: opt.Seed})
+			}}, nil
 		},
 	},
 	"greedy": {
 		usage: "greedy:d[!mass]",
 		desc:  "sequential d-choice (BCSV06 baseline)",
-		build: func(args []string) (Algorithm, error) {
-			return buildGreedy(args)
-		},
 		// Greedy is inherently sequential but already count-based (it holds
 		// only the load vector, never per-ball agents), so the mass spelling
 		// resolves to the same runner: full m range, O(m·d) time.
-		buildMass: func(args []string) (Algorithm, error) {
-			return buildGreedy(args)
+		mass: true,
+		build: func(args []string, _ bool) (Algorithm, error) {
+			d, err := intArg("greedy", "d", args, 0, 2)
+			if err != nil {
+				return Algorithm{}, err
+			}
+			if len(args) > 1 {
+				return Algorithm{}, fmt.Errorf("sweep: greedy takes one parameter (greedy:d), got %d", len(args))
+			}
+			if d < 1 {
+				return Algorithm{}, fmt.Errorf("sweep: greedy needs d >= 1, got %d", d)
+			}
+			return Algorithm{Name: fmt.Sprintf("greedy:%d", d), Family: "greedy", run: func(p model.Problem, opt Options) (*model.Result, error) {
+				return baseline.Greedy(p, d, baseline.Config{Seed: opt.Seed})
+			}}, nil
 		},
 	},
 	"batched": {
 		usage: "batched:d[:b]",
 		desc:  "batched d-choice with batch size b (default n)",
-		build: func(args []string) (Algorithm, error) {
+		build: func(args []string, _ bool) (Algorithm, error) {
 			if len(args) > 2 {
 				return Algorithm{}, fmt.Errorf("sweep: batched takes at most two parameters (batched:d:b), got %d", len(args))
 			}
@@ -208,29 +216,31 @@ var families = map[string]family{
 	"fixed": {
 		usage: "fixed:slack[!mass]",
 		desc:  "fixed-threshold foil: caps at ceil(m/n)+slack every round (§1.1)",
-		build: func(args []string) (Algorithm, error) {
-			slack, err := fixedSlackArg(args)
+		mass:  true,
+		build: func(args []string, mass bool) (Algorithm, error) {
+			if len(args) > 1 {
+				return Algorithm{}, fmt.Errorf("sweep: fixed takes one parameter (fixed:slack), got %d", len(args))
+			}
+			slack, err := int64Arg("fixed", "slack", args, 0, 2)
 			if err != nil {
 				return Algorithm{}, err
 			}
-			return Algorithm{Name: fmt.Sprintf("fixed:%d", slack), Family: "fixed", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return baseline.FixedThreshold(p, slack, baseline.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
-			}}, nil
-		},
-		buildMass: func(args []string) (Algorithm, error) {
-			slack, err := fixedSlackArg(args)
-			if err != nil {
-				return Algorithm{}, err
+			if slack < 0 {
+				return Algorithm{}, fmt.Errorf("sweep: fixed needs slack >= 0, got %d", slack)
+			}
+			run := baseline.FixedThreshold
+			if mass {
+				run = baseline.FixedThresholdMass
 			}
 			return Algorithm{Name: fmt.Sprintf("fixed:%d", slack), Family: "fixed", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return baseline.FixedThresholdMass(p, slack, baseline.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
+				return run(p, slack, baseline.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
 			}}, nil
 		},
 	},
 	"det": {
 		usage: "det",
 		desc:  "deterministic fallback: exact balance within n rounds (§3)",
-		build: func(args []string) (Algorithm, error) {
+		build: func(args []string, _ bool) (Algorithm, error) {
 			if err := noArgs("det", args); err != nil {
 				return Algorithm{}, err
 			}
@@ -242,29 +252,32 @@ var families = map[string]family{
 	"adaptive": {
 		usage: "adaptive:slack[!mass]",
 		desc:  "state-adaptive threshold allocator (fault-tolerant variant's core)",
-		build: func(args []string) (Algorithm, error) {
-			alg, slack, err := adaptiveAlg(args)
+		mass:  true,
+		build: func(args []string, mass bool) (Algorithm, error) {
+			if len(args) > 1 {
+				return Algorithm{}, fmt.Errorf("sweep: adaptive takes one parameter (adaptive:slack), got %d", len(args))
+			}
+			slack, err := int64Arg("adaptive", "slack", args, 0, 2)
 			if err != nil {
 				return Algorithm{}, err
 			}
-			return Algorithm{Name: fmt.Sprintf("adaptive:%d", slack), Family: "adaptive", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return alg.Run(p, threshold.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
-			}}, nil
-		},
-		buildMass: func(args []string) (Algorithm, error) {
-			alg, slack, err := adaptiveAlg(args)
-			if err != nil {
-				return Algorithm{}, err
+			if slack < 0 {
+				return Algorithm{}, fmt.Errorf("sweep: adaptive needs slack >= 0, got %d", slack)
+			}
+			alg := threshold.Algorithm{Degree: 1, PhaseLen: 1, Policy: threshold.Greedy(slack)}
+			run := alg.Run
+			if mass {
+				run = alg.RunMass
 			}
 			return Algorithm{Name: fmt.Sprintf("adaptive:%d", slack), Family: "adaptive", run: func(p model.Problem, opt Options) (*model.Result, error) {
-				return alg.RunMass(p, threshold.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
+				return run(p, threshold.Config{Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace})
 			}}, nil
 		},
 	},
 	"online": {
 		usage: "online:alg:churn[:epochs]",
 		desc:  "streaming churn scenario: alg re-run per epoch over residual load (internal/online)",
-		build: func(args []string) (Algorithm, error) {
+		build: func(args []string, _ bool) (Algorithm, error) {
 			// The inner algorithm may itself carry colon parameters, so the
 			// spec parses from the right: an optional integer epoch count,
 			// then the churn rate, then everything left is the algorithm.
@@ -305,65 +318,6 @@ var families = map[string]family{
 			}}, nil
 		},
 	},
-}
-
-// buildOneShot is the shared oneshot builder: the agent and mass spellings
-// run the same exact-multinomial sampler.
-func buildOneShot(args []string) (Algorithm, error) {
-	if err := noArgs("oneshot", args); err != nil {
-		return Algorithm{}, err
-	}
-	return Algorithm{Name: "oneshot", Family: "oneshot", run: func(p model.Problem, opt Options) (*model.Result, error) {
-		return baseline.OneShot(p, baseline.Config{Seed: opt.Seed})
-	}}, nil
-}
-
-// buildGreedy is the shared greedy builder (agent and mass spellings).
-func buildGreedy(args []string) (Algorithm, error) {
-	d, err := intArg("greedy", "d", args, 0, 2)
-	if err != nil {
-		return Algorithm{}, err
-	}
-	if len(args) > 1 {
-		return Algorithm{}, fmt.Errorf("sweep: greedy takes one parameter (greedy:d), got %d", len(args))
-	}
-	if d < 1 {
-		return Algorithm{}, fmt.Errorf("sweep: greedy needs d >= 1, got %d", d)
-	}
-	return Algorithm{Name: fmt.Sprintf("greedy:%d", d), Family: "greedy", run: func(p model.Problem, opt Options) (*model.Result, error) {
-		return baseline.Greedy(p, d, baseline.Config{Seed: opt.Seed})
-	}}, nil
-}
-
-// fixedSlackArg parses the fixed family's slack parameter.
-func fixedSlackArg(args []string) (int64, error) {
-	if len(args) > 1 {
-		return 0, fmt.Errorf("sweep: fixed takes one parameter (fixed:slack), got %d", len(args))
-	}
-	slack, err := int64Arg("fixed", "slack", args, 0, 2)
-	if err != nil {
-		return 0, err
-	}
-	if slack < 0 {
-		return 0, fmt.Errorf("sweep: fixed needs slack >= 0, got %d", slack)
-	}
-	return slack, nil
-}
-
-// adaptiveAlg parses the adaptive family's slack parameter into the
-// underlying threshold-family algorithm.
-func adaptiveAlg(args []string) (threshold.Algorithm, int64, error) {
-	if len(args) > 1 {
-		return threshold.Algorithm{}, 0, fmt.Errorf("sweep: adaptive takes one parameter (adaptive:slack), got %d", len(args))
-	}
-	slack, err := int64Arg("adaptive", "slack", args, 0, 2)
-	if err != nil {
-		return threshold.Algorithm{}, 0, err
-	}
-	if slack < 0 {
-		return threshold.Algorithm{}, 0, fmt.Errorf("sweep: adaptive needs slack >= 0, got %d", slack)
-	}
-	return threshold.Algorithm{Degree: 1, PhaseLen: 1, Policy: threshold.Greedy(slack)}, slack, nil
 }
 
 // Canonicalize lower-cases, trims, expands legacy aliases (greedy2 →
@@ -407,15 +361,12 @@ func Resolve(name string) (Algorithm, error) {
 	if !ok {
 		return Algorithm{}, fmt.Errorf("sweep: unknown algorithm %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
-	if !mass {
-		return fam.build(parts[1:])
-	}
-	if fam.buildMass == nil {
+	if mass && !fam.mass {
 		return Algorithm{}, fmt.Errorf("sweep: %s has no mass-mode implementation (mass-capable: %s); drop the %q suffix for the agent engine", parts[0], strings.Join(MassNames(), ", "), MassSuffix)
 	}
-	a, err := fam.buildMass(parts[1:])
-	if err != nil {
-		return Algorithm{}, err
+	a, err := fam.build(parts[1:], mass)
+	if err != nil || !mass {
+		return a, err
 	}
 	a.Name += MassSuffix
 	a.Mass = true
@@ -483,7 +434,7 @@ func ApplyMode(name, mode string) (string, error) {
 func MassNames() []string {
 	var out []string
 	for _, f := range families {
-		if f.buildMass != nil {
+		if f.mass {
 			out = append(out, f.usage)
 		}
 	}

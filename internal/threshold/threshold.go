@@ -337,13 +337,11 @@ func (a Algorithm) RunMass(p model.Problem, cfg Config) (*model.Result, error) {
 	var proto *massProtocol
 	var arena *sim.Arena
 	if scr := cfg.Scratch; scr != nil {
-		proto = &scr.mproto
-		proto.alg = a
-		proto.base = cfg.BaseLoads
-		arena = &scr.arena
+		proto, arena = &scr.mproto, &scr.arena
 	} else {
-		proto = &massProtocol{alg: a, base: cfg.BaseLoads}
+		proto = new(massProtocol)
 	}
+	proto.alg, proto.base = a, cfg.BaseLoads
 	if cfg.BaseLoads != nil {
 		proto.totals = sim.GrowInt64(proto.totals, p.N)
 	}
@@ -364,34 +362,27 @@ func (a Algorithm) Run(p model.Problem, cfg Config) (*model.Result, error) {
 	if cfg.BaseLoads != nil && len(cfg.BaseLoads) != p.N {
 		return nil, fmt.Errorf("threshold: BaseLoads has %d entries, want %d", len(cfg.BaseLoads), p.N)
 	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
 	var proto *protocol
 	var arena *sim.Arena
 	if scr := cfg.Scratch; scr != nil {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		proto = &scr.proto
-		proto.alg = a
-		proto.caps = sim.GrowInt64(proto.caps, p.N)
-		proto.base = nil
-		arena = &scr.arena
+		proto, arena = &scr.proto, &scr.arena
 	} else {
-		sp, err := a.Protocol(p.N)
-		if err != nil {
-			return nil, err
-		}
-		proto = sp.(*protocol)
+		proto = new(protocol)
 	}
+	proto.alg, proto.base = a, cfg.BaseLoads
+	proto.caps = sim.GrowInt64(proto.caps, p.N)
 	if cfg.BaseLoads != nil {
-		proto.base = cfg.BaseLoads
 		proto.totals = sim.GrowInt64(proto.totals, p.N)
 	}
-	eng := sim.NewIn(arena, p, proto, sim.Config{
+	return sim.New(p, proto, sim.Config{
 		Seed:             cfg.Seed,
 		Workers:          cfg.Workers,
 		TieBreak:         cfg.TieBreak,
 		Trace:            cfg.Trace,
 		RecordPlacements: cfg.RecordPlacements,
-	})
-	return eng.Run()
+		Arena:            arena,
+	}).Run()
 }
