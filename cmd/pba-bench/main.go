@@ -63,7 +63,7 @@ func main() {
 		outDir   = flag.String("out", ".", "directory for CSV output")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		baseSeed = flag.Uint64("seed", 0, "base seed offset")
-		mode     = flag.String("mode", "", "engine for the Aheavy sweeps: mass (default) or agent")
+		mode     = flag.String("mode", "mass", "engine for the Aheavy sweeps: mass or agent")
 
 		serveURL = flag.String("serve", "", "load driver: soak a running pba-serve or pba-router at this base URL (e.g. http://127.0.0.1:8380)")
 		checkURL = flag.String("check", "", "load driver: check a fresh pba-serve or pba-router at this base URL against an in-process replay (grant IDs and fingerprint)")
@@ -75,6 +75,10 @@ func main() {
 		proto    = flag.String("proto", "json", "load driver: data-plane encoding, json or binary (the compact wire framing)")
 	)
 	flag.Parse()
+	if *mode != "mass" && *mode != "agent" {
+		fmt.Fprintf(os.Stderr, "pba-bench: bad -mode %q (want mass or agent)\n", *mode)
+		os.Exit(2)
+	}
 
 	if *serveURL != "" || *checkURL != "" {
 		err := drive(driveConfig{
@@ -95,7 +99,7 @@ func main() {
 		Quick:    *quick,
 		Workers:  *workers,
 		BaseSeed: *baseSeed,
-		Mode:     *mode,
+		Agent:    *mode == "agent",
 	}
 
 	var list []bench.Experiment

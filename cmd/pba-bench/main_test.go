@@ -18,6 +18,10 @@ func TestSmoke(t *testing.T) {
 	if _, _, code := cmdtest.Run(t, bin, "-e", "E999"); code == 0 {
 		t.Error("unknown experiment exited 0")
 	}
+	// -mode names an engine; anything else fails before a table runs.
+	if _, _, code := cmdtest.Run(t, bin, "-e", "E5", "-quick", "-seeds", "1", "-mode", "count"); code == 0 {
+		t.Error("bad -mode exited 0")
+	}
 
 	// The load driver without a reachable server must fail loudly. Its
 	// positive path is covered by the pba-serve smoke test.

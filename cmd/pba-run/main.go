@@ -5,19 +5,17 @@
 //
 //	pba-run -alg aheavy -m 1000000 -n 1000
 //	pba-run -alg asym -m 65536 -n 256 -seed 7
-//	pba-run -alg greedy:2 -m 100000 -n 100
-//	pba-run -alg greedy -d 3 -m 100000 -n 100   # flags fill in parameters
+//	pba-run -alg greedy:3 -m 100000 -n 100
 //	pba-run -alg aheavy -m 1e7 -n 1e4 -trace
 //	pba-run -alg 'aheavy!mass' -m 1e10 -n 1e6   # count-based mass engine
-//	pba-run -alg aheavy -mode mass -m 1e10 -n 1e6
 //
 // Algorithms are resolved through the internal/sweep registry: aheavy
 // [:beta], asym, alight, oneshot, greedy:d, batched:d[:b], fixed:slack,
 // det, adaptive:slack (plus legacy aliases greedy2, light, deterministic,
-// aheavy-fast). A "!mass" suffix — or -mode mass — selects the count-based
-// mass engine for the families that support it, lifting the ball limit to
-// ~10^12. Bare family names take their parameters from the -d, -batch,
-// -slack, and -beta flags.
+// aheavy-fast). Parameters ride in the name, and a bare family name takes
+// the registry's defaults (greedy is greedy:2). A "!mass" suffix selects
+// the count-based mass engine for the families that support it, lifting
+// the ball limit to ~10^12.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -44,73 +41,12 @@ func parseSize(s string) (int64, error) {
 	return int64(f), nil
 }
 
-// paramFlags are the flags that fill in a bare family name's parameters;
-// combining them with an already-parameterized -alg is rejected rather
-// than silently ignored.
-var paramFlags = map[string]bool{"d": true, "batch": true, "slack": true, "beta": true}
-
-// algName merges the legacy parameter flags into a registry name: a bare
-// family name picks up -d, -batch, -slack, and -beta; a parameterized name
-// (anything containing ':') is passed through untouched. The mode argument
-// ("", "agent", or "mass") appends or rejects the "!mass" suffix.
-func algName(alg string, mode string, d int, batch, slack int64, beta float64) (string, error) {
-	// Expand aliases first: greedy2 means greedy:2, so it conflicts with
-	// -d just like the explicit spelling does; aheavy-fast canonicalizes to
-	// aheavy!mass before the mode check. The suffix is peeled off for the
-	// parameter merge and restored by sweep.ApplyMode at the end.
-	name := sweep.Canonicalize(alg)
-	base, mass := strings.CutSuffix(name, sweep.MassSuffix)
-	if mass {
-		if mode == "agent" {
-			return sweep.ApplyMode(name, mode) // reports the mass/agent conflict
-		}
-		mode = "mass"
-	}
-	if strings.Contains(base, ":") {
-		var conflict []string
-		flag.Visit(func(f *flag.Flag) {
-			if paramFlags[f.Name] {
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return "", fmt.Errorf("-alg %q carries its own parameters; drop %s or use the bare family name",
-				alg, strings.Join(conflict, ", "))
-		}
-		return sweep.ApplyMode(name, mode)
-	}
-	switch base {
-	case "greedy":
-		base = fmt.Sprintf("greedy:%d", d)
-	case "batched":
-		if batch != 0 { // pass invalid values through so the registry rejects them
-			base = fmt.Sprintf("batched:%d:%d", d, batch)
-		} else {
-			base = fmt.Sprintf("batched:%d", d)
-		}
-	case "fixed":
-		base = fmt.Sprintf("fixed:%d", slack)
-	case "adaptive":
-		base = fmt.Sprintf("adaptive:%d", slack)
-	case "aheavy":
-		if beta != 0 {
-			base = fmt.Sprintf("aheavy:%g", beta)
-		}
-	}
-	return sweep.ApplyMode(base, mode)
-}
-
 func main() {
 	var (
-		alg     = flag.String("alg", "aheavy!mass", "algorithm (registry name)")
-		mode    = flag.String("mode", "", "simulation engine: agent (per-ball) or mass (count-based); empty lets the name decide")
+		alg     = flag.String("alg", "aheavy!mass", "algorithm (registry name; parameters ride in it, e.g. greedy:3 or aheavy:0.5)")
 		mStr    = flag.String("m", "1000000", "number of balls")
 		nStr    = flag.String("n", "1000", "number of bins")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		d       = flag.Int("d", 2, "choices for greedy/batched")
-		batch   = flag.Int64("batch", 0, "batch size for batched (default n)")
-		slack   = flag.Int64("slack", 2, "slack for fixed/adaptive threshold")
-		beta    = flag.Float64("beta", 0, "Aheavy slack exponent (0 = paper's 2/3)")
 		trace   = flag.Bool("trace", false, "print per-round remaining-ball trace")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		list    = flag.Bool("list", false, "list registry algorithms and exit")
@@ -134,11 +70,7 @@ func main() {
 	}
 	p := model.Problem{M: m, N: int(nn)}
 
-	name, err := algName(*alg, *mode, *d, *batch, *slack, *beta)
-	if err != nil {
-		fatal("%v", err)
-	}
-	algorithm, err := sweep.Resolve(name)
+	algorithm, err := sweep.Resolve(*alg)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -27,4 +27,8 @@ func TestSmoke(t *testing.T) {
 	if _, _, code := cmdtest.Run(t, bin, "-alg", "no-such-alg", "-m", "10", "-n", "4"); code == 0 {
 		t.Error("unknown algorithm exited 0")
 	}
+	// Parameters ride in the registry name (greedy:3); there is no -d.
+	if _, _, code := cmdtest.Run(t, bin, "-alg", "greedy", "-d", "3", "-m", "10", "-n", "4"); code == 0 {
+		t.Error("-d exited 0")
+	}
 }

@@ -15,9 +15,8 @@
 // asym, alight, oneshot, greedy:d, batched:d[:b], fixed:slack, det,
 // adaptive:slack — each optionally suffixed "!mass" for the count-based
 // mass engine — plus the legacy aliases greedy2, light, deterministic, and
-// aheavy-fast (= aheavy!mass). -mode agent|mass forces every entry onto
-// one engine. The CSV alg column reports the canonical spelling (greedy2
-// prints as greedy:2, aheavy-fast as aheavy!mass).
+// aheavy-fast (= aheavy!mass). The CSV alg column reports the canonical
+// spelling (greedy2 prints as greedy:2, aheavy-fast as aheavy!mass).
 //
 // -workers parallelizes over grid cells; the worker count inside each
 // algorithm run is part of the spec (-alg-workers, default 1) so that a
@@ -39,7 +38,6 @@ import (
 func main() {
 	var (
 		alg      = flag.String("alg", "aheavy!mass", "comma-separated registry algorithm names")
-		mode     = flag.String("mode", "", "simulation engine for every -alg entry: agent or mass (appends !mass); empty lets each name decide")
 		nStr     = flag.String("n", "1024", "comma-separated bin counts")
 		ratioStr = flag.String("ratios", "16,64,256,1024,4096,16384", "comma-separated m/n values")
 		seeds    = flag.Int("seeds", 10, "seeds per cell")
@@ -63,14 +61,9 @@ func main() {
 	if *resume && *jsonPath == "" {
 		fatal(2, "-resume requires -json")
 	}
-	algs, err := applyMode(strings.Split(*alg, ","), *mode)
-	if err != nil {
-		fatal(2, "%v", err)
-	}
-
 	eng := &sweep.Engine{
 		Spec: sweep.Spec{
-			Algorithms: algs,
+			Algorithms: strings.Split(*alg, ","),
 			Ns:         ns,
 			Ratios:     ratios,
 			Seeds:      *seeds,
@@ -154,20 +147,6 @@ func (s *streamer) add(res *sweep.CellResult) {
 		delete(s.cells, s.next)
 		s.next++
 	}
-}
-
-// applyMode maps every algorithm name through the registry's shared
-// -mode semantics (sweep.ApplyMode).
-func applyMode(algs []string, mode string) ([]string, error) {
-	out := make([]string, len(algs))
-	for i, a := range algs {
-		name, err := sweep.ApplyMode(a, mode)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = name
-	}
-	return out, nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -56,19 +56,14 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultC is the concentration constant c in δ_r = c·sqrt(µ_r·log n).
-const DefaultC = 2.0
+// c is the concentration constant in δ_r = c·sqrt(µ_r·log n).
+const c = 2.0
 
 // Config parameterizes the asymmetric algorithm.
 type Config struct {
 	Seed    uint64
 	Workers int
 	Trace   bool
-	// C overrides the concentration constant (0 means DefaultC).
-	C float64
-	// DisablePreRound skips the symmetric pre-round even when m > n log n
-	// (used by experiments isolating the superbin mechanism).
-	DisablePreRound bool
 }
 
 // RoundPlan holds the precomputed parameters of one superbin round.
@@ -87,10 +82,7 @@ func (rp RoundPlan) MinBlockSize(n int) int {
 
 // Plan computes the deterministic superbin schedule for m1 balls entering
 // the phase and n bins. See the package comment for the construction.
-func Plan(m1 int64, n int, c float64) []RoundPlan {
-	if c <= 0 {
-		c = DefaultC
-	}
+func Plan(m1 int64, n int) []RoundPlan {
 	logn := math.Log(float64(n))
 	if logn < 1 {
 		logn = 1 // n <= 2: degenerate, but keep the formulas finite
@@ -136,9 +128,9 @@ func clampBlocks(v float64, n int) int {
 // preRoundThreshold returns the threshold of the symmetric pre-round and
 // the bins' deterministic estimate of the remainder, or (0, m) when the
 // pre-round is not applicable.
-func preRoundThreshold(p model.Problem, disable bool) (t int64, m1 int64) {
+func preRoundThreshold(p model.Problem) (t int64, m1 int64) {
 	logn := math.Max(math.Log(float64(p.N)), 1)
-	if disable || float64(p.M) <= float64(p.N)*logn {
+	if float64(p.M) <= float64(p.N)*logn {
 		return 0, p.M
 	}
 	mu := p.AvgLoad()
@@ -242,11 +234,11 @@ func Run(p model.Problem, cfg Config) (*model.Result, error) {
 	if p.M == 0 {
 		return &model.Result{Problem: p, Loads: make([]int64, p.N)}, nil
 	}
-	t, m1 := preRoundThreshold(p, cfg.DisablePreRound)
+	t, m1 := preRoundThreshold(p)
 	proto := &protocol{
 		n:            p.N,
 		preThreshold: t,
-		plans:        Plan(m1, p.N, cfg.C),
+		plans:        Plan(m1, p.N),
 	}
 	eng := sim.New(p, proto, sim.Config{
 		Seed:    cfg.Seed,
@@ -261,11 +253,11 @@ func Run(p model.Problem, cfg Config) (*model.Result, error) {
 // PlannedRounds returns the number of rounds the schedule prescribes for an
 // instance (excluding terminal repeats), including the pre-round when it
 // applies. Used by experiments to compare planned vs actual rounds.
-func PlannedRounds(p model.Problem, cfg Config) int {
-	t, m1 := preRoundThreshold(p, cfg.DisablePreRound)
+func PlannedRounds(p model.Problem) int {
+	t, m1 := preRoundThreshold(p)
 	pre := 0
 	if t > 0 {
 		pre = 1
 	}
-	return pre + len(Plan(m1, p.N, cfg.C))
+	return pre + len(Plan(m1, p.N))
 }

@@ -17,7 +17,7 @@ func TestPlanTerminates(t *testing.T) {
 		{1000000, 1000}, {50, 1000}, {1, 2}, {1000000, 10},
 		{1 << 40, 1 << 10},
 	} {
-		plans := Plan(tc.m, tc.n, 0)
+		plans := Plan(tc.m, tc.n)
 		if len(plans) == 0 {
 			t.Fatalf("m=%d n=%d: empty plan", tc.m, tc.n)
 		}
@@ -44,7 +44,7 @@ func TestPlanConstantRounds(t *testing.T) {
 	for _, n := range []int{100, 10000, 1000000} {
 		for _, ratio := range []int64{1, 4, 64, 1024, 1 << 20} {
 			m := int64(n) * ratio
-			plans := Plan(m, n, 0)
+			plans := Plan(m, n)
 			if len(plans) > 6 {
 				t.Fatalf("n=%d ratio=%d: %d planned rounds (want <= 6)", n, ratio, len(plans))
 			}
@@ -58,16 +58,16 @@ func TestPlanExpectedLoadPerLeader(t *testing.T) {
 	logn := math.Log(float64(n))
 
 	m := int64(50_000_000) // m/n = 5000 >> 4c² log n
-	plans := Plan(m, n, 0)
+	plans := Plan(m, n)
 	mu := float64(m) / float64(plans[0].Blocks)
 	if mu < 5000 || mu > 5200 {
 		t.Fatalf("heavy-ratio µ = %g want ~5000", mu)
 	}
 
 	mSmall := int64(100000) // m/n = 10: the 16c²·log n floor applies
-	plans = Plan(mSmall, n, 0)
+	plans = Plan(mSmall, n)
 	mu = float64(mSmall) / float64(plans[0].Blocks)
-	floor := 16 * DefaultC * DefaultC * logn
+	floor := 16 * c * c * logn
 	if mu < floor*0.9 || mu > floor*2 {
 		t.Fatalf("light-ratio µ = %g want near %g", mu, floor)
 	}
@@ -78,7 +78,7 @@ func TestPlanRemainderShrinksFast(t *testing.T) {
 	// µ >= 16c²·log n floor makes δ/µ <= 1/4).
 	m := int64(10_000_000)
 	n := 1000
-	plans := Plan(m, n, 0)
+	plans := Plan(m, n)
 	mr := float64(m)
 	for _, rp := range plans {
 		if rp.Terminal {
@@ -139,7 +139,7 @@ func TestTerminalBlocksSpanLogN(t *testing.T) {
 	// In the terminal round, blocks must have ~log n members so the
 	// overshoot spreads to O(1) per bin.
 	n := 100000
-	plans := Plan(int64(n), n, 0) // m = n: terminal quickly
+	plans := Plan(int64(n), n) // m = n: terminal quickly
 	last := plans[len(plans)-1]
 	s := last.MinBlockSize(n)
 	logn := math.Log(float64(n))
@@ -182,7 +182,7 @@ func TestRunConstantRounds(t *testing.T) {
 	n := 2000
 	for _, ratio := range []int64{1, 8, 64, 512, 4096} {
 		p := model.Problem{M: int64(n) * ratio, N: n}
-		planned := PlannedRounds(p, Config{})
+		planned := PlannedRounds(p)
 		if planned > 7 {
 			t.Fatalf("ratio %d: planned %d rounds", ratio, planned)
 		}
@@ -237,7 +237,7 @@ func TestRunLoadSpreadWithinBlocks(t *testing.T) {
 
 func TestRunWHPAcrossSeeds(t *testing.T) {
 	p := model.Problem{M: 200000, N: 1000}
-	planned := PlannedRounds(p, Config{})
+	planned := PlannedRounds(p)
 	var excess stats.Running
 	for seed := uint64(0); seed < 25; seed++ {
 		res, err := Run(p, Config{Seed: seed})
@@ -255,20 +255,6 @@ func TestRunWHPAcrossSeeds(t *testing.T) {
 	}
 	if excess.Max() > 30 {
 		t.Fatalf("worst excess %.0f over seeds", excess.Max())
-	}
-}
-
-func TestRunDisablePreRound(t *testing.T) {
-	p := model.Problem{M: 100000, N: 1000}
-	res, err := Run(p, Config{Seed: 11, DisablePreRound: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Excess() > 30 {
-		t.Fatalf("excess %d without pre-round", res.Excess())
 	}
 }
 
@@ -305,7 +291,7 @@ func TestRunInvalidProblem(t *testing.T) {
 
 func TestPlannedRoundsMatchesRun(t *testing.T) {
 	p := model.Problem{M: 64000, N: 800}
-	planned := PlannedRounds(p, Config{})
+	planned := PlannedRounds(p)
 	res, err := Run(p, Config{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +304,7 @@ func TestPlannedRoundsMatchesRun(t *testing.T) {
 func TestPreRoundThreshold(t *testing.T) {
 	// Heavy ratio: pre-round applies with T = m/n − (m/n)^(2/3).
 	p := model.Problem{M: 1 << 20, N: 1 << 10}
-	tr, m1 := preRoundThreshold(p, false)
+	tr, m1 := preRoundThreshold(p)
 	if tr != 1024-101-1 && tr != 1024-101 { // floor(1024 - 1024^(2/3)) = floor(1024-101.6)
 		t.Fatalf("pre-round threshold %d", tr)
 	}
@@ -326,11 +312,7 @@ func TestPreRoundThreshold(t *testing.T) {
 		t.Fatalf("pre-round estimate %d", m1)
 	}
 	// Light ratio: no pre-round.
-	if tr, m1 := preRoundThreshold(model.Problem{M: 1000, N: 1000}, false); tr != 0 || m1 != 1000 {
+	if tr, m1 := preRoundThreshold(model.Problem{M: 1000, N: 1000}); tr != 0 || m1 != 1000 {
 		t.Fatalf("light ratio got pre-round (t=%d m1=%d)", tr, m1)
-	}
-	// Disabled.
-	if tr, _ := preRoundThreshold(p, true); tr != 0 {
-		t.Fatal("disabled pre-round still active")
 	}
 }

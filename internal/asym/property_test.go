@@ -14,7 +14,7 @@ func TestPlanInvariantsProperty(t *testing.T) {
 	err := quick.Check(func(mRaw uint32, nRaw uint16) bool {
 		m := int64(mRaw%10_000_000) + 1
 		n := int(nRaw%10_000) + 2
-		plans := Plan(m, n, 0)
+		plans := Plan(m, n)
 		if len(plans) == 0 || !plans[len(plans)-1].Terminal {
 			return false
 		}

@@ -43,8 +43,16 @@ func OneShot(p model.Problem, cfg Config) (*model.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed)
-	loads := make([]int64, p.N)
+	res := new(model.Result)
+	OneShotInto(p, rng.New(cfg.Seed), make([]int64, p.N), res)
+	return res, nil
+}
+
+// OneShotInto is OneShot for a valid p, drawing from r into caller-owned
+// storage: loads (length p.N, overwritten) becomes res.Loads, and every
+// field of res is overwritten. The online allocator's mass epochs reuse
+// one set of these buffers across epochs.
+func OneShotInto(p model.Problem, r *rng.Rand, loads []int64, res *model.Result) {
 	r.Multinomial(p.M, loads)
 	rounds := 0
 	if p.M > 0 {
@@ -56,7 +64,7 @@ func OneShot(p model.Problem, cfg Config) (*model.Result, error) {
 			maxRecv = l
 		}
 	}
-	return &model.Result{
+	*res = model.Result{
 		Problem: p,
 		Loads:   loads,
 		Rounds:  rounds,
@@ -66,7 +74,7 @@ func OneShot(p model.Problem, cfg Config) (*model.Result, error) {
 			MaxBallSent:    min(1, p.M),
 			MaxBinReceived: maxRecv,
 		},
-	}, nil
+	}
 }
 
 // Greedy runs the sequential d-choice process: balls arrive one by one,

@@ -335,7 +335,7 @@ func E8Asymmetric(cfg Config) (*Table, error) {
 	var worstRounds, worstExcess float64
 	for _, ratio := range ratios {
 		p := model.Problem{M: int64(cfg.N) * ratio, N: cfg.N}
-		planned := asym.PlannedRounds(p, asym.Config{})
+		planned := asym.PlannedRounds(p)
 		var rounds, excess, maxBin stats.Running
 		for s := 0; s < seeds; s++ {
 			res, err := cfg.run("asym", p, s)

@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -200,12 +199,11 @@ type Config struct {
 	Workers int
 	// BaseSeed offsets all run seeds, for independent replications.
 	BaseSeed uint64
-	// Mode selects the engine for the Aheavy sweeps through
-	// sweep.ApplyMode: "" or "mass" runs the count-based mass engine (the
-	// historical default for the E-tables), "agent" forces the per-ball
-	// agent engine — slower, but it measures exact per-agent message maxima
-	// and is the baseline the mass engine's speedups are quoted against.
-	Mode string
+	// Agent runs the Aheavy sweeps on the per-ball agent engine instead of
+	// the count-based mass engine, the E-tables' default: slower, but it
+	// measures exact per-agent message maxima and is the baseline the mass
+	// engine's speedups are quoted against.
+	Agent bool
 }
 
 func (c Config) withDefaults() Config {
@@ -224,13 +222,11 @@ func (c Config) seed(i int) uint64 { return sweep.Spec{BaseSeed: c.BaseSeed}.Run
 
 // run executes the registry algorithm alg on p with the seed of run index
 // i and checks the result's invariants, so no verdict reads a run that
-// lost a ball. Aheavy names go onto the engine Mode selects.
+// lost a ball. Aheavy names, which the tables spell without the mass
+// suffix, run on the mass engine unless Agent is set.
 func (c Config) run(alg string, p model.Problem, i int) (*model.Result, error) {
-	if strings.HasPrefix(alg, "aheavy") {
-		var err error
-		if alg, err = sweep.ApplyMode(alg, cmp.Or(c.Mode, "mass")); err != nil {
-			return nil, err
-		}
+	if strings.HasPrefix(alg, "aheavy") && !c.Agent {
+		alg += sweep.MassSuffix
 	}
 	res, err := sweep.Run(alg, p, sweep.Options{Seed: c.seed(i), Workers: c.Workers})
 	if err != nil {

@@ -115,7 +115,6 @@ type Router struct {
 // off each upstream).
 type metrics struct {
 	reg        *obs.Registry
-	migrations *obs.Counter
 	rebalances *obs.Counter
 	splitStage *obs.Histogram
 	mergeStage *obs.Histogram
@@ -129,7 +128,6 @@ func newRouterMetrics() *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg:        reg,
-		migrations: reg.Counter("pba_router_migrations_total", "Cell migrations completed."),
 		rebalances: reg.Counter("pba_router_rebalances_total", "Migrations initiated by the load rebalancer."),
 		splitStage: reg.DurationHistogram(serve.StageMetricName, "Serving-pipeline stage durations; see serve.StageNames.", obs.L("stage", "route")),
 		mergeStage: reg.DurationHistogram(serve.StageMetricName, "Serving-pipeline stage durations; see serve.StageNames.", obs.L("stage", "commit")),

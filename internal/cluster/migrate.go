@@ -91,7 +91,6 @@ func (r *Router) MigrateTimed(g, dst int) (pause time.Duration, err error) {
 	pause = time.Since(t0)
 	r.met.migPause.ObserveDuration(pause)
 	r.met.snapBytes.Add(uint64(len(delta)))
-	r.met.migrations.Inc()
 	r.met.migTotal.Inc()
 
 	// The cell is live at dst; dropping the stale source copy happens

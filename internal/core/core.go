@@ -41,34 +41,32 @@ import (
 )
 
 // Params tunes Aheavy. The zero value selects the paper's parameters.
+// The experiments vary only these two; the paper's other constants are
+// stopFactor and lightCap.
 type Params struct {
 	// Beta is the threshold slack exponent; the paper uses 2/3. Must lie in
 	// (0, 1). Experiment E13 ablates it.
 	Beta float64
-	// StopFactor ends phase 1 once m̃_i <= StopFactor·n; the paper's proof
-	// uses 2. Must be >= 1.
-	StopFactor float64
 	// Degree is the number of bins each unallocated ball contacts per
 	// phase-1 round; the paper's algorithm uses 1 (experiment E14 ablates
 	// it). Only Run honours Degree; RunFast requires Degree == 1.
 	Degree int
-	// LightCap is the per-virtual-bin load cap of phase 2 (2 in LW16), at
-	// most 255.
-	LightCap int64
 }
+
+const (
+	// stopFactor ends phase 1 once m̃_i <= stopFactor·n, as in the
+	// paper's proof.
+	stopFactor = 2
+	// lightCap is the per-virtual-bin load cap of phase 2 (2 in LW16).
+	lightCap = 2
+)
 
 func (p Params) withDefaults() Params {
 	if p.Beta == 0 {
 		p.Beta = 2.0 / 3.0
 	}
-	if p.StopFactor == 0 {
-		p.StopFactor = 2
-	}
 	if p.Degree == 0 {
 		p.Degree = 1
-	}
-	if p.LightCap == 0 {
-		p.LightCap = 2
 	}
 	return p
 }
@@ -77,16 +75,8 @@ func (p Params) validate() error {
 	if !(p.Beta > 0 && p.Beta < 1) { // positive form rejects NaN
 		return fmt.Errorf("core: Beta must be in (0,1), got %g", p.Beta)
 	}
-	if p.StopFactor < 1 {
-		return fmt.Errorf("core: StopFactor must be >= 1, got %g", p.StopFactor)
-	}
 	if p.Degree < 1 {
 		return fmt.Errorf("core: Degree must be >= 1, got %d", p.Degree)
-	}
-	// The count-based phase 2 (light.RunMass) keeps a virtual bin's
-	// round-0 load in one byte.
-	if p.LightCap < 1 || p.LightCap > math.MaxUint8 {
-		return fmt.Errorf("core: LightCap must be in [1, %d], got %d", math.MaxUint8, p.LightCap)
 	}
 	return nil
 }
@@ -108,7 +98,7 @@ type Config struct {
 	// With BaseLoads set, phase 2 is the base-aware adaptive cleanup (a
 	// state-adaptive member of the paper's threshold family) instead of the
 	// Alight substrate: Alight assumes empty bins, which contradicts
-	// residual load — without this, batches of M <= StopFactor·n balls
+	// residual load — without this, batches of M <= 2n balls
 	// would place residual-blind, exactly what the churn layer must avoid.
 	BaseLoads []int64
 	// RecordPlacements asks the agent-based path (Run) to record every
@@ -158,7 +148,7 @@ func validateBase(base []int64, n int) (int64, error) {
 
 // Schedule computes the cumulative phase-1 thresholds T_0 < T_1 < ... and
 // the bins' remaining-ball estimates m̃_0, m̃_1, ... (with m̃_0 = m). The
-// schedule ends when m̃_i <= StopFactor·n or when the floor'd threshold
+// schedule ends when m̃_i <= 2n or when the floor'd threshold
 // stops increasing (no further progress is possible). Both slices have one
 // entry per phase-1 round; estimates additionally carries the final
 // estimate, so len(estimates) == len(thresholds)+1.
@@ -171,19 +161,21 @@ func Schedule(p model.Problem, params Params) (thresholds []int64, estimates []f
 // remaining-ball estimates track only the M balls being placed. With
 // baseTotal == 0 it is exactly Schedule.
 func ScheduleOffset(p model.Problem, baseTotal int64, params Params) (thresholds []int64, estimates []float64) {
-	return scheduleOffsetInto(p, baseTotal, params, nil, nil)
+	return scheduleOffsetInto(p, baseTotal, params, stopFactor*float64(p.N), nil, nil)
 }
 
 // scheduleOffsetInto is ScheduleOffset appending into caller-owned buffers
-// (pass length-0 slices to reuse their capacity across runs).
-func scheduleOffsetInto(p model.Problem, baseTotal int64, params Params, thresholds []int64, estimates []float64) ([]int64, []float64) {
+// (pass length-0 slices to reuse their capacity across runs), with the
+// schedule ending once the estimate is at most stop: 2n for unit balls,
+// 2·n·w_max in weight units for RunWeighted.
+func scheduleOffsetInto(p model.Problem, baseTotal int64, params Params, stop float64, thresholds []int64, estimates []float64) ([]int64, []float64) {
 	params = params.withDefaults()
 	mu := (float64(baseTotal) + float64(p.M)) / float64(p.N)
 	ns := float64(p.N)
 	mt := float64(p.M)
 	estimates = append(estimates, mt)
 	prev := int64(0)
-	for mt > params.StopFactor*ns && len(thresholds) < 512 {
+	for mt > stop && len(thresholds) < 512 {
 		ti := int64(math.Floor(mu - math.Pow(mt/ns, params.Beta)))
 		if ti <= prev {
 			break
@@ -283,13 +275,13 @@ func run(p model.Problem, cfg Config, mass bool) (*model.Result, error) {
 	} else {
 		p1 = new(phase1)
 	}
-	p1.thresholds, p1.estimates = scheduleOffsetInto(p, baseTotal, params, p1.thresholds[:0], p1.estimates[:0])
+	p1.thresholds, p1.estimates = scheduleOffsetInto(p, baseTotal, params, stopFactor*float64(p.N), p1.thresholds[:0], p1.estimates[:0])
 	p1.degree, p1.base = params.Degree, cfg.BaseLoads
 
 	var res *model.Result
 	if len(p1.thresholds) == 0 {
 		// Degenerate heavily-loaded ratio: everything goes to phase 2. This
-		// is also the small-batch churn regime (m̃_0 <= StopFactor·n), so
+		// is also the small-batch churn regime (m̃_0 <= 2n), so
 		// with a Scratch the empty result comes from its arena instead of
 		// fresh O(n+m) slices.
 		res = arena.ResultBuffers(p, cfg.RecordPlacements)
@@ -312,37 +304,37 @@ func run(p model.Problem, cfg Config, mass bool) (*model.Result, error) {
 			return res, fmt.Errorf("core: phase 1: %w", err)
 		}
 	}
-	return finish(p, res, params, cfg, mass)
+	return finish(p, res, cfg, mass)
 }
 
 // finish dispatches phase 2: the Alight substrate for the batch case, the
 // base-aware adaptive cleanup when residual loads are in play. mass says
 // phase 1 ran on the mass engine, and Alight then runs count-based too.
-func finish(p model.Problem, phase1Res *model.Result, params Params, cfg Config, mass bool) (*model.Result, error) {
+func finish(p model.Problem, phase1Res *model.Result, cfg Config, mass bool) (*model.Result, error) {
 	if cfg.BaseLoads != nil {
 		return finishWithCleanup(p, phase1Res, cfg)
 	}
-	return finishWithLight(p, phase1Res, params, cfg, mass)
+	return finishWithLight(p, phase1Res, cfg, mass)
 }
 
 // finishWithLight runs phase 2 on the leftover balls and merges results.
 // After a count-based phase 1 it runs light.RunMass, which builds agents
 // only for the balls that survive Alight's degree-1 first round.
-func finishWithLight(p model.Problem, phase1Res *model.Result, params Params, cfg Config, mass bool) (*model.Result, error) {
+func finishWithLight(p model.Problem, phase1Res *model.Result, cfg Config, mass bool) (*model.Result, error) {
 	leftover := phase1Res.Unallocated
 	if leftover == 0 {
 		return phase1Res, nil
 	}
 	// Each real bin simulates g virtual bins; g is a constant for any fixed
 	// leftover/n ratio (and the ratio is O(1) w.h.p. by Claim 4).
-	g := virtualFactor(leftover, p.N, params.LightCap)
+	g := virtualFactor(leftover, p.N, lightCap)
 	nv := g * p.N
 	runLight := light.Run
 	if mass {
 		runLight = light.RunMass
 	}
 	lightRes, err := runLight(model.Problem{M: leftover, N: nv}, light.Config{
-		Cap:              params.LightCap,
+		Cap:              lightCap,
 		Seed:             rng.Mix64(cfg.Seed ^ 0xD1B54A32D192ED03),
 		Workers:          cfg.Workers,
 		TieBreak:         cfg.TieBreak,

@@ -25,9 +25,9 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 
+	"repro/internal/model"
 	"repro/internal/rng"
 )
 
@@ -165,21 +165,9 @@ func RunWeighted(p WeightedProblem, cfg Config) (*WeightedResult, error) {
 		remaining[i] = c.Count
 	}
 
-	// Threshold schedule in weight units.
-	muW := float64(w) / float64(n)
-	wt := float64(w)
-	var thresholds []int64
-	prev := int64(0)
-	stop := params.StopFactor * float64(n) * float64(wmax)
-	for wt > stop && len(thresholds) < 512 {
-		ti := int64(math.Floor(muW - math.Pow(wt/float64(n), params.Beta)))
-		if ti <= prev {
-			break
-		}
-		thresholds = append(thresholds, ti)
-		prev = ti
-		wt = float64(n) * math.Pow(wt/float64(n), params.Beta)
-	}
+	// Aheavy's schedule in weight units: W balls of weight one, ending
+	// once the remaining-weight estimate is at most 2·n·w_max.
+	thresholds, _ := scheduleOffsetInto(model.Problem{M: w, N: n}, 0, params, stopFactor*float64(n)*float64(wmax), nil, nil)
 
 	r := rng.New(rng.Mix64(cfg.Seed ^ 0xBEEF5EED0DDBA115))
 	counts := make([][]int64, len(classes))

@@ -42,22 +42,21 @@ import (
 // Config parameterizes Alight.
 type Config struct {
 	// Cap is the hard per-bin load cap (2 in LW16's guarantee).
-	Cap int64
-	// MaxRequests caps the per-ball request count in one round, bounding
-	// worst-case message blowup. 0 means min(n, DefaultMaxRequests).
-	MaxRequests int
-	Seed        uint64
-	Workers     int
-	TieBreak    sim.TieBreak
-	Trace       bool
+	Cap      int64
+	Seed     uint64
+	Workers  int
+	TieBreak sim.TieBreak
+	Trace    bool
 	// RecordPlacements records every ball's final (virtual) bin in
 	// Result.Placements; see sim.Config.RecordPlacements.
 	RecordPlacements bool
 }
 
-// DefaultMaxRequests bounds the adaptive request schedule; 2^16 is the next
-// schedule value after 16 and already far beyond what n <= 10^9 needs.
-const DefaultMaxRequests = 1 << 16
+// MaxRequests bounds the adaptive request schedule, and with it the
+// worst-case message blowup: a ball contacts at most min(n, MaxRequests)
+// bins in one round. 2^16 is the next schedule value after 16 and already
+// far beyond what n <= 10^9 needs.
+const MaxRequests = 1 << 16
 
 // Schedule returns the number of bins an unallocated ball contacts in round
 // r (0-based): 1, 2, 4, 16, 65536, ... capped at maxReq.
@@ -78,17 +77,13 @@ func Schedule(r int, maxReq int) int {
 // protocol implements sim.Protocol for Alight. RunMass's survivors run it
 // from schedule index first = 1 over their bins' round-0 loads, base.
 type protocol struct {
-	cap    int64
-	maxReq int
-	first  int     // schedule index of the engine's round 0
-	base   []uint8 // per-bin load before the engine's round 0 (nil = empty)
+	cap   int64
+	first int     // schedule index of the engine's round 0
+	base  []uint8 // per-bin load before the engine's round 0 (nil = empty)
 }
 
 func (p *protocol) Targets(round int, b *sim.Ball, n int, buf []int) []int {
-	k := Schedule(p.first+round, p.maxReq)
-	if k > n {
-		k = n
-	}
+	k := Schedule(p.first+round, min(n, MaxRequests))
 	for i := 0; i < k; i++ {
 		buf = append(buf, b.Rand().Intn(n))
 	}
@@ -120,7 +115,7 @@ func Run(p model.Problem, cfg Config) (*model.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.New(p, &protocol{cap: cfg.Cap, maxReq: cfg.MaxRequests}, cfg.simConfig(p.N, 0)).Run()
+	return sim.New(p, &protocol{cap: cfg.Cap}, cfg.simConfig(p.N, 0)).Run()
 }
 
 // RunMass is Run for exchangeable balls: the same protocol and result
@@ -148,7 +143,7 @@ func RunMass(p model.Problem, cfg Config) (*model.Result, error) {
 	survivors, maxReceived := throw(rng.New(rng.Mix64(cfg.Seed^0xA54FF53A5F1D36F1)), p.M, uint8(cfg.Cap), base)
 	var res *model.Result
 	if survivors > 0 {
-		proto := &protocol{cap: cfg.Cap, maxReq: cfg.MaxRequests, first: 1, base: base}
+		proto := &protocol{cap: cfg.Cap, first: 1, base: base}
 		res, err = sim.New(model.Problem{M: survivors, N: p.N}, proto, cfg.simConfig(p.N, 1)).Run()
 		if res == nil {
 			return nil, err
@@ -209,12 +204,6 @@ func (cfg Config) resolve(p model.Problem) (Config, error) {
 	}
 	if cfg.Cap <= 0 {
 		cfg.Cap = 2
-	}
-	if cfg.MaxRequests <= 0 {
-		cfg.MaxRequests = DefaultMaxRequests
-		if p.N < cfg.MaxRequests {
-			cfg.MaxRequests = p.N
-		}
 	}
 	if p.M > cfg.Cap*int64(p.N) {
 		return cfg, fmt.Errorf("light: %d balls exceed capacity %d of %d bins with cap %d",

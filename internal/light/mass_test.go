@@ -153,7 +153,7 @@ func checkMass(t *testing.T, res *model.Result, capacity int64) {
 	// A ball active in the last round was active in every round before it.
 	var sent int64
 	for r := 0; r < res.Rounds; r++ {
-		sent += int64(min(Schedule(r, min(res.Problem.N, DefaultMaxRequests)), res.Problem.N))
+		sent += int64(min(Schedule(r, min(res.Problem.N, MaxRequests)), res.Problem.N))
 	}
 	if mt.MaxBallSent != sent {
 		t.Fatalf("MaxBallSent %d, want %d over %d rounds", mt.MaxBallSent, sent, res.Rounds)

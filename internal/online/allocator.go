@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // Config parameterizes an Allocator.
@@ -73,8 +72,6 @@ type Config struct {
 	// Workers bounds per-epoch parallelism (0 = GOMAXPROCS). It never
 	// affects results, only wall-clock.
 	Workers int
-	// TieBreak is handed to the underlying engine.
-	TieBreak sim.TieBreak
 	// Trace accumulates the per-round remaining-ball trajectory across
 	// epochs in Result().TraceRemaining.
 	Trace bool
@@ -153,7 +150,7 @@ func (a *Allocator) Allocate(k int) (*Report, error) {
 	seed := rng.Mix64(a.cfg.Seed ^ uint64(rep.Epoch)*0x9E3779B97F4A7C15)
 	runStart := time.Now()
 	res, err := a.run(model.Problem{M: int64(len(ids)), N: a.cfg.N}, a.loads, runOpts{
-		Seed: seed, Workers: a.cfg.Workers, TieBreak: a.cfg.TieBreak, Trace: a.cfg.Trace,
+		Seed: seed, Workers: a.cfg.Workers, Trace: a.cfg.Trace,
 		Scratch: &a.scratch,
 	})
 	runDur := time.Since(runStart)

@@ -15,10 +15,9 @@ import (
 
 // runOpts carries the per-epoch knobs handed to an epochRunner.
 type runOpts struct {
-	Seed     uint64
-	Workers  int
-	TieBreak sim.TieBreak
-	Trace    bool
+	Seed    uint64
+	Workers int
+	Trace   bool
 	// Scratch is the allocator's reusable epoch buffers (engine arenas,
 	// runner protocol values, placement/load vectors), so steady-state
 	// epochs allocate (almost) nothing. Results produced against it are
@@ -131,7 +130,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 		}
 		return canon, func(p model.Problem, base []int64, opt runOpts) (*model.Result, error) {
 			return core.Run(p, core.Config{
-				Seed: opt.Seed, Workers: opt.Workers, TieBreak: opt.TieBreak, Trace: opt.Trace,
+				Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
 				Params: core.Params{Beta: beta}, BaseLoads: base, RecordPlacements: true,
 				Scratch: &opt.Scratch.core,
 			})
@@ -160,7 +159,7 @@ func resolveAlg(name string) (string, epochRunner, error) {
 		}
 		return canon, func(p model.Problem, base []int64, opt runOpts) (*model.Result, error) {
 			return alg.Run(p, threshold.Config{
-				Seed: opt.Seed, Workers: opt.Workers, TieBreak: opt.TieBreak, Trace: opt.Trace,
+				Seed: opt.Seed, Workers: opt.Workers, Trace: opt.Trace,
 				BaseLoads: base, RecordPlacements: true,
 				Scratch: &opt.Scratch.thr,
 			})
@@ -189,10 +188,10 @@ func resolveAlg(name string) (string, epochRunner, error) {
 			return "oneshot" + massSuffix, massEpoch(func(p model.Problem, _ []int64, opt runOpts) (*model.Result, error) {
 				// Residual-blind by design, like the agent oneshot foil; the
 				// mass spelling draws the exact multinomial count vector.
-				res, err := baseline.OneShot(p, baseline.Config{Seed: rng.Mix64(opt.Seed ^ 0xBB67AE8584CAA73B)})
-				if err != nil {
-					return nil, err
-				}
+				r := &opt.Scratch.rand
+				r.Seed(rng.Mix64(opt.Seed ^ 0xBB67AE8584CAA73B))
+				loads, _, res := epochBuffers(opt.Scratch, p)
+				baseline.OneShotInto(p, r, loads, res)
 				if opt.Trace {
 					res.TraceRemaining = []int64{p.M}
 				}

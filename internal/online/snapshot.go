@@ -89,7 +89,7 @@ func (a *Allocator) snapshotLocked() *Snapshot {
 
 // Restore reconstructs an allocator from a snapshot. The snapshot fixes
 // the state triple (n, alg, seed); cfg supplies only the runtime knobs
-// (Workers, TieBreak, Trace), and its N/Alg/Seed fields, when non-zero,
+// (Workers, Trace, Ins), and its N/Alg/Seed fields, when non-zero,
 // must agree with the snapshot — a service restarted with conflicting
 // flags fails loudly instead of continuing a different stream. The decoded
 // state's recomputed fingerprint must match Snapshot.Fingerprint. The ID
@@ -116,7 +116,7 @@ func (s *Snapshot) Restore(cfg Config) (*Allocator, error) {
 	}
 	a, err := New(Config{
 		N: s.N, Alg: s.Alg, Seed: s.Seed,
-		Workers: cfg.Workers, TieBreak: cfg.TieBreak, Trace: cfg.Trace, Ins: cfg.Ins,
+		Workers: cfg.Workers, Trace: cfg.Trace, Ins: cfg.Ins,
 	})
 	if err != nil {
 		return nil, err

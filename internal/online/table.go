@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -182,12 +183,14 @@ func (t *idTable) page(id int64) *idPage {
 		// The watermark page was fully drained and trimmed, and a fresh id
 		// lands in it again: re-extend the directory downward. Only the
 		// newest retired range can overlap the monotone ID watermark, so
-		// this prepend is rare and small.
-		shift := -pi
-		grown := make([]*idPage, shift+int64(len(t.pages)))
-		copy(grown[shift:], t.pages)
-		t.pages = grown
-		t.base -= shift
+		// the shift is small; a churn that releases every ball does it
+		// every epoch, so it reuses the directory's capacity (free keeps
+		// it).
+		shift, n := int(-pi), len(t.pages)
+		t.pages = slices.Grow(t.pages, shift)[:n+shift]
+		copy(t.pages[shift:], t.pages[:n])
+		clear(t.pages[:shift])
+		t.base -= int64(shift)
 		pi = 0
 	}
 	for pi >= int64(len(t.pages)) {
@@ -389,6 +392,8 @@ func (t *idTable) recompact(pg *idPage) {
 
 // free reclaims the (fully retired) page at directory index pi and trims
 // the directory: leading nil pages advance base, trailing nils shrink it.
+// The survivors are copied down rather than sliced off the front, so the
+// directory keeps its capacity for page to re-extend it in place.
 func (t *idTable) free(pi int64) {
 	pg := t.pages[pi]
 	t.pages[pi] = nil
@@ -399,9 +404,15 @@ func (t *idTable) free(pi int64) {
 	} else {
 		t.bytes -= pg.size()
 	}
-	for len(t.pages) > 0 && t.pages[0] == nil {
-		t.pages = t.pages[1:]
-		t.base++
+	lead := 0
+	for lead < len(t.pages) && t.pages[lead] == nil {
+		lead++
+	}
+	if lead > 0 {
+		n := copy(t.pages, t.pages[lead:])
+		clear(t.pages[n:])
+		t.pages = t.pages[:n]
+		t.base += int64(lead)
 	}
 	for len(t.pages) > 0 && t.pages[len(t.pages)-1] == nil {
 		t.pages = t.pages[:len(t.pages)-1]

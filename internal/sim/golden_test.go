@@ -2,9 +2,11 @@ package sim_test
 
 // Golden fingerprints pin the agent engine's complete output — loads,
 // rounds, message metrics, placements and the remaining-ball trace — for
-// every commit and process path it has. The values were recorded before
-// the engine's round loop was last reworked; a change to the engine that
-// alters any result, at any worker count, fails here.
+// every commit and process path it has, and the mass engine's output for
+// core's and the threshold family's count-based runs. The values were
+// recorded before the engine's round loop was last reworked (the mass
+// cases before their options became constants); a change to an engine
+// that alters any result, at any worker count, fails here.
 
 import (
 	"crypto/sha256"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/threshold"
 )
 
 // fingerprint hashes every field of r, in a fixed order.
@@ -159,6 +162,51 @@ var goldenCases = []goldenCase{
 			return baseline.Deterministic(model.Problem{M: 1 << 14, N: 1 << 7}, baseline.Config{Seed: 21, Workers: w, Trace: true})
 		},
 		want: "21b9ed0a1bc008779dd3f4ff",
+	},
+	{
+		// The mass engine: count-based phase 1 and light.RunMass.
+		name: "aheavy-mass",
+		run: func(w int) (*model.Result, error) {
+			return core.RunFast(model.Problem{M: 10_000_000_000, N: 100_000}, core.Config{Seed: 23, Workers: w, Trace: true})
+		},
+		want: "b00430f0a37215f955b436ac",
+	},
+	{
+		// A mass serving epoch: past the agent limit Run runs count-based
+		// over residual loads, with the cleanup phase and a reused scratch
+		// (its second run is the one pinned).
+		name: "aheavy-mass-epoch",
+		run: func(w int) (*model.Result, error) {
+			const n = 1 << 10
+			base := make([]int64, n)
+			r := rng.New(25)
+			for i := range base {
+				base[i] = 1<<21 + int64(r.Intn(4096))
+			}
+			scr := &core.Scratch{}
+			cfg := core.Config{Seed: 25, Workers: w, BaseLoads: base, Trace: true, Scratch: scr}
+			if _, err := core.Run(model.Problem{M: 3 << 30, N: n}, cfg); err != nil {
+				return nil, err
+			}
+			cfg.Seed = 27
+			return core.Run(model.Problem{M: 1 << 31, N: n}, cfg)
+		},
+		want: "92dd2cd7df69b41be807fdc7",
+	},
+	{
+		// The threshold family on the mass engine over residual loads.
+		name: "adaptive-mass",
+		run: func(w int) (*model.Result, error) {
+			const n = 1 << 9
+			base := make([]int64, n)
+			r := rng.New(29)
+			for i := range base {
+				base[i] = 5000 + int64(r.Intn(1000))
+			}
+			alg := threshold.Algorithm{Degree: 1, PhaseLen: 1, Policy: threshold.Greedy(2)}
+			return alg.RunMass(model.Problem{M: 1 << 24, N: n}, threshold.Config{Seed: 29, Workers: w, BaseLoads: base, Trace: true})
+		},
+		want: "01d4a1be19ba4aced72bfe7d",
 	},
 }
 

@@ -401,34 +401,6 @@ func Names() []string {
 	return out
 }
 
-// ApplyMode forces a registry name onto the requested engine: "mass"
-// appends the mass suffix, "agent" rejects names that carry it anywhere
-// (including on an online spec's inner algorithm), and "" leaves the name
-// alone. It returns the canonicalized spelling. Shared by the CLIs' -mode
-// flags so their semantics cannot drift.
-func ApplyMode(name, mode string) (string, error) {
-	canon := Canonicalize(name)
-	switch mode {
-	case "":
-		return canon, nil
-	case "agent":
-		if strings.Contains(canon, MassSuffix) {
-			return "", fmt.Errorf("sweep: %q selects the mass engine but mode agent was requested; drop one of them", name)
-		}
-		return canon, nil
-	case "mass":
-		if strings.HasPrefix(canon, "online:") {
-			return "", fmt.Errorf("sweep: mode mass cannot wrap the online family; put the %s suffix on the inner algorithm instead (e.g. online:aheavy%s:0.2)", MassSuffix, MassSuffix)
-		}
-		if strings.HasSuffix(canon, MassSuffix) {
-			return canon, nil
-		}
-		return canon + MassSuffix, nil
-	default:
-		return "", fmt.Errorf("sweep: bad mode %q (want agent or mass)", mode)
-	}
-}
-
 // MassNames returns the usage patterns of the mass-capable families,
 // sorted.
 func MassNames() []string {

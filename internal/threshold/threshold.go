@@ -194,34 +194,40 @@ type Config struct {
 	Scratch *Scratch
 }
 
-// Scratch pools the per-run protocol values and the engine arena reused
+// Scratch pools the per-run protocol value and the engine arena reused
 // across repeated Run/RunMass invocations.
 type Scratch struct {
-	proto  protocol
-	mproto massProtocol
-	arena  sim.Arena
+	proto protocol
+	arena sim.Arena
 }
 
-// protocol adapts Algorithm to sim.Protocol.
+// protocol adapts Algorithm to sim.Protocol and, for the degree-1,
+// phase-length-1 corner RunMass accepts, to sim.MassProtocol. On either
+// engine, with BaseLoads set, the policy sees base+new loads as the
+// system state.
 type protocol struct {
 	alg    Algorithm
-	caps   []int64 // current phase's per-bin load caps
+	caps   []int64 // agent engine: current phase's per-bin load caps
 	base   []int64 // pre-existing per-bin loads (nil = none)
 	totals []int64 // scratch: base+current loads handed to the policy
+}
+
+// view returns the system state the policy sees for the engine's loads.
+func (p *protocol) view(loads []int64) []int64 {
+	if p.base == nil {
+		return loads
+	}
+	for i, l := range loads {
+		p.totals[i] = l + p.base[i]
+	}
+	return p.totals
 }
 
 func (p *protocol) RoundStart(round int, loads []int64, remaining int64) {
 	if round%p.alg.PhaseLen != 0 {
 		return // thresholds are fixed for the duration of a phase
 	}
-	view := loads
-	if p.base != nil {
-		for i, l := range loads {
-			p.totals[i] = l + p.base[i]
-		}
-		view = p.totals
-	}
-	p.alg.Policy.Thresholds(round/p.alg.PhaseLen, view, remaining, p.caps)
+	p.alg.Policy.Thresholds(round/p.alg.PhaseLen, p.view(loads), remaining, p.caps)
 }
 
 func (p *protocol) Targets(round int, b *sim.Ball, n int, buf []int) []int {
@@ -254,6 +260,19 @@ func (p *protocol) Done(round int, _ int64) bool {
 	return p.alg.MaxPhases > 0 && round >= p.alg.MaxPhases*p.alg.PhaseLen
 }
 
+// MassCapacities turns the policy's cumulative per-bin load caps into the
+// round's acceptance capacities over the count vector; every mass round
+// is a phase.
+func (p *protocol) MassCapacities(phase int, loads []int64, remaining int64, caps []int64) {
+	view := p.view(loads)
+	p.alg.Policy.Thresholds(phase, view, remaining, caps)
+	for i := range caps {
+		caps[i] -= view[i]
+	}
+}
+
+func (p *protocol) MassDone(phase int, remaining int64) bool { return p.Done(phase, remaining) }
+
 // Validate reports whether the algorithm's parameters are well-formed.
 func (a Algorithm) Validate() error {
 	if a.Degree < 1 {
@@ -282,35 +301,6 @@ func (a Algorithm) Protocol(n int) (sim.Protocol, error) {
 	return &protocol{alg: a, caps: make([]int64, n)}, nil
 }
 
-// massProtocol adapts a degree-1, phase-length-1 Algorithm to the mass
-// engine: the policy's cumulative per-bin load caps become per-round
-// acceptance capacities over the count vector. With BaseLoads set the
-// policy sees base+new loads as the system state, exactly like the agent
-// path.
-type massProtocol struct {
-	alg    Algorithm
-	base   []int64 // pre-existing per-bin loads (nil = none)
-	totals []int64 // scratch: base+current loads handed to the policy
-}
-
-func (p *massProtocol) MassCapacities(phase int, loads []int64, remaining int64, caps []int64) {
-	view := loads
-	if p.base != nil {
-		for i, l := range loads {
-			p.totals[i] = l + p.base[i]
-		}
-		view = p.totals
-	}
-	p.alg.Policy.Thresholds(phase, view, remaining, caps)
-	for i := range caps {
-		caps[i] -= view[i]
-	}
-}
-
-func (p *massProtocol) MassDone(phase int, _ int64) bool {
-	return p.alg.MaxPhases > 0 && phase >= p.alg.MaxPhases
-}
-
 // RunMass executes the algorithm on the count-based mass engine, lifting
 // the ball limit to sim.MassMaxBalls. Only the exchangeable corner of the
 // family is expressible there: Degree == 1 and PhaseLen == 1 (bins reply
@@ -319,7 +309,8 @@ func (p *massProtocol) MassDone(phase int, _ int64) bool {
 // RecordPlacements is rejected and tie-breaking is moot (any rule yields
 // the same count evolution).
 func (a Algorithm) RunMass(p model.Problem, cfg Config) (*model.Result, error) {
-	if err := a.Validate(); err != nil {
+	proto, arena, err := a.setup(p, cfg)
+	if err != nil {
 		return nil, err
 	}
 	if a.Degree != 1 || a.PhaseLen != 1 {
@@ -327,23 +318,6 @@ func (a Algorithm) RunMass(p model.Problem, cfg Config) (*model.Result, error) {
 	}
 	if cfg.RecordPlacements {
 		return nil, fmt.Errorf("threshold: RunMass cannot record placements (balls are exchangeable); use Run")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BaseLoads != nil && len(cfg.BaseLoads) != p.N {
-		return nil, fmt.Errorf("threshold: BaseLoads has %d entries, want %d", len(cfg.BaseLoads), p.N)
-	}
-	var proto *massProtocol
-	var arena *sim.Arena
-	if scr := cfg.Scratch; scr != nil {
-		proto, arena = &scr.mproto, &scr.arena
-	} else {
-		proto = new(massProtocol)
-	}
-	proto.alg, proto.base = a, cfg.BaseLoads
-	if cfg.BaseLoads != nil {
-		proto.totals = sim.GrowInt64(proto.totals, p.N)
 	}
 	return sim.RunMass(p, proto, sim.Config{
 		Seed:  cfg.Seed,
@@ -356,14 +330,33 @@ func (a Algorithm) RunMass(p model.Problem, cfg Config) (*model.Result, error) {
 // stopping at MaxPhases returns the partial result (Unallocated > 0) with a
 // nil error; exhausting the engine round budget returns sim.ErrRoundLimit.
 func (a Algorithm) Run(p model.Problem, cfg Config) (*model.Result, error) {
-	if err := p.Validate(); err != nil {
+	proto, arena, err := a.setup(p, cfg)
+	if err != nil {
 		return nil, err
+	}
+	proto.caps = sim.GrowInt64(proto.caps, p.N)
+	return sim.New(p, proto, sim.Config{
+		Seed:             cfg.Seed,
+		Workers:          cfg.Workers,
+		TieBreak:         cfg.TieBreak,
+		Trace:            cfg.Trace,
+		RecordPlacements: cfg.RecordPlacements,
+		Arena:            arena,
+	}).Run()
+}
+
+// setup validates a run of a on p and readies its protocol value and
+// arena: the scratch's when cfg carries one, a fresh protocol and no
+// arena otherwise.
+func (a Algorithm) setup(p model.Problem, cfg Config) (*protocol, *sim.Arena, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if cfg.BaseLoads != nil && len(cfg.BaseLoads) != p.N {
-		return nil, fmt.Errorf("threshold: BaseLoads has %d entries, want %d", len(cfg.BaseLoads), p.N)
+		return nil, nil, fmt.Errorf("threshold: BaseLoads has %d entries, want %d", len(cfg.BaseLoads), p.N)
 	}
 	if err := a.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var proto *protocol
 	var arena *sim.Arena
@@ -373,16 +366,8 @@ func (a Algorithm) Run(p model.Problem, cfg Config) (*model.Result, error) {
 		proto = new(protocol)
 	}
 	proto.alg, proto.base = a, cfg.BaseLoads
-	proto.caps = sim.GrowInt64(proto.caps, p.N)
 	if cfg.BaseLoads != nil {
 		proto.totals = sim.GrowInt64(proto.totals, p.N)
 	}
-	return sim.New(p, proto, sim.Config{
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		TieBreak:         cfg.TieBreak,
-		Trace:            cfg.Trace,
-		RecordPlacements: cfg.RecordPlacements,
-		Arena:            arena,
-	}).Run()
+	return proto, arena, nil
 }
