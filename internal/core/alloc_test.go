@@ -10,16 +10,17 @@ import (
 // TestRunFreshMemoryPerBall fences a fresh Run's heap traffic. The agent
 // engine throws round 0 before it stores a ball, sizes every round buffer
 // once, for its whole input, reads the worker shards in place, and commits
-// a degree-1 round's accepts where the bins answer. So a run allocates
-// round 0's gather shard (8 B per ball), the scattered ball indices (4 B)
-// and the stay marks (1 B), and stores only the survivors of round 0, a
-// sixteenth of the balls at m/n = 4096, at about 57 B each: about 17 B per
-// ball at any worker count. Storing every ball up front (about 69 B),
-// buffers that grow by doubling, a concatenation of the request shards, or
-// a buffer of accept records in degree-1 rounds push it past the bound;
-// per-worker copies push workers 2 and 4 past 1.01x the bytes of workers 1.
+// each request of a large degree-1 round at its gather position. So a run
+// allocates round 0's gather shard (8 B per ball) and the stay marks (1 B),
+// and stores only the survivors of round 0, a sixteenth of the balls at
+// m/n = 4096, at about 57 B each: about 12.6 B per ball at any worker
+// count. Storing every ball up front (about 69 B), buffers that grow by
+// doubling, a concatenation of the request shards, a by-bin copy of round
+// 0's ball indices (4 B per ball), or a buffer of accept records in
+// degree-1 rounds push it past the bound; per-worker copies push workers 2
+// and 4 past 1.01x the bytes of workers 1.
 func TestRunFreshMemoryPerBall(t *testing.T) {
-	const maxBytesPerBall = 24
+	const maxBytesPerBall = 16
 	const maxWorkerGrowth = 1.01
 	p := model.Problem{M: 1 << 20, N: 256}
 	var oneWorker float64
@@ -52,15 +53,16 @@ func TestRunFreshMemoryPerBall(t *testing.T) {
 // TestRunFastMemoryPerBin fences a fresh RunFast's heap traffic per real
 // bin. Phase 1's mass engine holds four int64 vectors over the n bins, and
 // phase 2 (light.RunMass) a byte per virtual bin plus an agent-engine run
-// over round 0's survivors only: about 128 B per bin at g = 4 virtual bins
-// per bin. Building agents for every phase-2 ball (about 290 B per bin)
-// fails the bound; per-worker copies push workers 2 past 1.01x the bytes
-// of workers 1.
+// over round 0's survivors only, with a 4-byte request counter per virtual
+// bin: about 112 B per bin at g = 4 virtual bins per bin. Building agents
+// for every phase-2 ball (about 290 B per bin) or 8-byte request counters
+// (about 128 B) fail the bound; per-worker copies push workers 2 past
+// 1.01x the bytes of workers 1.
 func TestRunFastMemoryPerBin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates allocations")
 	}
-	const maxBytesPerBin = 160
+	const maxBytesPerBin = 120
 	const maxWorkerGrowth = 1.01
 	p := model.Problem{M: 10_000_000_000, N: 100_000}
 	var oneWorker float64

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -170,5 +173,60 @@ func TestWeightedDeterministic(t *testing.T) {
 		if a.Loads[i] != b.Loads[i] {
 			t.Fatal("weighted run not deterministic")
 		}
+	}
+}
+
+// weightedFingerprint hashes every field of r, in a fixed order: the
+// problem, the rounds, and each bin's weight and ball count.
+func weightedFingerprint(r *WeightedResult) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(int64(r.Problem.N))
+	for _, c := range r.Problem.Classes {
+		put(c.Weight)
+		put(c.Count)
+	}
+	put(int64(r.Rounds))
+	for i := range r.Loads {
+		put(r.Loads[i])
+		put(r.Balls[i])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestWeightedGolden pins RunWeighted's complete output on a few
+// instances: unit weights, mixed classes, a heavy tail, and a non-default
+// beta. The values were recorded before the agent engine's threshold
+// rounds last changed; a change to the schedule, its stop bound or the
+// finisher that alters any bin fails here.
+func TestWeightedGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		p    WeightedProblem
+		cfg  Config
+		want string
+	}{
+		{"unit", WeightedProblem{N: 256, Classes: []WeightClass{{Weight: 1, Count: 256 * 1024}}}, Config{Seed: 1}, "7969f301d2be94e18569fd13"},
+		{"mixed", WeightedProblem{N: 200, Classes: []WeightClass{{Weight: 1, Count: 100000}, {Weight: 2, Count: 40000}, {Weight: 4, Count: 10000}}}, Config{Seed: 3}, "f1831f2004c87682bbf18da1"},
+		{"heavy-tail", WeightedProblem{N: 100, Classes: []WeightClass{{Weight: 1, Count: 500000}, {Weight: 100, Count: 300}}}, Config{Seed: 5}, "0378cdf66c9bda4bb108b978"},
+		{"beta", WeightedProblem{N: 64, Classes: []WeightClass{{Weight: 3, Count: 30000}, {Weight: 7, Count: 5000}}}, Config{Seed: 9, Params: Params{Beta: 0.5}}, "21fb652fd0ad7db32a96bec7"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := RunWeighted(c.p, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if got := weightedFingerprint(res); got != c.want {
+				t.Fatalf("fingerprint %s, want %s (rounds %d, excess %d)", got, c.want, res.Rounds, res.Excess())
+			}
+		})
 	}
 }

@@ -61,9 +61,12 @@ const (
 // Every method but Hold and Done must be safe for concurrent use: in large
 // rounds the engine invokes Targets, Capacity and Payload from several
 // goroutines for distinct balls and bins, and in rounds where each ball
-// sends at most one request the worker that answers a bin also runs Place
-// for the balls it accepts, so Place too runs concurrently, for distinct
-// balls. Choose may use only its own ball's state and stream.
+// sends at most one request a ball commits inside step 2, so Place too runs
+// concurrently, for distinct balls. In a large such round the worker that
+// gathered a ball runs Payload and Place for its accept, so a bin's answers
+// are numbered from several goroutines at once; in any other it is the
+// worker that answers the bin. Choose may use only its own ball's state and
+// stream.
 // Implementations should treat receiver state as read-only during a run
 // (round-indexed parameters such as thresholds must be precomputed or
 // derived from the arguments).
@@ -145,10 +148,14 @@ type acceptRec struct {
 type binTally struct {
 	commits int
 	msgs    int64 // commit messages
-	// redirects holds the bins of commits that Place sent outside the
-	// accepting bin, added to their loads after the step's join.
-	redirects []int32
+	// redirects holds the commits that Place sent outside the accepting
+	// bin. Step 2 counts every accept in its bin's load; after the step's
+	// join each redirect moves one ball on to its target.
+	redirects []redirect
 }
+
+// redirect is a commit that Place moved from the accepting bin to another.
+type redirect struct{ from, to int32 }
 
 // agentRun is the mutable state of one agent-mode execution, and the
 // owner of its per-ball buffers, which an arena keeps across runs. The
@@ -164,7 +171,7 @@ type agentRun struct {
 	stay        []bool // stay[i]: active ball i stays unallocated after this round
 	ballSent    []int32
 	loads       []int64
-	binReceived []int64
+	binReceived []int32 // guarded against overflow like ballSent (receive)
 	placements  []int32
 
 	ballSeed uint64 // the run's ball-stream domain
@@ -176,23 +183,24 @@ type agentRun struct {
 	// is set until such a round 0 ends: no ball is stored yet.
 	fresh, slots bool
 
-	// split is set by the round loop before step 1: each gather worker
-	// also counts its requests by bin, so the counting sort is split by
-	// gather shard (scratch.go).
-	split bool
+	// inPlace is set by the round loop before step 1 for a round that may
+	// commit in place: each gather worker also counts its requests by bin.
+	// If every ball then sent at most one request, step 2 commits each
+	// request at its gather position (rankShard, commitShard).
+	inPlace bool
 
-	// step-2 inputs (set by processRequests before the process shards run)
-	parts     [][]request // the round's requests, in arrival order
-	byBin     []int32
-	offsets   []int32
-	single    bool           // each ball sent at most one request: commit while answering
-	shards    int            // step-2 shards; a split sort's scatter is spread over them
-	scattered sync.WaitGroup // a split sort's scatter barrier
+	// step-2 inputs (set by processRequests before the step-2 shards run)
+	parts   [][]request // the round's requests, in arrival order
+	byBin   []int32
+	offsets []int32
+	single  bool // each ball sent at most one request: commit while answering
 
 	initFn    func(wi, lo, hi int)
 	freshFn   func(wi, lo, hi int)
 	gatherFn  func(wi, lo, hi int)
 	processFn func(wi, lo, hi int)
+	rankFn    func(wi, lo, hi int)
+	commitFn  func(wi, lo, hi int)
 	countFn   func(wi, lo, hi int)
 	replayFn  func(wi, lo, hi int)
 }
@@ -230,6 +238,8 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		ar.freshFn = ar.freshShard
 		ar.gatherFn = ar.gatherShard
 		ar.processFn = ar.processShard
+		ar.rankFn = ar.rankShard
+		ar.commitFn = ar.commitShard
 		ar.countFn = ar.countShard
 		ar.replayFn = ar.replayShard
 	}
@@ -290,12 +300,13 @@ func (e *Engine) runAgent() (*model.Result, error) {
 		}
 
 		// Step 1: active balls emit requests (ball shards; parallel from
-		// forkMin balls up). A round that answers only its own fresh
-		// requests counts them by bin as it gathers, one histogram per
-		// gather shard, once the active balls outnumber those histograms'
-		// entries.
+		// forkMin balls up). A round of at least forkMin balls that answers
+		// only its own fresh requests, under a tie-break that keeps their
+		// order, counts them by bin as it gathers, one histogram per gather
+		// shard, once the active balls outnumber those histograms' entries.
 		gatherShards := chunks(int(remaining), ar.scr.forkWorkers(int(remaining)))
-		ar.split = !hold && len(held) == 0 && gatherShards > 1 && int(remaining) >= gatherShards*(n+2)
+		ar.inPlace = !hold && len(held) == 0 && e.cfg.TieBreak != TieRandom &&
+			remaining >= forkMin && int(remaining) >= gatherShards*(n+2)
 		reqs, sentThisRound, perBall := ar.gatherRequests(&metrics)
 
 		if hold {
@@ -340,7 +351,7 @@ func (e *Engine) runAgent() (*model.Result, error) {
 	if e.cfg.Trace {
 		arena.trace = trace
 	}
-	metrics.MaxBinReceived = slices.Max(ar.binReceived)
+	metrics.MaxBinReceived = int64(slices.Max(ar.binReceived))
 	res.Rounds = round
 	res.Metrics = metrics
 	res.TraceRemaining = trace
@@ -465,7 +476,7 @@ func (r *agentRun) freshShard(wi, lo, hi int) {
 	b := &scr.balls[wi].Ball
 	buf := scr.targetBuf[wi]
 	out := grow(scr.reqShards[wi], hi-lo)[:0]
-	hist := r.splitHist(wi)
+	hist := r.rankHist(wi)
 	perBall := 0
 	for i := lo; i < hi; i++ {
 		r.initBall(b, i)
@@ -484,14 +495,14 @@ func (r *agentRun) freshShard(wi, lo, hi int) {
 
 // gatherShard is the step-1 worker body: balls active[lo:hi] emit their
 // requests into the worker's shard buffer, sized for one request per ball,
-// and in a split round count them by bin into the worker's histogram. A
-// silent ball is marked to stay active; a ball that sent requests leaves
-// unless step 2 marks it again.
+// and in a round that may commit in place count them by bin into the
+// worker's histogram. A silent ball is marked to stay active; a ball that
+// sent requests leaves unless step 2 marks it again.
 func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr := r.scr
 	buf := scr.targetBuf[wi]
 	out := grow(scr.reqShards[wi], hi-lo)[:0]
-	hist := r.splitHist(wi)
+	hist := r.rankHist(wi)
 	perBall := 0
 	var maxSent int32
 	for _, bi := range r.active[lo:hi] {
@@ -513,10 +524,10 @@ func (r *agentRun) gatherShard(wi, lo, hi int) {
 	scr.sentMax[wi] = maxSent
 }
 
-// splitHist returns worker wi's histogram, zeroed, in a split round, and
-// nil in any other.
-func (r *agentRun) splitHist(wi int) []int32 {
-	if !r.split {
+// rankHist returns worker wi's histogram, zeroed, in a round that may
+// commit in place, and nil in any other.
+func (r *agentRun) rankHist(wi int) []int32 {
+	if !r.inPlace {
 		return nil
 	}
 	hist := growZero(r.scr.hists[wi], r.e.p.N)
@@ -568,22 +579,14 @@ func (r *agentRun) gatherRequests(metrics *model.Metrics) (shards [][]request, s
 	return shards, sent, slices.Max(scr.gatherMax[:k])
 }
 
-// processShard is the step-2 worker body. In a split round it first
-// scatters its gather shards' requests into byBin and waits for the other
-// workers to scatter theirs. Then bins [lo, hi) answer their requests: in
-// a single-request round the worker commits what they accept itself (only
-// it writes those bins' loads, and each ball has one accept); otherwise it
-// writes the accepts into the range's window of scr.acc, sized for every
-// request in the range.
+// processShard is the by-bin step-2 worker body: bins [lo, hi) answer
+// their requests, grouped by groupByBin. In a single-request round the
+// worker commits what they accept itself (only it writes those bins'
+// loads, and each ball has one accept); otherwise it writes the accepts
+// into the range's window of scr.acc, sized for every request in the
+// range.
 func (r *agentRun) processShard(wi, lo, hi int) {
 	scr := r.scr
-	if r.split {
-		for g := wi; g < len(r.parts); g += r.shards {
-			scatterBins(r.byBin, scr.hists[g], r.parts[g])
-		}
-		r.scattered.Done()
-		r.scattered.Wait()
-	}
 	var out []acceptRec
 	if !r.single {
 		out = scr.acc[r.offsets[lo]:r.offsets[lo]:r.offsets[hi]]
@@ -591,7 +594,7 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 	t := binTally{redirects: scr.tallies[wi].redirects[:0]}
 	for bin := lo; bin < hi; bin++ {
 		if reqs := r.byBin[r.offsets[bin]:r.offsets[bin+1]]; len(reqs) > 0 {
-			out = r.answer(wi, bin, reqs, out, &t)
+			out = r.answer(bin, reqs, out, &t)
 		}
 	}
 	scr.tallies[wi] = t
@@ -602,11 +605,11 @@ func (r *agentRun) processShard(wi, lo, hi int) {
 // arrival order, tie-broken in place): the bin accepts up to its capacity
 // at its round-start load. In a single-request round each rejected ball
 // is marked to stay active, and each accepted ball commits at once,
-// counted in t; a commit that Place sends to another bin waits in
-// t.redirects, so that every Capacity call of the round sees its bin's
-// round-start load. Otherwise the accepts are appended to out.
-func (r *agentRun) answer(wi, bin int, reqs []int32, out []acceptRec, t *binTally) []acceptRec {
-	r.binReceived[bin] += int64(len(reqs))
+// counted in t and in the bin's load; a commit that Place sends to another
+// bin waits in t.redirects, so that every Capacity call of the round sees
+// its bin's round-start load. Otherwise the accepts are appended to out.
+func (r *agentRun) answer(bin int, reqs []int32, out []acceptRec, t *binTally) []acceptRec {
+	r.receive(bin, len(reqs))
 	capacity := r.e.proto.Capacity(r.round, bin, r.loads[bin])
 	k := int64(len(reqs))
 	if capacity < k {
@@ -633,16 +636,103 @@ func (r *agentRun) answer(wi, bin int, reqs []int32, out []acceptRec, t *binTall
 		}
 		return out
 	}
-	buf := r.scr.accBufs[wi][:1]
 	for i := int64(0); i < k; i++ {
-		buf[0] = Accept{From: bin, Payload: r.e.proto.Payload(r.round, bin, i)}
-		if place := r.commitBall(reqs[i], buf, t); place == bin {
-			r.loads[bin]++
-		} else {
-			t.redirects = append(t.redirects, int32(place))
+		r.commitOne(reqs[i], bin, i, t)
+	}
+	r.loads[bin] += k
+	return out
+}
+
+// commitOne commits ball bi, whose one request bin accepted as its i-th
+// answer, counted in t. The caller counts the ball in bin's load; a commit
+// that Place sends elsewhere is queued in t.redirects.
+func (r *agentRun) commitOne(bi int32, bin int, i int64, t *binTally) {
+	place := r.e.proto.Place(Accept{From: bin, Payload: r.e.proto.Payload(r.round, bin, i)})
+	r.record(bi, place, bin, 1, t)
+	if place != bin {
+		t.redirects = append(t.redirects, redirect{from: int32(bin), to: int32(place)})
+	}
+}
+
+// receive counts n more requests answered by bin. The count is an int32,
+// as ballSent is, so a bin that would pass math.MaxInt32 requests over a
+// run panics rather than wrap.
+func (r *agentRun) receive(bin, n int) {
+	got := int64(r.binReceived[bin]) + int64(n)
+	if got > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: bin %d received more than %d requests", bin, math.MaxInt32))
+	}
+	r.binReceived[bin] = int32(got)
+}
+
+// rankShard is the bin pass of a round that commits in place, over bins
+// [lo, hi). Each gather shard's count of a bin's requests becomes that
+// shard's first rank among them (firstRanks), and each bin that got
+// requests answers: it reads its capacity at its round-start load, keeps
+// the number it accepts in scr.counts, and takes them into its load at
+// once. A request's rank alone then decides its fate (commitShard): the
+// bin accepts a prefix of its requests in arrival order, and each ball
+// sent only the one.
+//
+// A bin's requests arrive in ascending ball order, so under
+// TieAdversarialHighID a bin that cuts (accepts some but not all) takes
+// its last requests, the highest ball indices, and numbers its answers
+// from the end: its shards' ranks are shifted to count up to 0 at its last
+// request, so the magnitude of a negative rank is the answer index.
+func (r *agentRun) rankShard(_, lo, hi int) {
+	hists := r.scr.hists[:len(r.parts)]
+	accepted := r.scr.counts
+	highID := r.e.cfg.TieBreak == TieAdversarialHighID
+	for bin := lo; bin < hi; bin++ {
+		got := firstRanks(hists, bin)
+		if got == 0 {
+			continue
+		}
+		r.receive(bin, int(got))
+		k := int32(min(int64(got), max(r.e.proto.Capacity(r.round, bin, r.loads[bin]), 0)))
+		accepted[bin] = k
+		r.loads[bin] += int64(k)
+		if highID && 0 < k && k < got {
+			for _, h := range hists {
+				h[bin] -= got - 1
+			}
 		}
 	}
-	return out
+}
+
+// firstRanks turns each gather shard's count of bin's requests into that
+// shard's first rank among them, in shard order, and returns their total.
+func firstRanks(hists [][]int32, bin int) (got int32) {
+	for _, h := range hists {
+		c := h[bin]
+		h[bin] = got
+		got += c
+	}
+	return got
+}
+
+// commitShard is the request pass of a round that commits in place: worker
+// wi walks gather shard wi in order, each request taking its bin's next
+// rank. A request ranked below the number its bin accepts commits, with
+// its rank as the answer index; any other marks its ball to stay.
+func (r *agentRun) commitShard(wi, _, _ int) {
+	scr := r.scr
+	ranks := scr.hists[wi]
+	accepted := scr.counts
+	t := binTally{redirects: scr.tallies[wi].redirects[:0]}
+	for _, q := range r.parts[wi] {
+		rank := ranks[q.bin]
+		ranks[q.bin] = rank + 1
+		if rank < 0 { // a TieAdversarialHighID cut, numbered from the end
+			rank = -rank
+		}
+		if rank >= accepted[q.bin] {
+			r.stay[q.ball] = true
+			continue
+		}
+		r.commitOne(q.ball, int(q.bin), int64(rank), &t)
+	}
+	scr.tallies[wi] = t
 }
 
 // smallRoundMax bounds the sort-based small-round path: insertion sort is
@@ -651,53 +741,58 @@ const smallRoundMax = 256
 
 // processRequests runs step 2 over the round's total requests, given as
 // parts in arrival order, and step 3: it returns the number of balls
-// allocated this round and counts the commit messages in metrics. Rounds
-// counting-sort the requests and answer contiguous bin ranges, across
-// workers from forkMin requests up; small rounds (the serving/churn
-// regime: a handful of requests into many bins) instead sort the requests
-// by bin and walk only the touched bins, avoiding the counting sort's O(n)
-// per-round passes.
-// Both paths answer in the same order. A single-request round commits
-// inside step 2; in any other round a ball may hold several accepts, so
-// the step's windows of scr.acc are joined in place and committed by ball
-// on this goroutine. Results are bit-identical either way.
+// allocated this round and counts the commit messages in metrics. Three
+// paths answer the same way:
+//   - small rounds (the serving/churn regime: a handful of requests into
+//     many bins) sort the requests by bin and walk only the touched bins,
+//     avoiding the O(n) per-round passes of the other two;
+//   - a single-request round gathered for it commits in place: a bin pass
+//     ranks each gather shard's requests and answers every bin, and a
+//     request pass over the gather shards commits each request at its
+//     gather position (rankShard, commitShard);
+//   - every other round counting-sorts the requests by bin and answers
+//     contiguous bin ranges (groupByBin, processShard).
+//
+// The last two run across workers from forkMin requests up. A
+// single-request round commits inside step 2; in any other round a ball
+// may hold several accepts, so the step's windows of scr.acc are joined in
+// place and committed by ball on this goroutine. Results are bit-identical
+// on every path.
 func (r *agentRun) processRequests(parts [][]request, total int, singleReq bool, metrics *model.Metrics) int {
 	n := r.e.p.N
 	scr := r.scr
 	r.single = singleReq
+	r.parts = parts
 	if !singleReq {
 		scr.acc = grow(scr.acc, total)
 	}
 	w := 1
-	if total <= smallRoundMax && total*8 < n {
+	switch {
+	case total <= smallRoundMax && total*8 < n:
 		// A small round spans several gather shards only when most of
 		// many active balls stayed silent; join those.
 		r.processSmall(flatten(&scr.flush, parts))
-	} else {
-		r.parts = parts
-		if r.split {
-			r.byBin, r.offsets = scr.splitOffsets(len(parts), n, total)
-		} else {
-			r.byBin, r.offsets = scr.groupByBin(parts, n)
-		}
+	case r.inPlace && singleReq:
+		shard(n, scr.forkWorkers(total), r.rankFn)
+		w = shard(len(parts), len(parts), r.commitFn)
+	default:
+		r.byBin, r.offsets = scr.groupByBin(parts, n)
 		workers := scr.forkWorkers(total)
 		w = chunks(n, workers)
-		if r.split {
-			r.shards = w
-			r.scattered.Add(w)
-		}
 		shard(n, workers, r.processFn)
 	}
 
 	var commits int
 	var msgs int64
 	if singleReq {
-		// Redirected commits join their bins' loads in worker order.
+		// Step 2 counted each accept in its bin's load; a redirected
+		// commit moves on to its target.
 		for _, t := range scr.tallies[:w] {
 			commits += t.commits
 			msgs += t.msgs
-			for _, place := range t.redirects {
-				r.loads[place]++
+			for _, rd := range t.redirects {
+				r.loads[rd.from]--
+				r.loads[rd.to]++
 			}
 		}
 	} else {
@@ -736,7 +831,7 @@ func (r *agentRun) processSmall(reqs []request) {
 		for ; i < len(reqs) && int(reqs[i].bin) == bin; i++ {
 			buf = append(buf, reqs[i].ball)
 		}
-		out = r.answer(0, bin, buf, out, &t)
+		out = r.answer(bin, buf, out, &t)
 	}
 	scr.runBuf = buf
 	scr.tallies[0] = t
@@ -797,15 +892,19 @@ func shard(total, w int, fn func(wi, lo, hi int)) int {
 	wi := 1
 	for lo := chunk; lo < total; lo += chunk {
 		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			fn(wi, lo, hi)
-		}(wi, lo, min(lo+chunk, total))
+		go runChunk(&wg, fn, wi, lo, min(lo+chunk, total))
 		wi++
 	}
 	fn(0, 0, chunk)
 	wg.Wait()
 	return wi
+}
+
+// runChunk is one spawned chunk of shard. A named function keeps each
+// spawn to one allocation, its argument block.
+func runChunk(wg *sync.WaitGroup, fn func(wi, lo, hi int), wi, lo, hi int) {
+	defer wg.Done()
+	fn(wi, lo, hi)
 }
 
 // applyTieBreak reorders reqs so that the accepted prefix reflects the
@@ -828,12 +927,9 @@ func (e *Engine) applyTieBreak(round, bin int, reqs []int32) {
 }
 
 // commitBall lets ball bi choose among its accepts (never empty; Choose
-// runs only when there are several, so a fresh round 0 reads no ball),
-// records its placement where Place maps the chosen accept, and returns
-// that bin; the caller adds the ball to the bin's load. It counts the
-// commit in t, with one commit/inform message per accepting bin (the
-// chosen bin learns of the placement; others learn of the decline), plus
-// one redirect message when the placement bin differs.
+// runs only when there are several) and commits it where Place maps the
+// chosen one. It returns that bin; the caller adds the ball to the bin's
+// load.
 func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
 	choice := 0
 	if len(accepts) > 1 {
@@ -843,15 +939,25 @@ func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
 		}
 	}
 	place := r.e.proto.Place(accepts[choice])
+	r.record(bi, place, accepts[choice].From, len(accepts), t)
+	return place
+}
+
+// record notes the commit of ball bi to bin place, which Place mapped from
+// the accept of bin from, one of the ball's n accepts: it records the
+// placement and counts the commit in t, with one commit/inform message per
+// accepting bin (the chosen bin learns of the placement; others learn of
+// the decline), plus one redirect message when place differs from from.
+// It reads no ball, so a fresh round 0 commits without one.
+func (r *agentRun) record(bi int32, place, from, n int, t *binTally) {
 	if r.placements != nil {
 		r.placements[r.ballID(bi)] = int32(place)
 	}
 	t.commits++
-	t.msgs += int64(len(accepts))
-	if place != accepts[choice].From {
+	t.msgs += int64(n)
+	if place != from {
 		t.msgs++
 	}
-	return place
 }
 
 // commitByBall is step 3 of a round in which a ball may hold several
@@ -859,7 +965,7 @@ func (r *agentRun) commitBall(bi int32, accepts []Accept, t *binTally) int {
 // are adjacent, on the calling goroutine, after step 2 has read every
 // bin's round-start load.
 func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, msgs int64) {
-	buf := r.scr.accBufs[0]
+	buf := r.scr.accBuf
 	var t binTally
 	for i := 0; i < len(accepts); {
 		bi := accepts[i].ball
@@ -871,7 +977,7 @@ func (r *agentRun) commitByBall(accepts []acceptRec) (commits int, msgs int64) {
 		r.stay[bi] = false
 		r.loads[place]++
 	}
-	r.scr.accBufs[0] = buf
+	r.scr.accBuf = buf
 	return t.commits, t.msgs
 }
 

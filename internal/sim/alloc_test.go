@@ -56,7 +56,11 @@ func TestAgentEngineSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// 256·4·72 balls: most rounds fork, which the race detector then
-	// covers. Each round spawns workers-1 goroutines per step, two steps.
+	// covers. Each forked step spawns workers-1 goroutines; the bound
+	// allows three allocations per spawn of two steps. A round that
+	// commits in place forks three steps (gather, bin pass, request
+	// pass), at one allocation per spawn plus one per step: 12 per round
+	// at 4 workers.
 	const w = 4
 	if got, spawns := perRound(256, 4, w), 2*(w-1); got > 3*float64(spawns) {
 		t.Errorf("workers=%d, forked rounds: %.2f allocations per round for %d goroutine spawns", w, got, spawns)

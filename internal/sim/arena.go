@@ -29,7 +29,7 @@ type Arena struct {
 	// agent-mode buffers beside those run owns (balls, active, stay,
 	// ballSent)
 	loads       []int64
-	binReceived []int64
+	binReceived []int32
 	placements  []int32
 	trace       []int64
 	held        []request

@@ -22,12 +22,18 @@
 //     requests (ball initialization and storage included) run in parallel
 //     over per-worker shards; smaller steps run on the engine's goroutine,
 //     so small rounds allocate nothing. A round in which each ball sent at
-//     most one request commits inside step 2: a ball's one accept comes
-//     from the bin it contacted, so the worker that answers a bin also
-//     commits what it accepts, and Choose runs only for a ball with
-//     several accepts. Other rounds commit by ball on the engine's
-//     goroutine. Active-set marks live in the arena, never in the Ball.
-//     Capped at 2^31-2 balls.
+//     most one request commits inside step 2, since a ball's one accept
+//     comes from the bin it contacted. In a large such round a request's
+//     fate depends only on its rank among its bin's requests, so nothing
+//     is copied by bin: each gather worker counts its requests by bin, a
+//     bin pass turns the counts into each gather shard's first rank in
+//     every bin and answers every bin, and each gather worker then commits
+//     its accepted requests, and keeps its rejected balls, at their gather
+//     positions. Smaller such rounds, and TieRandom ones, counting-sort
+//     their requests by bin, and the worker that answers a bin commits
+//     what it accepts. Choose runs only for a ball with several accepts.
+//     Other rounds commit by ball on the engine's goroutine. Active-set
+//     marks live in the arena, never in the Ball. Capped at 2^31-2 balls.
 //
 //   - Mass mode (RunMass, mass.go): balls are exchangeable counts. A
 //     round evolves a per-bin ball-count vector via exact multinomial

@@ -4,35 +4,35 @@ package sim
 // needs is allocated once, grown to the high-water mark, and reused, so
 // the steady state allocates (almost) nothing per round. One arena serves
 // one run; workers index into disjoint per-worker sub-buffers. Rounds read
-// the worker shards in place: the counting sort reads the gather shards,
-// and a single-request round writes no accept at all, because each step-2
-// worker commits what its bins accept. Only flush rounds (held plus fresh
-// requests) and small rounds that span several gather shards join their
-// request shards, into buffers sized to exactly their sum. A round in
-// which a ball may hold several accepts answers into ascending windows of
-// one buffer, so commit joins them in place and such a round holds the
-// same bytes at any worker count. Buffers are sized before a step writes
-// them — a gather shard for one request per ball, a window for every
-// request in its bin range — so a degree-1 round grows no buffer by
-// doubling.
+// the worker shards in place, and a single-request round writes no accept
+// at all, because its step-2 workers commit what the bins accept. Only
+// flush rounds (held plus fresh requests) and small rounds that span
+// several gather shards join their request shards, into buffers sized to
+// exactly their sum. A round in which a ball may hold several accepts
+// answers into ascending windows of one buffer, so commit joins them in
+// place and such a round holds the same bytes at any worker count. Buffers
+// are sized before a step writes them — a gather shard for one request per
+// ball, a window for every request in its bin range — so a degree-1 round
+// grows no buffer by doubling.
 //
-// A large round that answers only its fresh requests splits its counting
-// sort by gather shard: each gather worker counts its own requests into
-// its own histogram (hists), and at the head of step 2 the workers scatter
-// the shards (splitOffsets, scatterBins). Smaller rounds count into the one
-// n+2 entry counts array (groupByBin), so they keep its memory.
+// A large single-request round that answers only its fresh requests copies
+// none of them: each gather worker counts its own requests into its own
+// histogram (hists), the bin pass turns the histograms into each shard's
+// first rank in every bin, and each request commits or stays at its gather
+// position by its rank. Every other round counting-sorts its requests into
+// byBin, with the one n+2 entry counts array (groupByBin).
 type scratch struct {
 	workers   int
 	targetBuf [][]int       // per-worker Protocol.Targets buffer
 	reqShards [][]request   // per-worker step-1 output
-	hists     [][]int32     // per-gather-shard request counts by bin, then scatter cursors
+	hists     [][]int32     // per-gather-shard request counts by bin, then rank cursors
 	flush     []request     // held+fresh working set on flush rounds; joined small rounds
 	flushPart [1][]request  // flush as the round's only part
-	counts    []int32       // n+2 counting-sort offsets and scatter cursors
-	byBin     []int32       // request ball indices scattered by bin
+	counts    []int32       // n+2 counting-sort offsets and scatter cursors; in-place accepted counts
+	byBin     []int32       // request ball indices grouped by bin
 	acc       []acceptRec   // multi-request round's accepts, one slot per request
 	accWin    [][]acceptRec // multi-request round's step-2 output: windows of acc
-	accBufs   [][]Accept    // per-worker Choose buffer
+	accBuf    []Accept      // commitByBall's buffer of one ball's accepts
 	tallies   []binTally    // per-worker step-2 commit totals
 	runBuf    []int32       // small-round per-bin ball-index buffer
 	gatherMax []int         // per-worker max requests one ball sent this round
@@ -56,7 +56,7 @@ func newScratch(workers, n int) *scratch {
 		hists:     make([][]int32, workers),
 		counts:    make([]int32, n+2),
 		accWin:    make([][]acceptRec, workers),
-		accBufs:   make([][]Accept, workers),
+		accBuf:    make([]Accept, 0, 8),
 		tallies:   make([]binTally, workers),
 		gatherMax: make([]int, workers),
 		sentMax:   make([]int32, workers),
@@ -65,7 +65,6 @@ func newScratch(workers, n int) *scratch {
 	}
 	for wi := 0; wi < workers; wi++ {
 		s.targetBuf[wi] = make([]int, 0, 8)
-		s.accBufs[wi] = make([]Accept, 0, 8)
 	}
 	return s
 }
@@ -114,37 +113,4 @@ func (s *scratch) groupByBin(parts [][]request, n int) (byBin []int32, offsets [
 		}
 	}
 	return byBin, counts[:n+1]
-}
-
-// splitOffsets is the split counting sort's prefix pass over the first h
-// histograms, which hold each group's request counts by bin for total
-// requests. It turns them into scatter cursors, bin-major and then
-// group-minor, so that each bin's requests keep group order, exactly the
-// order groupByBin gives. It returns byBin, sized for the requests, which
-// scatterBins then fills group by group, and the per-bin offsets, as
-// groupByBin does.
-func (s *scratch) splitOffsets(h, n, total int) (byBin []int32, offsets []int32) {
-	hists := s.hists[:h]
-	offsets = s.counts[:n+1]
-	var at int32
-	for b := range n {
-		offsets[b] = at
-		for _, hist := range hists {
-			c := hist[b]
-			hist[b] = at
-			at += c
-		}
-	}
-	offsets[n] = at
-	s.byBin = grow(s.byBin, total)
-	return s.byBin, offsets
-}
-
-// scatterBins writes the ball index of each of one group's requests to
-// its bin's next slot of byBin, advancing the group's cursors.
-func scatterBins(byBin, cursors []int32, reqs []request) {
-	for _, r := range reqs {
-		byBin[cursors[r.bin]] = r.ball
-		cursors[r.bin]++
-	}
 }

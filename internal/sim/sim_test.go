@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -389,33 +390,45 @@ func TestGroupByBinProperty(t *testing.T) {
 		if !slices.Equal(splitByBin, byBin) || !slices.Equal(splitOffsets, offsets) {
 			return false
 		}
-		// The counting sort split into 1-4 groups of contiguous parts, each
-		// counted into its own histogram and scattered on its own, as the
-		// gather shards are in a large round, gives the one-histogram output.
+		// The parts split into 1-4 groups of contiguous parts, each counted
+		// into its own histogram, as the gather shards are in a round that
+		// commits in place: walking each group in order from its first
+		// ranks (firstRanks) gives each request its position in its bin's
+		// group of the one-part output.
 		h := min(r.Intn(4)+1, len(parts))
-		s := newScratch(h, n)
 		bounds := []int{0, len(parts)}
 		for k := h - 1; k > 0; k-- {
 			bounds = append(bounds, r.Intn(len(parts)+1))
 		}
 		slices.Sort(bounds)
 		groups := make([][][]request, h)
+		hists := make([][]int32, h)
 		for g := range groups {
 			groups[g] = parts[bounds[g]:bounds[g+1]]
-			s.hists[g] = make([]int32, n)
+			hists[g] = make([]int32, n)
 			for _, part := range groups[g] {
 				for _, q := range part {
-					s.hists[g][q.bin]++
+					hists[g][q.bin]++
 				}
 			}
 		}
-		groupByBin, groupOffsets := s.splitOffsets(h, n, m)
-		for g, group := range groups {
-			for _, part := range group {
-				scatterBins(groupByBin, s.hists[g], part)
+		for b := 0; b < n; b++ {
+			if got := firstRanks(hists, b); got != offsets[b+1]-offsets[b] {
+				return false
 			}
 		}
-		return slices.Equal(groupByBin, byBin) && slices.Equal(groupOffsets, offsets)
+		for g, group := range groups {
+			for _, part := range group {
+				for _, q := range part {
+					rank := hists[g][q.bin]
+					hists[g][q.bin]++
+					if byBin[offsets[q.bin]+rank] != q.ball {
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -481,6 +494,64 @@ func TestBinReceivedAccounting(t *testing.T) {
 	}
 	if res.Metrics.MaxBinReceived != 500 {
 		t.Fatalf("MaxBinReceived = %d", res.Metrics.MaxBinReceived)
+	}
+}
+
+// primedProto sends every ball to bin 0, which accepts them all, and sets
+// bin 0's request counter in its arena to count at the start of round 0,
+// so that a run reaches the counter's limit in a few requests.
+type primedProto struct {
+	arena *Arena
+	count int32
+}
+
+func (p primedProto) RoundStart(round int, _ []int64, _ int64) {
+	if round == 0 {
+		p.arena.run.binReceived[0] = p.count
+	}
+}
+func (p primedProto) Targets(_ int, _ *Ball, _ int, buf []int) []int { return append(buf, 0) }
+func (p primedProto) Hold(int) bool                                  { return false }
+func (p primedProto) Capacity(int, int, int64) int64                 { return math.MaxInt64 }
+func (p primedProto) Payload(int, int, int64) int64                  { return 0 }
+func (p primedProto) Choose(int, *Ball, []Accept) int                { return 0 }
+func (p primedProto) Place(a Accept) int                             { return a.From }
+func (p primedProto) Done(int, int64) bool                           { return false }
+
+// TestBinReceivedOverflowGuard: a bin's request counter is an int32, so
+// the engine must panic before a bin's count over the run passes
+// math.MaxInt32, on each step-2 path that counts: a round that commits in
+// place, the by-bin counting sort (TieRandom) and a small round. A count
+// that ends exactly at math.MaxInt32 is reported, not refused.
+func TestBinReceivedOverflowGuard(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    model.Problem
+		tie  TieBreak
+	}{
+		{"in-place", model.Problem{M: 2 * forkMin, N: 1}, TieFirst},
+		{"by-bin", model.Problem{M: 2 * forkMin, N: 1}, TieRandom},
+		{"small", model.Problem{M: 10, N: 1000}, TieFirst},
+	} {
+		run := func(count int32) (res *model.Result, msg any) {
+			defer func() { msg = recover() }()
+			a := new(Arena)
+			res, err := New(c.p, primedProto{a, count}, Config{Seed: 1, Workers: 1, TieBreak: c.tie, Arena: a}).Run()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return res, nil
+		}
+		full := int32(math.MaxInt32 - c.p.M)
+		if res, msg := run(full); msg != nil {
+			t.Errorf("%s: a count ending at MaxInt32 panicked: %v", c.name, msg)
+		} else if res.Metrics.MaxBinReceived != math.MaxInt32 {
+			t.Errorf("%s: MaxBinReceived = %d, want %d", c.name, res.Metrics.MaxBinReceived, math.MaxInt32)
+		}
+		_, msg := run(full + 1)
+		if s, _ := msg.(string); !strings.Contains(s, "bin 0 received more than") {
+			t.Errorf("%s: a count past MaxInt32 gave panic %v", c.name, msg)
+		}
 	}
 }
 

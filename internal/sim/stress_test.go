@@ -125,10 +125,10 @@ func TestEngineInvariantsUnderRandomProtocols(t *testing.T) {
 
 // FuzzAgentEngine compares the engine with the serial reference engine
 // (reference_test.go) on fuzzProto, at 1, 2 and 4 workers, over instances
-// that straddle forkMin, so rounds fork or run inline, split their
-// counting sort by gather shard or not, read one or several gather shards,
-// commit inside step 2 or through the by-ball sort, redirect placements,
-// and flush held requests. Runs of at least forkMin balls throw round 0
+// that straddle forkMin, so rounds fork or run inline, commit each request
+// at its gather position or go through the by-bin counting sort, read one
+// or several gather shards, commit inside step 2 or through the by-ball
+// sort, redirect placements, and flush held requests. Runs of at least forkMin balls throw round 0
 // before they store a ball, unless round 0 holds or a ball sends several
 // requests; each input therefore also runs with a no-op InitState, which
 // stores every ball up front. Every run must pass Check and equal the
@@ -157,6 +157,13 @@ func FuzzAgentEngine(f *testing.F) {
 	f.Add(uint64(12), uint16(3*forkMin-2), uint16(127), uint8(0), uint8(0), uint8(2), uint8(5), false)
 	f.Add(uint64(13), uint16(2*forkMin), uint16(511), uint8(0), uint8(0), uint8(2), uint8(4), true)
 	f.Add(uint64(14), uint16(forkMin+11), uint16(255), uint8(2), uint8(0), uint8(1), uint8(0), false)
+	// Rounds that commit in place in which 23-82 bins get more requests
+	// than their capacity, under TieFirst and TieAdversarialHighID, plain
+	// and with silent balls and redirects.
+	f.Add(uint64(15), uint16(3*forkMin-2), uint16(1023), uint8(0), uint8(0), uint8(0), uint8(0), false)
+	f.Add(uint64(16), uint16(3*forkMin-2), uint16(1023), uint8(0), uint8(0), uint8(2), uint8(0), false)
+	f.Add(uint64(17), uint16(3*forkMin-2), uint16(511), uint8(0), uint8(0), uint8(0), uint8(2), true)
+	f.Add(uint64(18), uint16(3*forkMin-2), uint16(511), uint8(0), uint8(0), uint8(2), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed uint64, mRaw, nRaw uint16, degRaw, holdRaw, tieRaw, quietRaw uint8, redirect bool) {
 		m := int64(mRaw)%(3*forkMin) + 1
 		n := int(nRaw)%4096 + 1
